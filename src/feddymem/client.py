@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .features import ProjectionParams, project_backward, project_forward
 from .generator import GeneratorParams, generator_backward, generator_forward
-from .numerics import AdamState, Rng, adam_step, pairwise_dist
+from .numerics import AdamState, Rng, adam_step, knn
 
 DTYPE = np.float32
 
@@ -33,7 +33,7 @@ class MemoryBank:
         if self.data.ndim != 3:
             raise ShapeError(f"bank must be (H, W, C), got {self.data.shape}")
         if not np.isfinite(self.data).all():
-            raise ShapeError("bank contains non-finite patches")
+            raise NumericError("bank contains non-finite patches")
 
     @property
     def patches(self) -> np.ndarray:
@@ -142,12 +142,10 @@ def init_adam_states(state: ClientModelState, cfg: LossConfig) -> None:
 
 def knn_lookup(patches: np.ndarray, bank: MemoryBank, k: int) -> tuple[np.ndarray, np.ndarray]:
     """K nearest bank entries per patch: (indices, distances), ascending,
-    ties broken toward the lower bank index."""
+    ties broken toward the lower bank index (`numerics.knn`)."""
     if k > bank.size:
         raise ValueError(f"k={k} exceeds bank size {bank.size}")
-    d = pairwise_dist(patches, bank.patches)
-    idx = np.argsort(d, axis=1, kind="stable")[:, :k]
-    return idx, np.take_along_axis(d, idx, axis=1)
+    return knn(patches, bank.patches, k)
 
 
 def metric_loss(m: np.ndarray, bank: MemoryBank,

@@ -8,6 +8,26 @@ Conventions used repo-wide:
     (gradient checks do this to control finite-difference roundoff).
 
 Backward passes are hand-written per operation; there is no autograd.
+
+Nearest-neighbour contract (`knn`, used by the metric loss, scoring and
+k-means): the Gram form ||a||^2 + ||b||^2 - 2ab, in float64, only filters
+candidates; explicit differences (`pairwise_dist`) decide. Every returned
+or compared distance is the float `pairwise_dist` gives for that pair, and
+ties go to the lower reference index, so results equal a stable argsort of
+the full explicit row bit for bit, whatever the BLAS thread count. The
+filter is certified with gamma_n(u) = n u / (1 - n u), u the unit roundoff
+and eta the smallest subnormal of the result dtype, C the patch dim:
+  * explicit differences give a squared distance q with
+    |q - d^2| <= gamma_{C+2}(u) d^2 + C eta;
+  * the float64 Gram value g satisfies
+    |g - d^2| <= gamma_{2C+16}(u_64) (||a||^2 + ||b||^2) + 4C eta,
+    which covers the norms, the product and the float64 operations that
+    turn g into the lower bound lb = g - gamma_{2C+16}(u_64)(||a||^2 + ||b||^2);
+  * so floor = (lb - (5C + 16) eta)(1 - gamma_{2C+16}(u)) <= q (1 - u)^2.
+A row keeps k + KNN_SLACK columns of least lb. It is certified when the
+floor of every excluded column exceeds D^2, D the k-th kept distance:
+then each excluded distance fl(sqrt(q)) >= sqrt(q)(1 - u) > D strictly.
+A row that is not certified is recomputed on its full explicit row.
 """
 
 from __future__ import annotations
@@ -91,13 +111,15 @@ class Rng:
     def dirichlet(self, alpha: np.ndarray) -> np.ndarray:
         return self.generator.dirichlet(alpha)
 
-    def choice_weighted(self, weights: np.ndarray) -> int:
-        """Index drawn proportionally to nonnegative weights."""
+    def choice_weighted(self, weights: np.ndarray, draws: int) -> np.ndarray:
+        """`draws` independent indices, each drawn proportionally to
+        nonnegative weights; uniform when the weights sum to zero."""
         total = float(weights.sum())
         if total <= 0.0:
-            return self.integers(0, len(weights))
-        u = self.generator.uniform(0.0, total)
-        return int(np.searchsorted(np.cumsum(weights), u, side="right").clip(0, len(weights) - 1))
+            return np.array([self.integers(0, len(weights)) for _ in range(draws)],
+                            dtype=np.int64)
+        u = self.generator.uniform(0.0, total, size=draws)
+        return np.searchsorted(np.cumsum(weights), u, side="right").clip(0, len(weights) - 1)
 
 
 def xavier_uniform(rng: Rng, fan_in: int, fan_out: int, shape, dtype=DTYPE) -> np.ndarray:
@@ -183,22 +205,138 @@ def bilinear_resize(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise Euclidean distances
+# Pairwise Euclidean distances and exact k-nearest neighbours
 # ---------------------------------------------------------------------------
 
+KNN_CHUNK = 1024  # query rows per Gram block; memory stays O(KNN_CHUNK * Q)
+KNN_SLACK = 8     # Gram-ranked candidates kept per row beyond the k asked for
 
-def pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+
+def _check_patches(a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError("expected 2-D patch matrices")
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"patch dims differ: {a.shape[1]} vs {b.shape[1]}")
+
+
+def pairwise_dist(a: np.ndarray, b: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """d[p, q] = ||a_p - b_q||_2 for patch matrices (P, C) and (Q, C).
+
+    With `cols`, a (P, K) array of row indices into b, only those pairs are
+    computed: d[p, j] = ||a_p - b_{cols[p, j]}||_2, the same float the full
+    matrix holds at (p, cols[p, j]).
 
     Uses explicit differences rather than the |a|^2 + |b|^2 - 2ab expansion
     so that identical rows give an exact 0.
     """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("pairwise_dist expects 2-D patch matrices")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"patch dims differ: {a.shape[1]} vs {b.shape[1]}")
-    diff = a[:, None, :] - b[None, :, :]
+    _check_patches(a, b)
+    if cols is None:
+        diff = a[:, None, :] - b[None, :, :]
+    elif cols.ndim != 2 or cols.shape[0] != a.shape[0]:
+        raise ShapeError(f"cols must be ({a.shape[0]}, K), got {cols.shape}")
+    else:
+        diff = a[:, None, :] - b[cols]
     return np.sqrt(np.einsum("pqc,pqc->pq", diff, diff))
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * u / (1.0 - n * u)
+
+
+class GramFloor:
+    """Certified floors on the explicit-difference squared distances between
+    the rows of a and b, from float64 Gram products (module docstring)."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        _check_patches(a, b)
+        c = a.shape[1]
+        # explicit differences run in a - b's dtype; float16 in the
+        # promotion gives integer inputs a float's roundoff
+        info = np.finfo(np.result_type(a.dtype, b.dtype, np.float16))
+        keep = 1.0 - _gamma(2 * c + 16, np.finfo(np.float64).eps / 2)
+        self._scale = 1.0 - _gamma(2 * c + 16, float(info.eps) / 2)
+        self._absolute = (5 * c + 16) * float(info.smallest_subnormal)
+        self._a = a.astype(np.float64)
+        b64 = b.astype(np.float64)
+        a_sq = np.einsum("pc,pc->p", self._a, self._a)
+        b_sq = np.einsum("qc,qc->q", b64, b64)
+        # False when the Gram form could overflow float64
+        self.usable = float(a_sq.max(initial=0.0)) + float(b_sq.max(initial=0.0)) < 1e300
+        self._a_sq_kept = keep * a_sq
+        self._b_sq_kept = keep * b_sq
+        self._b_neg2_t = (-2.0 * b64).T  # scaling by -2 is exact
+
+    def lower(self, rows) -> np.ndarray:
+        """Lower bounds lb on the true squared distances of a[rows] to b."""
+        lb = self._a[rows] @ self._b_neg2_t
+        lb += self._a_sq_kept[rows, None]
+        lb += self._b_sq_kept
+        return lb
+
+    def floor(self, lb: np.ndarray) -> np.ndarray:
+        """Floors, monotone in lb, of q (1 - u)^2 for the computed q."""
+        return (lb - self._absolute) * self._scale
+
+    def floors(self, rows) -> np.ndarray:
+        """Floors f <= q of the squared distances q of a[rows] to b that
+        explicit differences, ((a_p - b_q) ** 2) summed over C in a - b's
+        dtype, give; -inf where the Gram form could overflow."""
+        if not self.usable:
+            return np.full((self._a[rows].shape[0], self._b_sq_kept.shape[0]), -np.inf)
+        return self.floor(self.lower(rows))
+
+
+def _knn_explicit(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    d = pairwise_dist(a, b)
+    idx = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(d, idx, axis=1)
+
+
+def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest rows of b for each row of a: (indices, distances), both
+    (P, k), ascending by distance, ties toward the lower index of b.
+
+    The result equals, bit for bit, a stable argsort of the full
+    `pairwise_dist(a, b)` row. Per chunk of KNN_CHUNK query rows a float64
+    Gram product ranks the columns, `argpartition` keeps k + KNN_SLACK of
+    them, and `pairwise_dist(rows, b, cols)` computes their distances,
+    which are ordered by (distance, index). The Gram form only filters:
+    each row is certified (contract in the module docstring) or redone on
+    its full explicit row.
+    """
+    _check_patches(a, b)
+    q = b.shape[0]
+    if not 1 <= k <= q:
+        raise ValueError(f"k={k} must be in [1, {q}]")
+    require_finite(a, "query patches")
+    require_finite(b, "reference patches")
+    m = k + KNN_SLACK
+    if m >= q or a.shape[0] == 0:
+        return _knn_explicit(a, b, k)
+    gram = GramFloor(a, b)
+    idx_parts, dist_parts = [], []
+    for s in range(0, a.shape[0], KNN_CHUNK):
+        rows = a[s:s + KNN_CHUNK]
+        if not gram.usable:
+            idx, dist = _knn_explicit(rows, b, k)
+        else:
+            lb = gram.lower(slice(s, s + KNN_CHUNK))
+            part = np.argpartition(lb, m, axis=1)
+            cols = np.sort(part[:, :m], axis=1)
+            d = pairwise_dist(rows, b, cols)
+            order = np.argsort(d, axis=1, kind="stable")[:, :k]
+            idx = np.take_along_axis(cols, order, axis=1)
+            dist = np.take_along_axis(d, order, axis=1)
+            # the (m + 1)-th smallest bound is the least over excluded columns
+            excluded = np.take_along_axis(lb, part[:, m:m + 1], axis=1)[:, 0]
+            kth = dist[:, -1].astype(np.float64)
+            redo = np.flatnonzero(~(gram.floor(excluded) > kth * kth))
+            if redo.size:
+                idx[redo], dist[redo] = _knn_explicit(rows[redo], b, k)
+        idx_parts.append(idx)
+        dist_parts.append(dist)
+    return np.concatenate(idx_parts), np.concatenate(dist_parts)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,14 @@ def _aggregate_banks(banks: list[MemoryBank], cfg: FederationConfig,
     return aggregate(banks, cfg.aggregation_config(round_index))
 
 
+def _largest_patch_norm(memories: list[np.ndarray]) -> float:
+    return max(max_patch_norm(m) for m in memories)
+
+
 def _run_clients(tasks, threads: int):
+    """Run one task per client; tasks touch only their own client's state,
+    and shared state (the monitor, the ledger) is updated from the returned
+    results on the calling thread, in client order."""
     if threads <= 1:
         return [task() for task in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -251,14 +258,15 @@ def initialize(cfg: FederationConfig, datasets: list[ClientDataset],
     states = [_init_client_state(cfg, n) for n in range(cfg.n_clients)]
 
     def make_task(n: int):
-        def task() -> MemoryBank:
+        def task() -> tuple[MemoryBank, float]:
             memories = extract_all_memories(states[n], datasets[n], cfg.loss.activation)
-            for m in memories:
-                monitor.observe_patch_norm(max_patch_norm(m))
-            return memory_reduce(memories, None, 0)
+            return memory_reduce(memories, None, 0), _largest_patch_norm(memories)
         return task
 
-    banks = _run_clients([make_task(n) for n in range(cfg.n_clients)], threads)
+    results = _run_clients([make_task(n) for n in range(cfg.n_clients)], threads)
+    banks = [bank for bank, _ in results]
+    for _, norm in results:
+        monitor.observe_patch_norm(norm)
     bytes_up = bytes_down = 0
     if cfg.baseline == "local_only":
         for state, bank in zip(states, banks):
@@ -305,13 +313,13 @@ def run_round(states: list[ClientModelState], global_bank: MemoryBank,
                 state, datasets[n], cfg.loss, round_index,
                 rng.child("update", n))
             memories = extract_all_memories(state, datasets[n], cfg.loss.activation)
-            for m in memories:
-                monitor.observe_patch_norm(max_patch_norm(m))
             bank = memory_reduce(memories, state.local_bank, round_index)
-            return losses, grad_sqs, bank
+            return losses, grad_sqs, bank, _largest_patch_norm(memories)
         return task
 
     results = _run_clients([make_task(n) for n in range(cfg.n_clients)], threads)
+    for r in results:
+        monitor.observe_patch_norm(r[3])
 
     client_losses = [float(np.mean(r[0])) if r[0] else 0.0 for r in results]
     client_grad_sq = [float(np.mean(r[1])) if r[1] else 0.0 for r in results]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .client import MemoryBank
 from .errors import ShapeError
-from .numerics import Rng, pairwise_dist
+from .numerics import GramFloor, Rng, knn
 from .tensorio import tensor_nbytes
 
 
@@ -26,7 +26,6 @@ class AggregationConfig:
     max_iterations: int = 100
     tolerance: float = 1e-6
     seed: int = 0
-    empty_cluster_policy: str = "reassign_farthest"
     n_init: int = 1  # independent seeded restarts; best objective wins
 
     def __post_init__(self):
@@ -34,8 +33,6 @@ class AggregationConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
-        if self.empty_cluster_policy != "reassign_farthest":
-            raise ValueError(f"unknown empty-cluster policy {self.empty_cluster_policy!r}")
         if self.n_init < 1:
             raise ValueError("n_init must be >= 1")
 
@@ -49,36 +46,50 @@ class KMeansResult:
     objective_history: list[float]
 
 
+def _sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    return ((points - center) ** 2).sum(axis=1).astype(np.float64)
+
+
 def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     """Greedy k-means++: per step, draw several D^2-weighted candidates and
     keep the one that shrinks the potential most. Degenerate all-zero
-    distances fall back to a uniform draw."""
+    distances fall back to a uniform draw.
+
+    One Gram product per step bounds every candidate's squared distances
+    from below (`GramFloor`); only points whose bound does not clear
+    their current D^2 get explicit differences, so each candidate's D^2
+    array is the one a full recomputation would give."""
     n = points.shape[0]
     n_candidates = 2 + int(np.log2(max(k, 2)))
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(0, n)
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1).astype(np.float64)
+    d2 = _sq_dists(points, points[chosen[0]])
+    gram = GramFloor(points, points)
     for j in range(1, k):
+        candidates = rng.choice_weighted(d2, n_candidates)
         best_idx, best_d2, best_pot = -1, None, np.inf
-        for _ in range(n_candidates):
-            idx = rng.choice_weighted(d2)
-            cand = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1).astype(np.float64))
+        for idx, floor in zip(candidates, gram.floors(candidates)):
+            near = np.flatnonzero(~(floor > d2))
+            cand = d2.copy()
+            cand[near] = np.minimum(d2[near], _sq_dists(points[near], points[idx]))
             pot = cand.sum()
             if pot < best_pot:
-                best_idx, best_d2, best_pot = idx, cand, pot
+                best_idx, best_d2, best_pot = int(idx), cand, pot
         chosen[j] = best_idx
         d2 = best_d2
     return chosen
 
 
-def _repair_empty(assignments: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
-    """Give each empty cluster the farthest point of the currently largest
-    cluster (deterministic tie-breaks toward lower indices)."""
+def _repair_empty(assignments: np.ndarray, nearest: np.ndarray, k: int) -> np.ndarray:
+    """Give each empty cluster the point of the currently largest cluster
+    that lies farthest from its center, `nearest` holding each point's
+    distance to its assigned center (deterministic tie-breaks toward lower
+    indices)."""
     counts = np.bincount(assignments, minlength=k)
     for empty in np.flatnonzero(counts == 0):
         donor = int(np.argmax(counts))
         members = np.flatnonzero(assignments == donor)
-        far = members[int(np.argmax(dists[members, donor]))]
+        far = members[int(np.argmax(nearest[members]))]
         assignments[far] = empty
         counts[donor] -= 1
         counts[empty] += 1
@@ -126,8 +137,7 @@ def _lloyd_once(points: np.ndarray, k: int, cfg: AggregationConfig,
         if not polish_hist:
             break
 
-    dists = pairwise_dist(points, centers)
-    assignments = np.argmin(dists, axis=1)
+    assignments = knn(points, centers, 1)[0][:, 0]
     objective = float(((points.astype(np.float64)
                         - centers[assignments].astype(np.float64)) ** 2).sum())
     return KMeansResult(centers=centers, assignments=assignments, objective=objective,
@@ -139,9 +149,8 @@ def _lloyd_iterations(points: np.ndarray, centers: np.ndarray, k: int,
     history: list[float] = []
     assignments = np.zeros(points.shape[0], dtype=np.int64)
     for _ in range(cfg.max_iterations):
-        dists = pairwise_dist(points, centers)
-        assignments = np.argmin(dists, axis=1)
-        assignments = _repair_empty(assignments, dists, k)
+        nearest_idx, nearest = knn(points, centers, 1)
+        assignments = _repair_empty(nearest_idx[:, 0], nearest[:, 0], k)
 
         sums = np.zeros((k, points.shape[1]), dtype=np.float64)
         np.add.at(sums, assignments, points.astype(np.float64))
@@ -240,13 +249,6 @@ class CommLedger:
     def totals(self) -> tuple[int, int]:
         up = sum(r.nbytes for r in self.records if r.direction == "up")
         down = sum(r.nbytes for r in self.records if r.direction == "down")
-        return up, down
-
-    def round_totals(self, round_index: int) -> tuple[int, int]:
-        up = sum(r.nbytes for r in self.records
-                 if r.direction == "up" and r.round_index == round_index)
-        down = sum(r.nbytes for r in self.records
-                   if r.direction == "down" and r.round_index == round_index)
         return up, down
 
     def message_counts(self) -> dict[int, int]:

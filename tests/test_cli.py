@@ -208,6 +208,24 @@ class TestCliErrors:
         code = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_non_finite_bank_exit_4(self, tmp_path, capsys, monkeypatch):
+        # one client's extraction yields an inf memory, so its reduced
+        # round-0 bank is non-finite: a numeric failure, not an internal one
+        from feddymem import orchestrator
+        extract = orchestrator.extract_all_memories
+
+        def overflowing(state, dataset, activation="relu"):
+            memories = extract(state, dataset, activation)
+            memories[0] = np.full_like(memories[0], np.inf)
+            return memories
+
+        monkeypatch.setattr(orchestrator, "extract_all_memories", overflowing)
+        cfg_path = write_config(tmp_path, desk_doc(rounds=0))
+        code = main(["init", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 4
+        assert err == {"type": "numeric", "message": "bank contains non-finite patches"}
+
     def test_init_command(self, tmp_path):
         cfg_path = write_config(tmp_path, desk_doc(rounds=7))
         out = tmp_path / "out"

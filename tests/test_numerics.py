@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import f64, max_rel_err
 from feddymem.errors import NumericError, ShapeError
 from feddymem.numerics import (
+    KNN_SLACK,
     AdamState,
     Rng,
     adam_step,
@@ -13,8 +15,10 @@ from feddymem.numerics import (
     conv1x1_backward,
     conv1x1_forward,
     finite_diff_grad,
+    knn,
     pairwise_dist,
 )
+import feddymem.numerics as numerics
 
 
 class TestTensor:
@@ -190,6 +194,153 @@ class TestPairwiseDist:
         for i in range(4):
             for k in range(4):
                 assert dac[i, k] <= (dab[i] + dbc[:, k]).min() + 1e-9
+
+
+def knn_oracle(a, b, k):
+    """Full explicit-difference row, stable argsort: the kernel's contract."""
+    d = pairwise_dist(a, b)
+    idx = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(d, idx, axis=1)
+
+
+def assert_same_as_oracle(a, b, k):
+    idx, dist = knn(a, b, k)
+    want_idx, want_dist = knn_oracle(a, b, k)
+    assert np.array_equal(idx, want_idx)
+    assert dist.dtype == want_dist.dtype
+    assert np.array_equal(dist, want_dist)
+
+
+@st.composite
+def knn_case(draw, dtype_a=np.float32, dtype_b=np.float32):
+    """Queries, a reference set and a k; in half the cases the rows of both
+    come from a pool of at most four rows, so ties are common."""
+    c = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 12))
+    elements = st.floats(-100, 100, width=32)
+    if draw(st.booleans()):
+        pool = draw(hnp.arrays(np.float32, (draw(st.integers(1, 4)), c), elements=elements))
+        pick = st.integers(0, len(pool) - 1)
+        a = pool[draw(st.lists(pick, min_size=p, max_size=p))]
+        b = pool[draw(st.lists(pick, min_size=q, max_size=q))]
+    else:
+        a = draw(hnp.arrays(np.float32, (p, c), elements=elements))
+        b = draw(hnp.arrays(np.float32, (q, c), elements=elements))
+    k = draw(st.integers(1, q))
+    return a.astype(dtype_a), b.astype(dtype_b), k
+
+
+class TestKnnKernel:
+    """`knn` must equal a stable argsort of the full `pairwise_dist` row,
+    indices and distances bit for bit, whatever the Gram filter decides."""
+
+    @given(knn_case())
+    @settings(max_examples=150, deadline=None)
+    def test_float32_matches_oracle(self, case):
+        assert_same_as_oracle(*case)
+
+    @given(knn_case(dtype_a=np.float64, dtype_b=np.float64))
+    @settings(max_examples=60, deadline=None)
+    def test_float64_matches_oracle(self, case):
+        assert_same_as_oracle(*case)
+
+    @given(knn_case(dtype_a=np.float64, dtype_b=np.float32))
+    @settings(max_examples=60, deadline=None)
+    def test_float64_queries_float32_reference(self, case):
+        assert_same_as_oracle(*case)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1]), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_k_equal_to_and_one_below_q(self, seed, below, c):
+        r = Rng(seed)
+        q = 12 + KNN_SLACK
+        a = r.child(1).normal((9, c))
+        b = r.child(2).normal((q, c))
+        b[3] = b[7]  # a duplicate reference row
+        assert_same_as_oracle(a, b, q - below)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_duplicate_rows_tie_to_lower_index(self, seed, k):
+        r = Rng(seed)
+        rows = r.child(1).normal((3, 4))
+        b = rows[r.child(2).generator.integers(0, 3, size=30)]
+        a = np.concatenate([rows, r.child(3).normal((5, 4))])
+        assert_same_as_oracle(a, b, k)
+        idx, dist = knn(rows[:1], b, 1)
+        assert idx[0, 0] == np.flatnonzero((b == rows[0]).all(axis=1))[0]
+        assert dist[0, 0] == 0.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_all_equal_reference_ties_everywhere(self, seed, k):
+        b = np.full((30, 3), 0.25, dtype=np.float32)
+        a = Rng(seed).normal((6, 3))
+        idx, _ = knn(a, b, k)
+        assert np.array_equal(idx, np.tile(np.arange(k), (6, 1)))
+        assert_same_as_oracle(a, b, k)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_cancelling_offset_falls_back_to_explicit_rows(self, seed, k, c):
+        # at |x| ~ 1e8 the float64 Gram error bound exceeds every true
+        # squared distance, so no row can be certified from the Gram form
+        r = Rng(seed)
+        a = 1e8 + r.child(1).uniform(-1.0, 1.0, (7, c), dtype=np.float64)
+        b = 1e8 + r.child(2).uniform(-1.0, 1.0, (k + KNN_SLACK + 5, c), dtype=np.float64)
+        redone = []
+        explicit = numerics._knn_explicit
+
+        def spy(rows, ref, kk):
+            redone.append(rows.shape[0])
+            return explicit(rows, ref, kk)
+
+        numerics._knn_explicit = spy
+        try:
+            assert_same_as_oracle(a, b, k)
+        finally:
+            numerics._knn_explicit = explicit
+        assert sum(redone) == a.shape[0]
+
+    def test_underflowing_squares_tie_at_zero(self):
+        # float32 squares of 2e-25 and 3e-26 underflow to 0, so every column
+        # but the large ones is at distance 0 and index 0 must win, although
+        # the float64 Gram form ranks column 0 behind columns 1..KNN_SLACK+1
+        b = np.array([[2e-25]] + [[3e-26]] * (KNN_SLACK + 1) + [[1.0 + j] for j in range(10)],
+                     dtype=np.float32)
+        a = np.zeros((1, 1), dtype=np.float32)
+        assert_same_as_oracle(a, b, 1)
+        assert knn(a, b, 1)[0][0, 0] == 0
+
+    def test_chunks_match_oracle(self, rng, monkeypatch):
+        monkeypatch.setattr(numerics, "KNN_CHUNK", 7)
+        a = rng.child(1).normal((40, 5))
+        b = rng.child(2).normal((50, 5))
+        assert_same_as_oracle(a, b, 4)
+
+    def test_selected_pairs_equal_full_matrix(self, rng):
+        a = rng.child(1).normal((30, 16))
+        b = rng.child(2).normal((25, 16))
+        cols = rng.child(3).generator.integers(0, 25, size=(30, 6))
+        full = pairwise_dist(a, b)
+        assert np.array_equal(pairwise_dist(a, b, cols), np.take_along_axis(full, cols, axis=1))
+
+    def test_cols_shape_checked(self):
+        with pytest.raises(ShapeError):
+            pairwise_dist(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((2, 1), dtype=np.int64))
+
+    @pytest.mark.parametrize("where", ["query", "reference"])
+    def test_non_finite_input_is_numeric_error(self, where):
+        a = np.zeros((3, 2), dtype=np.float32)
+        b = np.ones((20, 2), dtype=np.float32)
+        (a if where == "query" else b)[1, 0] = np.inf
+        with pytest.raises(NumericError):
+            knn(a, b, 1)
+
+    def test_k_out_of_range(self):
+        with pytest.raises(ValueError):
+            knn(np.zeros((1, 2)), np.zeros((3, 2)), 4)
 
 
 class TestAdam:

@@ -130,12 +130,17 @@ class TestRunRound:
             datasets = desk_datasets(cfg)
             ledger = CommLedger()
             monitor = ConvergenceMonitor()
-            states, bank, _ = initialize(cfg, datasets, ledger, monitor, threads=threads)
+            states, bank, metrics = initialize(cfg, datasets, ledger, monitor, threads=threads)
+            lines = [metrics.to_json_line()]
             for t in (1, 2):
-                bank, _ = run_round(states, bank, t, cfg, datasets, ledger, monitor,
-                                    threads=threads)
-            results.append(bank.data.copy())
-        assert np.array_equal(results[0], results[1])
+                bank, metrics = run_round(states, bank, t, cfg, datasets, ledger, monitor,
+                                          threads=threads)
+                lines.append(metrics.to_json_line())
+            results.append((bank.data.copy(), monitor.r_hat_m, lines))
+        (bank_1, r_hat_1, lines_1), (bank_3, r_hat_3, lines_3) = results
+        assert np.array_equal(bank_1, bank_3)
+        assert r_hat_1 == r_hat_3 > 0.0
+        assert lines_1 == lines_3
 
 
 class TestRunTraining:

@@ -5,10 +5,11 @@ import pytest
 
 from feddymem.client import MemoryBank
 from feddymem.errors import ShapeError
-from feddymem.numerics import Rng
+from feddymem.numerics import Rng, pairwise_dist
 from feddymem.server import (
     AggregationConfig,
     CommLedger,
+    _hartigan_polish,
     aggregate,
     average_banks,
     bank_nbytes,
@@ -32,6 +33,69 @@ def brute_force_sse(points: np.ndarray, k: int) -> float:
             sse += ((members - members.mean(axis=0)) ** 2).sum()
         best = min(best, sse)
     return best
+
+
+def reference_kmeans(points: np.ndarray, k: int, cfg: AggregationConfig):
+    """One seeded k-means run written with full distance matrices: greedy
+    k-means++ recomputing every point's D^2 per candidate, and Lloyd
+    assigning by argmin over the full (P, K) distance matrix."""
+    rng = Rng(cfg.seed).child("kmeanspp", 0)
+    n = points.shape[0]
+    n_candidates = 2 + int(np.log2(max(k, 2)))
+    chosen = [rng.integers(0, n)]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1).astype(np.float64)
+    for _ in range(1, k):
+        best_idx, best_d2, best_pot = -1, None, np.inf
+        for _ in range(n_candidates):
+            total = float(d2.sum())
+            if total <= 0.0:
+                idx = rng.integers(0, n)
+            else:
+                u = rng.generator.uniform(0.0, total)
+                idx = int(np.searchsorted(np.cumsum(d2), u, side="right").clip(0, n - 1))
+            cand = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1).astype(np.float64))
+            if cand.sum() < best_pot:
+                best_idx, best_d2, best_pot = idx, cand, cand.sum()
+        chosen.append(best_idx)
+        d2 = best_d2
+    centers = points[chosen].copy()
+
+    def lloyd(centers):
+        history = []
+        for _ in range(cfg.max_iterations):
+            dists = pairwise_dist(points, centers)
+            assignments = np.argmin(dists, axis=1)
+            counts = np.bincount(assignments, minlength=k)
+            for empty in np.flatnonzero(counts == 0):
+                donor = int(np.argmax(counts))
+                members = np.flatnonzero(assignments == donor)
+                far = members[int(np.argmax(dists[members, donor]))]
+                assignments[far] = empty
+                counts[donor] -= 1
+                counts[empty] += 1
+            sums = np.zeros((k, points.shape[1]), dtype=np.float64)
+            np.add.at(sums, assignments, points.astype(np.float64))
+            new = (sums / counts[:, None].astype(np.float64)).astype(points.dtype)
+            history.append(float(((points.astype(np.float64)
+                                   - new[assignments].astype(np.float64)) ** 2).sum()))
+            movement = np.sqrt(((new - centers).astype(np.float64) ** 2).sum(axis=1)).max()
+            centers = new
+            if movement < cfg.tolerance:
+                break
+        return assignments, centers, history
+
+    history = []
+    for _ in range(3):
+        assignments, centers, hist = lloyd(centers)
+        history.extend(hist)
+        if n * k > 32768:
+            break
+        assignments, centers, hist = _hartigan_polish(points, assignments, k)
+        history.extend(hist)
+        if not hist:
+            break
+    assignments = np.argmin(pairwise_dist(points, centers), axis=1)
+    return chosen, centers, assignments, history
 
 
 class TestKMeans:
@@ -71,6 +135,31 @@ class TestKMeans:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             kmeans(np.zeros((0, 2), np.float32), 1, AggregationConfig())
+
+    @pytest.mark.parametrize("n,c,k,distinct,scale,seed", [
+        (300, 8, 24, None, None, 0),    # distinct points, Gram-filtered kNN and seeding
+        (260, 5, 30, 40, None, 1),      # duplicated points
+        (120, 3, 16, 12, None, 2),      # fewer distinct points than clusters: empties repaired
+        (2400, 4, 16, None, None, 3),   # n * k > 32768: no polish, several kNN chunks
+        (80, 3, 12, None, 1e150, 4),    # float64 norms near overflow: no Gram filter
+    ])
+    def test_matches_full_matrix_reference(self, n, c, k, distinct, scale, seed):
+        r = Rng(seed)
+        if scale is not None:
+            pts = r.child(1).normal((n, c), dtype=np.float64) * scale
+        elif distinct is None:
+            pts = r.child(1).normal((n, c))
+        else:
+            rows = r.child(1).normal((distinct, c))
+            pts = rows[r.child(2).generator.integers(0, distinct, size=n)]
+        cfg = AggregationConfig(seed=seed)
+        chosen, centers, assignments, history = reference_kmeans(pts, k, cfg)
+        if distinct is not None and distinct < k:
+            assert len({tuple(p) for p in pts[chosen]}) < k  # seeding repeated a point
+        res = kmeans(pts, k, cfg)
+        assert np.array_equal(res.centers, centers)
+        assert np.array_equal(res.assignments, assignments)
+        assert res.objective_history == history
 
     def test_against_exhaustive_oracle(self):
         # Lloyd is a local method: require >= 95% global-optimum hits and log
