@@ -21,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .client import MemoryBank, knn_lookup
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .numerics import Rng, bilinear_resize
 
 DTYPE = np.float32
@@ -103,24 +103,37 @@ def postprocess_heatmap(a: np.ndarray, image_hw: tuple[int, int],
 # ---------------------------------------------------------------------------
 
 
+# Rows of the (curve points, regions) hit-count matrix built at a time in
+# `pro`, so its memory stays bounded however many points the curve has.
+PRO_HITS_CHUNK = 512
+
+
+def _finite_scores(scores) -> np.ndarray:
+    s = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(s).all():
+        raise NumericError("scores contain non-finite values")
+    return s
+
+
+def _tie_ends(sorted_vals: np.ndarray) -> np.ndarray:
+    """Last index of each run of equal values in a sorted 1-D array."""
+    change = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
+    return np.append(change, len(sorted_vals) - 1)
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged."""
     order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
+    ends = _tie_ends(values[order])
+    starts = np.concatenate(([0], ends[:-1] + 1))
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
 def auroc(scores, labels) -> float:
     """Probability a positive outscores a negative, ties counted half."""
-    s = np.asarray(scores, dtype=np.float64)
+    s = _finite_scores(scores)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ShapeError("scores and labels must be equal-length 1-D")
@@ -137,8 +150,17 @@ def pro(heatmaps: list[np.ndarray], masks: list[np.ndarray],
     """Per-region overlap averaged over thresholds up to the FPR budget.
 
     Ground-truth regions use 4-connectivity. The (FPR, PRO) curve is swept
-    over every distinct score value and integrated as a step function from
-    FPR 0 to the budget, normalized by the budget.
+    over the distinct score values from the highest down, and stops at the
+    first one whose FPR reaches the budget; it is integrated as a step
+    function from FPR 0 to the budget, normalized by the budget.
+
+    The cost is one sort of all pixel scores plus cumulative counts: the
+    false positives at each threshold are a running sum over the sorted
+    pixels, and a region's hits are the number of its pixels sorted at or
+    before the threshold. Only the last threshold of each run of equal FPR
+    is evaluated, since the step function reads no other, and the hit
+    counts are built `PRO_HITS_CHUNK` thresholds at a time, so memory
+    stays bounded by the chunk, not by the length of the curve.
     """
     if not 0 < fpr_budget <= 1:
         raise ValueError("fpr_budget must be in (0, 1]")
@@ -146,7 +168,6 @@ def pro(heatmaps: list[np.ndarray], masks: list[np.ndarray],
         raise ShapeError("need one mask per heatmap")
 
     region_ids = []
-    region_sizes: list[int] = []
     offset = 0
     for hm, mask in zip(heatmaps, masks):
         if hm.shape != mask.shape:
@@ -155,59 +176,52 @@ def pro(heatmaps: list[np.ndarray], masks: list[np.ndarray],
         ids = labeled.reshape(-1).astype(np.int64)
         ids[ids > 0] += offset
         region_ids.append(ids)
-        for r in range(1, n_regions + 1):
-            region_sizes.append(int((labeled == r).sum()))
         offset += n_regions
     n_regions_total = offset
     if n_regions_total == 0:
         raise ValueError("pro undefined: no anomalous regions in masks")
 
-    scores = np.concatenate([hm.reshape(-1).astype(np.float64) for hm in heatmaps])
+    scores = _finite_scores(
+        np.concatenate([hm.reshape(-1).astype(np.float64) for hm in heatmaps]))
     regions = np.concatenate(region_ids)
     is_neg = regions == 0
     total_neg = int(is_neg.sum())
     if total_neg == 0:
         raise ValueError("pro undefined: no normal pixels for the FPR axis")
 
-    order = np.argsort(-scores, kind="stable")
-    sizes = np.asarray(region_sizes, dtype=np.float64)
-    hits = np.zeros(n_regions_total, dtype=np.float64)
-    fp = 0
-    curve: list[tuple[float, float]] = []
-    i = 0
+    # thresholds are the ends of the tie groups in descending score order;
+    # the last pixel is a negative at FPR exactly 1 >= budget, so `stop`
+    # always exists
     n = len(scores)
-    while i < n:
-        j = i
-        v = scores[order[i]]
-        while j + 1 < n and scores[order[j + 1]] == v:
-            j += 1
-        group = order[i:j + 1]
-        fp += int(is_neg[group].sum())
-        touched = regions[group]
-        touched = touched[touched > 0]
-        if touched.size:
-            np.add.at(hits, touched - 1, 1.0)
-        curve.append((fp / total_neg, float((hits / sizes).mean())))
-        i = j + 1
+    order = np.argsort(-scores, kind="stable")
+    ends = _tie_ends(scores[order])
+    fpr = np.cumsum(is_neg[order])[ends] / total_neg
+    stop = int(np.argmax(fpr >= fpr_budget))
+    keep = np.flatnonzero(fpr[:stop] != fpr[1:stop + 1])
+    points = ends[keep]
+
+    # hits of region r at position e: its pixels keyed r * n + sorted
+    # position, counted up to r * n + e, less the keys of regions before r
+    sizes = np.bincount(regions, minlength=n_regions_total + 1)[1:]
+    sorted_regions = regions[order]
+    positions = np.flatnonzero(sorted_regions)
+    keys = np.sort((sorted_regions[positions] - 1) * n + positions)
+    before = np.cumsum(sizes) - sizes
+    region_base = np.arange(n_regions_total, dtype=np.int64) * n
+    pros = []
+    for c in range(0, len(points), PRO_HITS_CHUNK):
+        queries = points[c:c + PRO_HITS_CHUNK, None] + region_base
+        hits = np.searchsorted(keys, queries, side="right") - before
+        pros.extend((hits / sizes).mean(axis=1).tolist())
 
     # step integral over [0, budget]; PRO holds its value until the next
     # achieved FPR, starting from (0, 0)
     integral = 0.0
     prev_f, prev_p = 0.0, 0.0
-    for f, p in curve:
-        if f == prev_f:
-            prev_p = p
-            continue
-        seg_end = min(f, fpr_budget)
-        if seg_end > prev_f:
-            integral += prev_p * (seg_end - prev_f)
-        if f >= fpr_budget:
-            prev_f = fpr_budget
-            prev_p = p
-            break
+    for f, p in zip(fpr[keep].tolist(), pros):
+        integral += prev_p * (f - prev_f)
         prev_f, prev_p = f, p
-    if prev_f < fpr_budget:
-        integral += prev_p * (fpr_budget - prev_f)
+    integral += prev_p * (fpr_budget - prev_f)
     return float(integral / fpr_budget)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .numerics import Rng, conv1x1_backward, conv1x1_forward, xavier_normal, xavier_uniform
 
 DTYPE = np.float32
@@ -133,6 +133,8 @@ def _corner_setup(grid: np.ndarray, coords: np.ndarray):
     hg, wg, _ = grid.shape
     px = coords[..., 0]
     py = coords[..., 1]
+    if not np.isfinite(coords).all():
+        raise NumericError("sample coordinates contain non-finite values")
     if px.min() < 0 or px.max() > wg - 1 or py.min() < 0 or py.max() > hg - 1:
         raise ValueError("sample coordinates outside grid index range")
     x0 = np.floor(px).astype(np.int64)

@@ -484,18 +484,16 @@ def run_training(cfg: FederationConfig, datasets: list[ClientDataset],
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.jsonl"
+    ledger_path = out_dir / "ledger.csv"
     timings_path = out_dir / "timings.csv"
 
     metrics: list[RoundMetrics] = []
     ckpt = latest_checkpoint(out_dir) if resume else None
     if ckpt is not None:
         start_round, states, global_bank, monitor = load_checkpoint(ckpt, cfg)
-        ledger = _restore_ledger(out_dir / "ledger.csv", start_round)
-        kept_lines = _truncate_jsonl(metrics_path, start_round)
-        metrics_path.write_text("".join(line + "\n" for line in kept_lines))
-        timings_path.write_text(
-            "".join(line + "\n" for line in _truncate_timings(timings_path, start_round)))
-        timing_rows = []
+        ledger = _restore_ledger(ledger_path, start_round)
+        metrics_lines = _truncate_jsonl(metrics_path, start_round)
+        timing_lines = _truncate_timings(timings_path, start_round)
     else:
         start_round = 0
         monitor = ConvergenceMonitor()
@@ -503,29 +501,35 @@ def run_training(cfg: FederationConfig, datasets: list[ClientDataset],
         states, global_bank, init_metrics = initialize(cfg, datasets, ledger,
                                                        monitor, threads)
         metrics.append(init_metrics)
-        metrics_path.write_text(init_metrics.to_json_line() + "\n")
-        timing_rows = [(0, init_metrics.wall_time)]
+        metrics_lines = [init_metrics.to_json_line()]
+        timing_lines = ["round,seconds", f"0,{init_metrics.wall_time:.6f}"]
         if cfg.checkpoint_interval > 0:
             save_checkpoint(out_dir, 0, states, global_bank, monitor)
 
-    with open(metrics_path, "a") as metrics_fh:
+    # the three logs hold rounds 0..start_round before any later round runs,
+    # and each later round is appended and flushed as it ends, so a killed
+    # run leaves them at its last finished round
+    metrics_path.write_text("".join(line + "\n" for line in metrics_lines))
+    timings_path.write_text("".join(line + "\n" for line in timing_lines))
+    ledger.to_csv(ledger_path)
+    with open(metrics_path, "a") as metrics_fh, \
+            open(ledger_path, "a", newline="") as ledger_fh, \
+            open(timings_path, "a") as timings_fh:
+        ledger_writer = csv.writer(ledger_fh)
         for t in range(start_round + 1, cfg.rounds + 1):
+            logged = len(ledger.records)
             global_bank, round_metrics = run_round(
                 states, global_bank, t, cfg, datasets, ledger, monitor, threads)
             metrics.append(round_metrics)
             metrics_fh.write(round_metrics.to_json_line() + "\n")
-            metrics_fh.flush()
-            timing_rows.append((t, round_metrics.wall_time))
+            ledger_writer.writerows(r.csv_row() for r in ledger.records[logged:])
+            timings_fh.write(f"{t},{round_metrics.wall_time:.6f}\n")
+            for fh in (metrics_fh, ledger_fh, timings_fh):
+                fh.flush()
             if cfg.checkpoint_interval > 0 and (
                     t % cfg.checkpoint_interval == 0 or t == cfg.rounds):
                 save_checkpoint(out_dir, t, states, global_bank, monitor)
 
-    ledger.to_csv(out_dir / "ledger.csv")
-    with open(timings_path, "a" if ckpt is not None else "w") as fh:
-        if ckpt is None:
-            fh.write("round,seconds\n")
-        for t, secs in timing_rows:
-            fh.write(f"{t},{secs:.6f}\n")
     tensorio.write_tensor(out_dir / "global_bank.fdm1", global_bank.data)
 
     return TrainingResult(states=states, global_bank=global_bank, metrics=metrics,

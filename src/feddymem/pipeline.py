@@ -48,17 +48,6 @@ def train_run(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
                         resume=resume)
 
 
-def load_test_data(cfg: RunConfig) -> tuple[list[LabeledSample], list[list[int]] | None]:
-    """Global test set plus per-client slices (synthetic datasets only)."""
-    from .evaluation import synth_dataset
-
-    if cfg.synth is not None:
-        data = synth_dataset(cfg.synth)
-        return data.test, data.test_assignment
-    _, test_samples = load_federated_data(cfg)
-    return test_samples, None
-
-
 # ---------------------------------------------------------------------------
 # Evaluation of a checkpointed run
 # ---------------------------------------------------------------------------

@@ -241,6 +241,9 @@ class ExchangeRecord:
     direction: str  # "up" | "down"
     nbytes: int
 
+    def csv_row(self) -> list:
+        return [self.round_index, self.client, self.direction, self.nbytes]
+
 
 @dataclass
 class CommLedger:
@@ -261,8 +264,7 @@ class CommLedger:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "client", "direction", "bytes"])
-            for r in self.records:
-                writer.writerow([r.round_index, r.client, r.direction, r.nbytes])
+            writer.writerows(r.csv_row() for r in self.records)
 
 
 def record_exchange(ledger: CommLedger, round_index: int, client: int,

@@ -226,6 +226,18 @@ class TestCliErrors:
         assert code == 4
         assert err == {"type": "numeric", "message": "bank contains non-finite patches"}
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_diverging_training_exit_4(self, tmp_path, capsys):
+        # a huge step drives the sample coordinates to NaN inside round 1
+        doc = desk_doc(rounds=1)
+        doc["loss"] = {"batch_size": 100, "learning_rate": 1e20}
+        cfg_path = write_config(tmp_path, doc)
+        code = main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 4
+        assert err["type"] == "numeric"
+
     def test_init_command(self, tmp_path):
         cfg_path = write_config(tmp_path, desk_doc(rounds=7))
         out = tmp_path / "out"

@@ -5,8 +5,9 @@ from scipy import ndimage
 
 from conftest import f64, max_rel_err
 from feddymem.client import MemoryBank
-from feddymem.errors import ShapeError
+from feddymem.errors import NumericError, ShapeError
 from feddymem.evaluation import (
+    PRO_HITS_CHUNK,
     LabeledSample,
     SynthSpec,
     auroc,
@@ -18,6 +19,113 @@ from feddymem.evaluation import (
     synth_dataset,
 )
 from feddymem.numerics import Rng, pairwise_dist
+
+
+# Reference loops: the sweep-per-score implementations that `auroc` and `pro`
+# replaced. The array versions must return exactly (==) what these return.
+
+def loop_auroc(scores, labels):
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    order = np.argsort(s, kind="stable")
+    sorted_vals = s[order]
+    ranks = np.empty(len(s), dtype=np.float64)
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def loop_pro(heatmaps, masks, fpr_budget=0.3):
+    region_ids = []
+    region_sizes = []
+    offset = 0
+    for mask in masks:
+        labeled, n_regions = ndimage.label(mask > 0)
+        ids = labeled.reshape(-1).astype(np.int64)
+        ids[ids > 0] += offset
+        region_ids.append(ids)
+        for r in range(1, n_regions + 1):
+            region_sizes.append(int((labeled == r).sum()))
+        offset += n_regions
+    scores = np.concatenate([hm.reshape(-1).astype(np.float64) for hm in heatmaps])
+    regions = np.concatenate(region_ids)
+    is_neg = regions == 0
+    total_neg = int(is_neg.sum())
+    order = np.argsort(-scores, kind="stable")
+    sizes = np.asarray(region_sizes, dtype=np.float64)
+    hits = np.zeros(offset, dtype=np.float64)
+    fp = 0
+    curve = []
+    i = 0
+    n = len(scores)
+    while i < n:
+        j = i
+        v = scores[order[i]]
+        while j + 1 < n and scores[order[j + 1]] == v:
+            j += 1
+        group = order[i:j + 1]
+        fp += int(is_neg[group].sum())
+        touched = regions[group]
+        touched = touched[touched > 0]
+        if touched.size:
+            np.add.at(hits, touched - 1, 1.0)
+        curve.append((fp / total_neg, float((hits / sizes).mean())))
+        i = j + 1
+    integral = 0.0
+    prev_f, prev_p = 0.0, 0.0
+    for f, p in curve:
+        if f == prev_f:
+            prev_p = p
+            continue
+        seg_end = min(f, fpr_budget)
+        if seg_end > prev_f:
+            integral += prev_p * (seg_end - prev_f)
+        if f >= fpr_budget:
+            prev_f = fpr_budget
+            prev_p = p
+            break
+        prev_f, prev_p = f, p
+    if prev_f < fpr_budget:
+        integral += prev_p * (fpr_budget - prev_f)
+    return float(integral / fpr_budget)
+
+
+def quantized(gen, shape, levels):
+    """Scores on `levels` distinct values (heavy ties), or continuous when
+    levels is None."""
+    if levels is None:
+        return gen.standard_normal(shape)
+    return gen.integers(0, levels, shape) / 4.0
+
+
+def random_maps(seed, n_maps, hw, levels, density, clean_share):
+    """Heat maps with random masks: several 4-connected regions per mask
+    (diagonal-only neighbours are separate regions), some maps region-free.
+    """
+    gen = Rng(seed).generator
+    heatmaps, masks = [], []
+    for _ in range(n_maps):
+        mask = (gen.uniform(0, 1, hw) < density).astype(np.uint8)
+        if gen.uniform() < clean_share:
+            mask[:] = 0
+        heatmaps.append(quantized(gen, hw, levels) + 0.5 * mask)
+        masks.append(mask)
+    if not any(m.any() for m in masks):
+        masks[0][0, 0] = 1
+    if all(m.all() for m in masks):
+        masks[-1][-1, -1] = 0
+    return heatmaps, masks
+
+
+budgets = st.one_of(st.sampled_from([0.3, 1.0]), st.floats(1e-3, 1.0))
+levels = st.sampled_from([1, 2, 3, 8, None])
 
 
 class TestPixelScores:
@@ -166,6 +274,24 @@ class TestAuroc:
         transformed = np.exp(2.0 * scores) + 5.0
         assert auroc(scores, labels) == auroc(transformed, labels)
 
+    def test_non_finite_score_raises(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NumericError):
+                auroc([0.9, bad, 0.2, 0.1], [1, 1, 0, 0])
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 600), levels)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_loop_reference(self, seed, n, levels):
+        gen = Rng(seed).generator
+        scores = quantized(gen, (n,), levels)
+        labels = gen.integers(0, 2, n)
+        labels[0], labels[-1] = 0, 1
+        assert auroc(scores, labels) == loop_auroc(scores, labels)
+
+    def test_all_equal_scores_equal_loop_reference(self):
+        labels = np.array([0, 1, 1, 0, 1])
+        assert auroc(np.full(5, 0.25), labels) == loop_auroc(np.full(5, 0.25), labels) == 0.5
+
 
 class TestPro:
     def test_heatmap_equals_mask_scores_one(self):
@@ -220,6 +346,68 @@ class TestPro:
         got = pro([heat], [mask], fpr_budget=0.99)
         # only one of the two regions is ever found until threshold 0
         assert got < 0.75
+
+    def test_non_finite_score_raises(self):
+        mask = np.zeros((4, 4), dtype=np.uint8)
+        mask[1, 1] = 1
+        for bad in (np.nan, np.inf, -np.inf):
+            heat = np.zeros((4, 4))
+            heat[2, 3] = bad
+            with pytest.raises(NumericError):
+                pro([heat], [mask])
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(2, 9),
+           st.integers(1, 9), levels, st.floats(0.05, 0.6), st.floats(0.0, 0.6),
+           budgets)
+    @settings(max_examples=120, deadline=None)
+    def test_equals_loop_reference(self, seed, n_maps, h, w, levels, density,
+                                   clean_share, budget):
+        heatmaps, masks = random_maps(seed, n_maps, (h, w), levels, density,
+                                      clean_share)
+        assert pro(heatmaps, masks, budget) == loop_pro(heatmaps, masks, budget)
+
+    def test_all_equal_scores_equal_loop_reference(self):
+        mask = np.zeros((5, 5), dtype=np.uint8)
+        mask[1:3, 1:3] = 1
+        mask[4, 4] = 1
+        for budget in (0.3, 1.0):
+            heat = np.full((5, 5), 0.7)
+            assert pro([heat], [mask], budget) == loop_pro([heat], [mask], budget)
+
+    def test_tie_plateau_straddling_budget_equals_loop_reference(self):
+        # one tied group takes the FPR from 2/20 straight to 12/20, past
+        # the 0.3 budget, while it also completes the second region
+        heat = np.zeros((4, 6))
+        mask = np.zeros((4, 6), dtype=np.uint8)
+        mask[0, 0:2] = 1
+        mask[3, 4:6] = 1
+        heat[0, 0:2] = 0.9
+        heat[1, 0:2] = 0.8
+        heat[3, 4:6] = 0.5
+        heat[1, 2:6] = 0.5
+        heat[2, :] = 0.5
+        for budget in (0.1, 0.3, 0.6, 1.0):
+            assert pro([heat], [mask], budget) == loop_pro([heat], [mask], budget)
+
+    def test_diagonal_regions_equal_loop_reference(self):
+        mask = (np.indices((6, 6)).sum(axis=0) % 2 == 0).astype(np.uint8)
+        mask[5, :] = 0
+        heat = Rng(4).generator.standard_normal((6, 6))
+        heatmaps = [heat, np.zeros((6, 6))]
+        masks = [mask, np.zeros((6, 6), dtype=np.uint8)]
+        assert ndimage.label(mask)[1] == 15
+        for budget in (0.3, 1.0):
+            assert pro(heatmaps, masks, budget) == loop_pro(heatmaps, masks, budget)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_curve_spans_chunks_equals_loop_reference(self, seed):
+        heatmaps, masks = random_maps(seed, 3, (40, 40), None, 0.1, 0.3)
+        n_neg = sum(int((m == 0).sum()) for m in masks)
+        for budget in (0.3, 1.0):
+            # every score is distinct, so the curve has one point per
+            # negative pixel below the budget
+            assert budget * n_neg > 2 * PRO_HITS_CHUNK
+            assert pro(heatmaps, masks, budget) == loop_pro(heatmaps, masks, budget)
 
 
 class TestDirichletPartition:

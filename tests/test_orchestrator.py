@@ -213,6 +213,33 @@ class TestRunTraining:
         assert (tmp_path / "full/ledger.csv").read_bytes() == \
             (tmp_path / "resumed/ledger.csv").read_bytes()
 
+    def test_logs_survive_a_crash_inside_a_round(self, tmp_path, monkeypatch):
+        from feddymem import orchestrator
+        cfg = desk_config(rounds=6, ckpt=2)
+        run_training(cfg, desk_datasets(cfg), tmp_path / "full")
+
+        aggregate_banks = orchestrator._aggregate_banks
+
+        def crash_in_round_5(banks, cfg, round_index):
+            # round 5's uploads are already in the in-memory ledger here
+            if round_index == 5:
+                raise RuntimeError("killed inside round 5")
+            return aggregate_banks(banks, cfg, round_index)
+
+        monkeypatch.setattr(orchestrator, "_aggregate_banks", crash_in_round_5)
+        with pytest.raises(RuntimeError, match="round 5"):
+            run_training(cfg, desk_datasets(cfg), tmp_path / "resumed")
+        monkeypatch.undo()
+        assert latest_checkpoint(tmp_path / "resumed").name == "round_00004"
+        run_training(cfg, desk_datasets(cfg), tmp_path / "resumed", resume=True)
+
+        for name in ("metrics.jsonl", "ledger.csv"):
+            assert (tmp_path / "full" / name).read_bytes() == \
+                (tmp_path / "resumed" / name).read_bytes()
+        timings = (tmp_path / "resumed/timings.csv").read_text().splitlines()
+        assert timings[0] == "round,seconds"
+        assert [int(line.split(",")[0]) for line in timings[1:]] == list(range(7))
+
     def test_checkpoint_roundtrip(self, tmp_path):
         cfg = desk_config(rounds=2, ckpt=1)
         result = run_training(cfg, desk_datasets(cfg), tmp_path / "run")
