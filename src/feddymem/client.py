@@ -6,6 +6,13 @@ and generator so local memory features align with the bank from the previous
 round, (2) extracts memory features for every local sample with the trained
 weights, and (3) compresses them into one bank-sized tensor via
 distance-weighted averaging plus a round-indexed EMA.
+
+A client's trainable state is one mapping of name to array, kept local (only
+banks are exchanged). Its keys, in this order, are the projection's
+`proj_w`, `proj_b` (`features.init_projection`) and the generator's
+`coord_w`, `coord_b`, `phi1_w`, `phi1_b`, `phi2_w`, `phi2_b`, `out_w`,
+`out_b`, `grid` (`generator.init_generator`). Gradients, Adam states and
+checkpoint sections use the same keys in the same order.
 """
 
 from __future__ import annotations
@@ -15,11 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .features import ProjectionParams, project_backward, project_forward
-from .generator import GeneratorParams, generator_backward, generator_forward
-from .numerics import AdamState, Rng, adam_step, knn
-
-DTYPE = np.float32
+from .features import project_backward, project_forward
+from .generator import generator_backward, generator_forward
+from .numerics import DTYPE, AdamState, Rng, adam_step, knn
 
 
 @dataclass
@@ -87,43 +92,9 @@ class ClientDataset:
 @dataclass
 class ClientModelState:
     client_id: int
-    projection: ProjectionParams
-    generator: GeneratorParams
+    params: dict[str, np.ndarray]
     adam: dict[str, AdamState]
     local_bank: MemoryBank | None = None
-
-
-PARAM_NAMES = (
-    "proj_w", "proj_b",
-    "coord_w", "coord_b",
-    "phi1_w", "phi1_b",
-    "phi2_w", "phi2_b",
-    "out_w", "out_b",
-    "grid",
-)
-
-
-def named_params(state: ClientModelState) -> dict[str, np.ndarray]:
-    p, g = state.projection, state.generator
-    return {
-        "proj_w": p.weight, "proj_b": p.bias,
-        "coord_w": g.coord_w, "coord_b": g.coord_b,
-        "phi1_w": g.phi1_w, "phi1_b": g.phi1_b,
-        "phi2_w": g.phi2_w, "phi2_b": g.phi2_b,
-        "out_w": g.out_w, "out_b": g.out_b,
-        "grid": g.grid,
-    }
-
-
-def set_param(state: ClientModelState, name: str, value: np.ndarray) -> None:
-    if name == "proj_w":
-        state.projection.weight = value
-    elif name == "proj_b":
-        state.projection.bias = value
-    elif name == "grid":
-        state.generator.grid = value
-    else:
-        setattr(state.generator, name, value)
 
 
 def init_adam_states(state: ClientModelState, cfg: LossConfig) -> None:
@@ -131,7 +102,7 @@ def init_adam_states(state: ClientModelState, cfg: LossConfig) -> None:
         name: AdamState.init_like(param, lr=cfg.learning_rate, beta1=cfg.beta1,
                                   beta2=cfg.beta2, eps=cfg.adam_eps,
                                   weight_decay=cfg.weight_decay)
-        for name, param in named_params(state).items()
+        for name, param in state.params.items()
     }
 
 
@@ -182,27 +153,19 @@ def metric_loss(m: np.ndarray, bank: MemoryBank,
 
 def _forward_backward(state: ClientModelState, fused: np.ndarray, bank: MemoryBank,
                       cfg: LossConfig) -> tuple[float, dict[str, np.ndarray]]:
-    projected, proj_cache = project_forward(fused, state.projection, cfg.activation)
-    m, gen_cache = generator_forward(projected, state.generator)
+    projected, proj_cache = project_forward(fused, state.params, cfg.activation)
+    m, gen_cache = generator_forward(projected, state.params)
     loss, grad_m = metric_loss(m, bank, cfg)
-    gen_grads = generator_backward(gen_cache, grad_m)
-    _, g_proj_w, g_proj_b = project_backward(proj_cache, gen_grads.input, state.projection)
-    grads = {
-        "proj_w": g_proj_w, "proj_b": g_proj_b,
-        "coord_w": gen_grads.coord_w, "coord_b": gen_grads.coord_b,
-        "phi1_w": gen_grads.phi1_w, "phi1_b": gen_grads.phi1_b,
-        "phi2_w": gen_grads.phi2_w, "phi2_b": gen_grads.phi2_b,
-        "out_w": gen_grads.out_w, "out_b": gen_grads.out_b,
-        "grid": gen_grads.grid,
-    }
-    return loss, grads
+    grad_projected, gen_grads = generator_backward(gen_cache, grad_m)
+    _, proj_grads = project_backward(proj_cache, grad_projected, state.params)
+    return loss, {**proj_grads, **gen_grads}
 
 
 def forward_memory(state: ClientModelState, fused: np.ndarray,
                    activation: str = "relu") -> np.ndarray:
     """Inference-only pass: fused features -> memory feature."""
-    projected, _ = project_forward(fused, state.projection, activation)
-    return generator_forward(projected, state.generator)[0]
+    projected, _ = project_forward(fused, state.params, activation)
+    return generator_forward(projected, state.params)[0]
 
 
 def client_update(state: ClientModelState, dataset: ClientDataset, cfg: LossConfig,
@@ -234,11 +197,10 @@ def client_update(state: ClientModelState, dataset: ClientDataset, cfg: LossConf
             scale = 1.0 / len(batch)
             batch_loss *= scale
             grad_sq = 0.0
-            params = named_params(state)
-            for name in PARAM_NAMES:
+            for name, param in state.params.items():
                 g = acc[name] * scale
                 grad_sq += float((g.astype(np.float64) ** 2).sum())
-                set_param(state, name, adam_step(params[name], g, state.adam[name]))
+                state.params[name] = adam_step(param, g, state.adam[name])
             loss_trace.append(batch_loss)
             grad_sq_trace.append(grad_sq)
     return loss_trace, grad_sq_trace

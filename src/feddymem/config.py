@@ -11,15 +11,15 @@ Sections and defaults:
     memory          channels, grid_height, grid_width, phi_hidden
     extractor       kind ("synthetic"|"file"), seed, levels, base_height,
                     base_width, level_channels, manifest_path
-    aggregation     max_iterations, tolerance
+    aggregation     max_iterations, tolerance, n_init
     dataset         kind ("synthetic"|"manifest"); synthetic: n_types,
                     samples_per_type, test_normals_per_type,
                     test_anomalies_per_type, anomaly_magnitude,
                     anomaly_extent, noise_scale, dirichlet_alpha,
-                    prototype_cells, noise_cells; manifest: train_manifests,
-                    test_manifest
+                    prototype_cells, noise_cells, type_spread; manifest:
+                    train_manifests, test_manifest
     audit           mc_samples, dataset_sizes, rho, sigma_x, sigma_y,
-                    lemma_configs, lemma_mc_samples
+                    lemma_configs, lemma_mc_samples, seed
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ _SECTION_KEYS = {
     "": {"seed", "federation", "loss", "memory", "extractor", "aggregation",
          "dataset", "audit"},
     "federation": {"n_clients", "rounds", "baseline", "checkpoint_interval",
-                   "score_mode", "common_init"},
+                   "score_mode"},
     "loss": {"hinge_margin", "knn_k", "batch_size", "learning_rate",
              "local_epochs", "weight_decay", "beta1", "beta2", "adam_eps",
              "activation"},
@@ -66,10 +66,6 @@ class RunConfig:
     train_manifests: list[str] | None
     test_manifest: str | None
     audit: AuditConfig
-
-    @property
-    def dataset_kind(self) -> str:
-        return "synthetic" if self.synth is not None else "manifest"
 
 
 def _check_keys(section: str, doc: dict) -> None:
@@ -167,7 +163,6 @@ def load_run_config(source, seed_override: int | None = None,
         kmeans_tolerance=float(agg.get("tolerance", 1e-6)),
         kmeans_n_init=int(agg.get("n_init", 1)),
         score_mode=str(fed.get("score_mode", "min")),
-        common_init=bool(fed.get("common_init", False)),
     )
 
     ds_kind = str(ds.get("kind", "synthetic"))

@@ -22,9 +22,7 @@ from scipy import ndimage
 
 from .client import MemoryBank, knn_lookup
 from .errors import NumericError, ShapeError
-from .numerics import Rng, bilinear_resize
-
-DTYPE = np.float32
+from .numerics import DTYPE, Rng, bilinear_resize
 
 
 @dataclass

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import tensorio
 from .errors import ShapeError
-from .numerics import Rng, bilinear_resize, conv1x1_backward, conv1x1_forward, require_finite, xavier_uniform
+from .numerics import (DTYPE, Rng, bilinear_resize, conv1x1_backward, conv1x1_forward,
+                       require_finite, xavier_uniform)
 
-DTYPE = np.float32
 SAMPLE_CHANNELS = 3
 
 
@@ -144,17 +144,10 @@ def fuse_pyramid(p: FeaturePyramid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProjectionParams:
-    weight: np.ndarray  # (Cin, C)
-    bias: np.ndarray    # (C,)
-
-
-def init_projection(rng: Rng, cin: int, c: int) -> ProjectionParams:
-    return ProjectionParams(
-        weight=xavier_uniform(rng, cin, c, (cin, c)),
-        bias=np.zeros(c, dtype=DTYPE),
-    )
+def init_projection(rng: Rng, cin: int, c: int) -> dict[str, np.ndarray]:
+    """Projection parameters: `proj_w` (Cin, C) Xavier-uniform, `proj_b` (C,) zero."""
+    return {"proj_w": xavier_uniform(rng, cin, c, (cin, c)),
+            "proj_b": np.zeros(c, dtype=DTYPE)}
 
 
 def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
@@ -180,25 +173,26 @@ class ProjectionCache:
     activation: str
 
 
-def project_forward(fused: np.ndarray, params: ProjectionParams,
+def project_forward(fused: np.ndarray, params: dict[str, np.ndarray],
                     activation: str = "relu") -> tuple[np.ndarray, ProjectionCache]:
-    if fused.shape[-1] != params.weight.shape[0]:
+    """Trainable per-pixel projection with nonlinearity: sigma(conv1x1(fused)).
+
+    Reads `proj_w` and `proj_b` from `params`; other keys are ignored.
+    """
+    weight = params["proj_w"]
+    if fused.shape[-1] != weight.shape[0]:
         raise ShapeError(
-            f"fused channels {fused.shape[-1]} != projection input {params.weight.shape[0]}")
-    out = _activate(conv1x1_forward(fused, params.weight, params.bias), activation)
+            f"fused channels {fused.shape[-1]} != projection input {weight.shape[0]}")
+    out = _activate(conv1x1_forward(fused, weight, params["proj_b"]), activation)
     return out, ProjectionCache(fused=fused, out=out, activation=activation)
 
 
-def project(fused: np.ndarray, params: ProjectionParams, activation: str = "relu") -> np.ndarray:
-    """Trainable per-pixel projection with nonlinearity: sigma(conv1x1(fused))."""
-    return project_forward(fused, params, activation)[0]
-
-
 def project_backward(cache: ProjectionCache, grad_out: np.ndarray,
-                     params: ProjectionParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (w.r.t. fused input, weight, bias) of `project`."""
+                     params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Gradient w.r.t. the fused input, and the `proj_w`/`proj_b` gradients."""
     grad_pre = _activate_backward(cache.out, grad_out, cache.activation)
-    return conv1x1_backward(cache.fused, params.weight, grad_pre)
+    grad_fused, g_w, g_b = conv1x1_backward(cache.fused, params["proj_w"], grad_pre)
+    return grad_fused, {"proj_w": g_w, "proj_b": g_b}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ normalized to [-1, 1]. The grid is an (Hg, Wg, C) trainable array making the
 memory feature space continuous. The backward pass is written by hand; at
 the floor discontinuities of the sampler the almost-everywhere derivative is
 used (corner indices treated as constants).
+
+The parameters are one mapping, in this key order: coord_w (C+2, C) and
+coord_b (C,) of the coordinate convolution, phi1_w (C, Ch), phi1_b (Ch,),
+phi2_w (Ch, 2) and phi2_b (2,) of the coordinate map, out_w (2C, C) and
+out_b (C,) of the output convolution, and grid (Hg, Wg, C).
+`generator_backward` returns the gradients under the same keys.
 """
 
 from __future__ import annotations
@@ -22,64 +28,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .numerics import Rng, conv1x1_backward, conv1x1_forward, xavier_normal, xavier_uniform
-
-DTYPE = np.float32
-
-
-@dataclass
-class GridSpace:
-    """Trainable continuous feature space, sampled bilinearly."""
-
-    grid: np.ndarray  # (Hg, Wg, C)
-
-    def __post_init__(self):
-        if self.grid.ndim != 3:
-            raise ShapeError(f"grid must be (Hg, Wg, C), got {self.grid.shape}")
-        if self.grid.shape[0] < 2 or self.grid.shape[1] < 2:
-            raise ShapeError("grid extents must be >= 2 for bilinear sampling")
-
-
-@dataclass
-class GeneratorParams:
-    coord_w: np.ndarray   # (C+2, C)
-    coord_b: np.ndarray   # (C,)
-    phi1_w: np.ndarray    # (C, Ch)
-    phi1_b: np.ndarray    # (Ch,)
-    phi2_w: np.ndarray    # (Ch, 2)
-    phi2_b: np.ndarray    # (2,)
-    out_w: np.ndarray     # (2C, C)
-    out_b: np.ndarray     # (C,)
-    grid: np.ndarray      # (Hg, Wg, C)
-
-    @property
-    def channels(self) -> int:
-        return self.coord_w.shape[1]
-
-    @property
-    def grid_hw(self) -> tuple[int, int]:
-        return self.grid.shape[0], self.grid.shape[1]
+from .numerics import DTYPE, Rng, conv1x1_backward, conv1x1_forward, xavier_normal, xavier_uniform
 
 
 def init_generator(rng: Rng, channels: int, grid_hw: tuple[int, int] = (8, 8),
-                   phi_hidden: int | None = None) -> GeneratorParams:
+                   phi_hidden: int | None = None) -> dict[str, np.ndarray]:
     """Xavier-uniform weights, zero biases, Xavier-normal grid."""
     c = channels
     ch = phi_hidden if phi_hidden is not None else c
     hg, wg = grid_hw
     if hg < 2 or wg < 2:
         raise ValueError("grid extents must be >= 2")
-    return GeneratorParams(
-        coord_w=xavier_uniform(rng.child("coord"), c + 2, c, (c + 2, c)),
-        coord_b=np.zeros(c, dtype=DTYPE),
-        phi1_w=xavier_uniform(rng.child("phi1"), c, ch, (c, ch)),
-        phi1_b=np.zeros(ch, dtype=DTYPE),
-        phi2_w=xavier_uniform(rng.child("phi2"), ch, 2, (ch, 2)),
-        phi2_b=np.zeros(2, dtype=DTYPE),
-        out_w=xavier_uniform(rng.child("out"), 2 * c, c, (2 * c, c)),
-        out_b=np.zeros(c, dtype=DTYPE),
-        grid=xavier_normal(rng.child("grid"), c, c, (hg, wg, c)),
-    )
+    return {
+        "coord_w": xavier_uniform(rng.child("coord"), c + 2, c, (c + 2, c)),
+        "coord_b": np.zeros(c, dtype=DTYPE),
+        "phi1_w": xavier_uniform(rng.child("phi1"), c, ch, (c, ch)),
+        "phi1_b": np.zeros(ch, dtype=DTYPE),
+        "phi2_w": xavier_uniform(rng.child("phi2"), ch, 2, (ch, 2)),
+        "phi2_b": np.zeros(2, dtype=DTYPE),
+        "out_w": xavier_uniform(rng.child("out"), 2 * c, c, (2 * c, c)),
+        "out_b": np.zeros(c, dtype=DTYPE),
+        "grid": xavier_normal(rng.child("grid"), c, c, (hg, wg, c)),
+    }
 
 
 def coordinate_channels(h: int, w: int, dtype=DTYPE) -> tuple[np.ndarray, np.ndarray]:
@@ -95,24 +65,6 @@ def _with_coords(p: np.ndarray) -> np.ndarray:
     h, w, _ = p.shape
     x_chan, y_chan = coordinate_channels(h, w, p.dtype)
     return np.concatenate([p, x_chan[..., None], y_chan[..., None]], axis=2)
-
-
-def coord_conv(p: np.ndarray, params: GeneratorParams) -> np.ndarray:
-    """Append coordinate channels, then 1x1 conv back to C channels."""
-    if params.coord_w.shape[0] != p.shape[2] + 2:
-        raise ShapeError(
-            f"coordconv expects {params.coord_w.shape[0] - 2} channels, got {p.shape[2]}")
-    return conv1x1_forward(_with_coords(p), params.coord_w, params.coord_b)
-
-
-def map_coords(p_hat: np.ndarray, params: GeneratorParams) -> np.ndarray:
-    """Two 1x1 conv layers mapping features to per-pixel (x, y) in [-1, 1].
-
-    tanh bounds the output so the downstream grid lookup can never index
-    outside the grid.
-    """
-    hidden = np.maximum(conv1x1_forward(p_hat, params.phi1_w, params.phi1_b), 0)
-    return np.tanh(conv1x1_forward(hidden, params.phi2_w, params.phi2_b))
 
 
 def normalize_coords(coords: np.ndarray, grid_hw: tuple[int, int]) -> np.ndarray:
@@ -148,10 +100,8 @@ def _corner_setup(grid: np.ndarray, coords: np.ndarray):
     return x0, x1, y0, y1, fx, fy
 
 
-def grid_sample(grid: np.ndarray | GridSpace, coords: np.ndarray) -> np.ndarray:
+def grid_sample(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Four-corner bilinear sampling of the grid at normalized coordinates."""
-    if isinstance(grid, GridSpace):
-        grid = grid.grid
     if grid.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
         raise ShapeError("grid_sample expects grid (Hg, Wg, C) and coords (H, W, 2)")
     x0, x1, y0, y1, fx, fy = _corner_setup(grid, coords)
@@ -189,86 +139,74 @@ def grid_sample_backward(grid: np.ndarray, coords: np.ndarray,
 
 @dataclass
 class GeneratorCache:
-    params: GeneratorParams
+    params: dict[str, np.ndarray]
     p: np.ndarray
     coord_cat: np.ndarray
     p_hat: np.ndarray
     hidden: np.ndarray
     coords: np.ndarray
     coords_norm: np.ndarray
-    sampled: np.ndarray
     out_cat: np.ndarray
 
 
-@dataclass
-class GeneratorGrads:
-    coord_w: np.ndarray
-    coord_b: np.ndarray
-    phi1_w: np.ndarray
-    phi1_b: np.ndarray
-    phi2_w: np.ndarray
-    phi2_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-    grid: np.ndarray
-    input: np.ndarray
-
-
-def generator_forward(p: np.ndarray, params: GeneratorParams) -> tuple[np.ndarray, GeneratorCache]:
-    if p.ndim != 3 or p.shape[2] != params.channels:
-        raise ShapeError(f"expected (H, W, {params.channels}) input, got {p.shape}")
+def generator_forward(p: np.ndarray,
+                      params: dict[str, np.ndarray]) -> tuple[np.ndarray, GeneratorCache]:
+    """Memory feature (H, W, C) for one projected feature map, and the cache
+    its backward pass reads. Keys of `params` other than the generator's are
+    ignored."""
+    c = params["coord_w"].shape[1]
+    if p.ndim != 3 or p.shape[2] != c:
+        raise ShapeError(f"expected (H, W, {c}) input, got {p.shape}")
+    grid = params["grid"]
     coord_cat = _with_coords(p)
-    p_hat = conv1x1_forward(coord_cat, params.coord_w, params.coord_b)
-    hidden = np.maximum(conv1x1_forward(p_hat, params.phi1_w, params.phi1_b), 0)
-    coords = np.tanh(conv1x1_forward(hidden, params.phi2_w, params.phi2_b))
-    coords_norm = normalize_coords(coords, params.grid_hw)
-    sampled = grid_sample(params.grid, coords_norm)
+    p_hat = conv1x1_forward(coord_cat, params["coord_w"], params["coord_b"])
+    hidden = np.maximum(conv1x1_forward(p_hat, params["phi1_w"], params["phi1_b"]), 0)
+    # tanh bounds the coordinates, so the grid lookup never leaves the grid
+    coords = np.tanh(conv1x1_forward(hidden, params["phi2_w"], params["phi2_b"]))
+    coords_norm = normalize_coords(coords, grid.shape[:2])
+    sampled = grid_sample(grid, coords_norm)
     out_cat = np.concatenate([sampled, p_hat], axis=2)
-    m = conv1x1_forward(out_cat, params.out_w, params.out_b)
+    m = conv1x1_forward(out_cat, params["out_w"], params["out_b"])
     cache = GeneratorCache(params=params, p=p, coord_cat=coord_cat, p_hat=p_hat,
                            hidden=hidden, coords=coords, coords_norm=coords_norm,
-                           sampled=sampled, out_cat=out_cat)
+                           out_cat=out_cat)
     return m, cache
 
 
-def generate_memory(p: np.ndarray, params: GeneratorParams) -> np.ndarray:
-    """Memory feature (H, W, C) for one projected feature map."""
-    return generator_forward(p, params)[0]
-
-
-def generator_backward(cache: GeneratorCache, grad_m: np.ndarray) -> GeneratorGrads:
-    """Exact gradients for every generator parameter group plus the input."""
+def generator_backward(cache: GeneratorCache,
+                       grad_m: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Exact gradients: the one w.r.t. the input, and one per parameter key."""
     params = cache.params
-    c = params.channels
+    c = cache.p.shape[2]
     if grad_m.shape != cache.p.shape:
         raise ShapeError(
             f"grad shape {grad_m.shape} does not match cached forward {cache.p.shape}")
 
-    grad_cat, g_out_w, g_out_b = conv1x1_backward(cache.out_cat, params.out_w, grad_m)
+    grad_cat, g_out_w, g_out_b = conv1x1_backward(cache.out_cat, params["out_w"], grad_m)
     grad_sampled = grad_cat[..., :c]
     grad_p_hat = grad_cat[..., c:].copy()
 
-    g_grid, grad_norm = grid_sample_backward(params.grid, cache.coords_norm, grad_sampled)
+    g_grid, grad_norm = grid_sample_backward(params["grid"], cache.coords_norm, grad_sampled)
 
-    hg, wg = params.grid_hw
+    hg, wg = params["grid"].shape[:2]
     grad_coords = np.empty_like(grad_norm)
     grad_coords[..., 0] = grad_norm[..., 0] * ((wg - 1) / 2.0)
     grad_coords[..., 1] = grad_norm[..., 1] * ((hg - 1) / 2.0)
 
     grad_pre2 = grad_coords * (1.0 - cache.coords * cache.coords)
-    grad_hidden, g_phi2_w, g_phi2_b = conv1x1_backward(cache.hidden, params.phi2_w, grad_pre2)
+    grad_hidden, g_phi2_w, g_phi2_b = conv1x1_backward(cache.hidden, params["phi2_w"], grad_pre2)
     grad_pre1 = grad_hidden * (cache.hidden > 0)
-    grad_p_hat_phi, g_phi1_w, g_phi1_b = conv1x1_backward(cache.p_hat, params.phi1_w, grad_pre1)
+    grad_p_hat_phi, g_phi1_w, g_phi1_b = conv1x1_backward(cache.p_hat, params["phi1_w"],
+                                                          grad_pre1)
 
     grad_p_hat += grad_p_hat_phi
     grad_coord_cat, g_coord_w, g_coord_b = conv1x1_backward(
-        cache.coord_cat, params.coord_w, grad_p_hat)
+        cache.coord_cat, params["coord_w"], grad_p_hat)
 
-    return GeneratorGrads(
-        coord_w=g_coord_w, coord_b=g_coord_b,
-        phi1_w=g_phi1_w, phi1_b=g_phi1_b,
-        phi2_w=g_phi2_w, phi2_b=g_phi2_b,
-        out_w=g_out_w, out_b=g_out_b,
-        grid=g_grid,
-        input=grad_coord_cat[..., :c],
-    )
+    return grad_coord_cat[..., :c], {
+        "coord_w": g_coord_w, "coord_b": g_coord_b,
+        "phi1_w": g_phi1_w, "phi1_b": g_phi1_b,
+        "phi2_w": g_phi2_w, "phi2_b": g_phi2_b,
+        "out_w": g_out_w, "out_b": g_out_b,
+        "grid": g_grid,
+    }

@@ -40,16 +40,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-DTYPE = np.float32
-
-
-def as_tensor(data, dtype=DTYPE) -> np.ndarray:
-    """Checked tensor constructor: rank 1-4, finite entries, contiguous."""
-    arr = np.ascontiguousarray(np.asarray(data, dtype=dtype))
-    if arr.ndim < 1 or arr.ndim > 4:
-        raise ShapeError(f"tensor rank must be 1-4, got {arr.ndim}")
-    require_finite(arr, "tensor")
-    return arr
+DTYPE = np.float32  # storage dtype of parameters, features and banks
 
 
 def require_finite(arr: np.ndarray, what: str = "array") -> None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,20 +32,17 @@ from .client import (
     init_adam_states,
     max_patch_norm,
     memory_reduce,
-    named_params,
-    set_param,
 )
 from .errors import ConfigError
 from .features import ExtractorSpec, extract_pyramid, fuse_pyramid, init_projection
 from .generator import init_generator
-from .numerics import Rng
+from .numerics import DTYPE, Rng
 from .server import (
     AggregationConfig,
     CommLedger,
     aggregate,
     average_banks,
     bank_nbytes,
-    params_nbytes,
     record_exchange,
 )
 
@@ -68,10 +67,6 @@ class FederationConfig:
     kmeans_tolerance: float = 1e-6
     kmeans_n_init: int = 1
     score_mode: str = "min"
-    # each client draws its own random init (the protocol exchanges no
-    # parameters, so there is no channel to distribute a shared one); a
-    # shared init is available for ablation
-    common_init: bool = False
 
     def __post_init__(self):
         if self.n_clients < 1:
@@ -153,9 +148,6 @@ class ConvergenceMonitor:
         if grad_sqs:
             self.round_mean_grad_sq.append(float(np.mean(grad_sqs)))
 
-    def ergodic_grad_average(self) -> float:
-        return self.grad_sq_sum / max(self.grad_sq_count, 1)
-
     def quartile_grad_means(self) -> tuple[float, float]:
         """Mean per-round grad-norm average over the first and last quartile."""
         series = self.round_mean_grad_sq
@@ -201,14 +193,15 @@ def build_client_dataset(samples, spec: ExtractorSpec) -> ClientDataset:
 
 
 def _init_client_state(cfg: FederationConfig, n: int) -> ClientModelState:
-    rng = Rng(cfg.seed).child("client_init") if cfg.common_init \
-        else Rng(cfg.seed).child("client", n)
+    # each client draws its own random init: the protocol exchanges no
+    # parameters, so there is no channel to distribute a shared one
+    rng = Rng(cfg.seed).child("client", n)
     cin = cfg.extractor.fused_channels
     state = ClientModelState(
         client_id=n,
-        projection=init_projection(rng.child("proj"), cin, cfg.memory_channels),
-        generator=init_generator(rng.child("gen"), cfg.memory_channels,
-                                 cfg.grid_hw, cfg.phi_hidden),
+        params={**init_projection(rng.child("proj"), cin, cfg.memory_channels),
+                **init_generator(rng.child("gen"), cfg.memory_channels,
+                                 cfg.grid_hw, cfg.phi_hidden)},
         adam={},
     )
     init_adam_states(state, cfg.loss)
@@ -237,60 +230,80 @@ def _run_clients(tasks, threads: int):
         return [f.result() for f in futures]
 
 
-def initialize(cfg: FederationConfig, datasets: list[ClientDataset],
-               ledger: CommLedger | None = None,
-               monitor: ConvergenceMonitor | None = None,
-               threads: int = 1) -> tuple[list[ClientModelState], MemoryBank, RoundMetrics]:
-    """Round 0: random init, untrained memory extraction, reduce, aggregate,
-    distribute. Afterwards every client of a shared baseline holds an
-    identical copy of the global bank.
-
-    A local_only client keeps its own reduced bank and nothing is exchanged.
-    The returned global bank is then a zero bank of `cfg.bank_shape` built
-    from no client bank: it only fills the checkpoint's global slot, which
-    no local_only client reads."""
-    if len(datasets) != cfg.n_clients:
-        raise ConfigError("need one dataset per client", key="federation.n_clients")
-    ledger = ledger if ledger is not None else CommLedger()
-    monitor = monitor if monitor is not None else ConvergenceMonitor()
+def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
+           cfg: FederationConfig, datasets: list[ClientDataset], ledger: CommLedger,
+           monitor: ConvergenceMonitor, threads: int) -> tuple[MemoryBank, RoundMetrics]:
+    """Round t: every client trains (from round 1 on), extracts its memories
+    and reduces them into a bank; the shared baselines then upload the banks,
+    aggregate them and download the result. A local_only client keeps its own
+    bank, nothing is exchanged and `global_bank` is returned unchanged."""
     t0 = time.perf_counter()
-
-    states = [_init_client_state(cfg, n) for n in range(cfg.n_clients)]
+    rng = Rng(cfg.seed)
 
     def make_task(n: int):
-        def task() -> tuple[MemoryBank, float]:
-            memories = extract_all_memories(states[n], datasets[n], cfg.loss.activation)
-            return memory_reduce(memories, None, 0), _largest_patch_norm(memories)
+        def task():
+            state = states[n]
+            losses, grad_sqs = [], []
+            if t > 0:
+                losses, grad_sqs = client_update(state, datasets[n], cfg.loss, t,
+                                                 rng.child("update", n))
+            memories = extract_all_memories(state, datasets[n], cfg.loss.activation)
+            bank = memory_reduce(memories, state.local_bank, t)
+            return losses, grad_sqs, bank, _largest_patch_norm(memories)
         return task
 
     results = _run_clients([make_task(n) for n in range(cfg.n_clients)], threads)
-    banks = [bank for bank, _ in results]
-    for _, norm in results:
-        monitor.observe_patch_norm(norm)
+    for r in results:
+        monitor.observe_patch_norm(r[3])
+    banks = [r[2] for r in results]
+    client_losses: list[float] = []
+    client_grad_sq: list[float] = []
+    if t > 0:
+        client_losses = [float(np.mean(r[0])) if r[0] else 0.0 for r in results]
+        client_grad_sq = [float(np.mean(r[1])) if r[1] else 0.0 for r in results]
+
     bytes_up = bytes_down = 0
     if cfg.baseline == "local_only":
         for state, bank in zip(states, banks):
             state.local_bank = bank
-        global_bank = MemoryBank(data=np.zeros(cfg.bank_shape, dtype=np.float32))
     else:
         for n, bank in enumerate(banks):
             nbytes = bank_nbytes(bank)
-            record_exchange(ledger, 0, n, "up", nbytes)
+            record_exchange(ledger, t, n, "up", nbytes)
             bytes_up += nbytes
-
-        global_bank = _aggregate_banks(banks, cfg, 0)
+        global_bank = _aggregate_banks(banks, cfg, t)
         monitor.observe_patch_norm(max_patch_norm(global_bank.data))
-
         for n, state in enumerate(states):
             state.local_bank = global_bank.copy()
             nbytes = bank_nbytes(global_bank)
-            record_exchange(ledger, 0, n, "down", nbytes)
+            record_exchange(ledger, t, n, "down", nbytes)
             bytes_down += nbytes
 
-    metrics = RoundMetrics(round_index=0, client_losses=[], client_grad_sq_norms=[],
+    monitor.observe_round(client_losses, client_grad_sq)
+    metrics = RoundMetrics(round_index=t, client_losses=client_losses,
+                           client_grad_sq_norms=client_grad_sq,
                            bytes_up=bytes_up, bytes_down=bytes_down,
                            r_hat_m=monitor.r_hat_m,
                            wall_time=time.perf_counter() - t0)
+    return global_bank, metrics
+
+
+def initialize(cfg: FederationConfig, datasets: list[ClientDataset],
+               ledger: CommLedger | None = None,
+               monitor: ConvergenceMonitor | None = None,
+               threads: int = 1) -> tuple[list[ClientModelState], MemoryBank, RoundMetrics]:
+    """Round 0: random init, then the round without training. Afterwards every
+    client of a shared baseline holds an identical copy of the global bank.
+    For local_only the returned global bank is a zero bank of `cfg.bank_shape`
+    that only fills the checkpoint's global slot, which no client reads."""
+    if len(datasets) != cfg.n_clients:
+        raise ConfigError("need one dataset per client", key="federation.n_clients")
+    ledger = ledger if ledger is not None else CommLedger()
+    monitor = monitor if monitor is not None else ConvergenceMonitor()
+    states = [_init_client_state(cfg, n) for n in range(cfg.n_clients)]
+    zero_bank = MemoryBank(data=np.zeros(cfg.bank_shape, dtype=DTYPE))
+    global_bank, metrics = _round(states, zero_bank, 0, cfg, datasets, ledger, monitor,
+                                  threads)
     return states, global_bank, metrics
 
 
@@ -303,53 +316,7 @@ def run_round(states: list[ClientModelState], global_bank: MemoryBank,
     distribute)."""
     if round_index < 1:
         raise ValueError("run_round is for rounds >= 1; use initialize for round 0")
-    t0 = time.perf_counter()
-    rng = Rng(cfg.seed)
-
-    def make_task(n: int):
-        def task():
-            state = states[n]
-            losses, grad_sqs = client_update(
-                state, datasets[n], cfg.loss, round_index,
-                rng.child("update", n))
-            memories = extract_all_memories(state, datasets[n], cfg.loss.activation)
-            bank = memory_reduce(memories, state.local_bank, round_index)
-            return losses, grad_sqs, bank, _largest_patch_norm(memories)
-        return task
-
-    results = _run_clients([make_task(n) for n in range(cfg.n_clients)], threads)
-    for r in results:
-        monitor.observe_patch_norm(r[3])
-
-    client_losses = [float(np.mean(r[0])) if r[0] else 0.0 for r in results]
-    client_grad_sq = [float(np.mean(r[1])) if r[1] else 0.0 for r in results]
-    banks = [r[2] for r in results]
-
-    bytes_up = bytes_down = 0
-    if cfg.baseline == "local_only":
-        for n, state in enumerate(states):
-            state.local_bank = banks[n]
-        new_global = global_bank
-    else:
-        for n, bank in enumerate(banks):
-            nbytes = bank_nbytes(bank)
-            record_exchange(ledger, round_index, n, "up", nbytes)
-            bytes_up += nbytes
-        new_global = _aggregate_banks(banks, cfg, round_index)
-        monitor.observe_patch_norm(max_patch_norm(new_global.data))
-        for n, state in enumerate(states):
-            state.local_bank = new_global.copy()
-            nbytes = bank_nbytes(new_global)
-            record_exchange(ledger, round_index, n, "down", nbytes)
-            bytes_down += nbytes
-
-    monitor.observe_round(client_losses, client_grad_sq)
-    metrics = RoundMetrics(round_index=round_index, client_losses=client_losses,
-                           client_grad_sq_norms=client_grad_sq,
-                           bytes_up=bytes_up, bytes_down=bytes_down,
-                           r_hat_m=monitor.r_hat_m,
-                           wall_time=time.perf_counter() - t0)
-    return new_global, metrics
+    return _round(states, global_bank, round_index, cfg, datasets, ledger, monitor, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -365,29 +332,36 @@ def _checkpoint_dir(out_dir: Path, round_index: int) -> Path:
 
 def save_checkpoint(out_dir: Path, round_index: int, states: list[ClientModelState],
                     global_bank: MemoryBank, monitor: ConvergenceMonitor) -> Path:
+    """Write the round's checkpoint into a temporary sibling directory, then
+    rename it to `round_NNNNN`, so a save that stops part way never leaves a
+    `round_*` directory behind. Whatever that round left before is replaced."""
     ckpt = _checkpoint_dir(out_dir, round_index)
-    ckpt.mkdir(parents=True, exist_ok=True)
+    tmp = ckpt.with_name(f"partial_{ckpt.name}")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
     manifest = {"round": round_index, "clients": [], "monitor": monitor.to_dict(),
                 "global_bank_round": global_bank.round_index}
     for state in states:
         sections: dict[str, np.ndarray] = {}
         steps: dict[str, int] = {}
-        for name, param in named_params(state).items():
+        for name, param in state.params.items():
             sections[name] = param
             sections[f"adam_m.{name}"] = state.adam[name].m
             sections[f"adam_v.{name}"] = state.adam[name].v
             steps[name] = state.adam[name].step
         sections["bank"] = state.local_bank.data
         fname = f"client_{state.client_id}.fdmc"
-        tensorio.write_container(ckpt / fname, sections)
+        tensorio.write_container(tmp / fname, sections)
         manifest["clients"].append({
             "id": state.client_id,
             "file": fname,
             "adam_steps": steps,
             "bank_round": state.local_bank.round_index,
         })
-    tensorio.write_tensor(ckpt / "global_bank.fdm1", global_bank.data)
-    (ckpt / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    tensorio.write_tensor(tmp / "global_bank.fdm1", global_bank.data)
+    (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    shutil.rmtree(ckpt, ignore_errors=True)
+    os.replace(tmp, ckpt)
     return ckpt
 
 
@@ -399,8 +373,8 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
     for entry in sorted(manifest["clients"], key=lambda e: e["id"]):
         sections = tensorio.read_container(ckpt / entry["file"])
         state = _init_client_state(cfg, entry["id"])
-        for name in named_params(state):
-            set_param(state, name, sections[name])
+        for name in state.params:
+            state.params[name] = sections[name]
             adam = state.adam[name]
             adam.m = sections[f"adam_m.{name}"]
             adam.v = sections[f"adam_v.{name}"]
@@ -415,10 +389,13 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
 
 
 def latest_checkpoint(out_dir: Path) -> Path | None:
+    """The newest complete checkpoint; a `round_*` directory without a
+    manifest is skipped."""
     root = out_dir / CHECKPOINT_DIRNAME
     if not root.is_dir():
         return None
-    dirs = sorted(d for d in root.iterdir() if d.name.startswith("round_"))
+    dirs = sorted(d for d in root.iterdir()
+                  if d.name.startswith("round_") and (d / "manifest.json").is_file())
     return dirs[-1] if dirs else None
 
 
@@ -534,13 +511,3 @@ def run_training(cfg: FederationConfig, datasets: list[ClientDataset],
 
     return TrainingResult(states=states, global_bank=global_bank, metrics=metrics,
                           ledger=ledger, monitor=monitor, out_dir=out_dir)
-
-
-def serialized_param_bytes(state: ClientModelState) -> int:
-    """Size of one client's trainable parameters in the exchange format,
-    i.e. what a parameter-averaging protocol would upload per round."""
-    return params_nbytes(named_params(state))
-
-
-def serialized_bank_bytes(bank: MemoryBank) -> int:
-    return bank_nbytes(bank)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorio
-from .client import ClientModelState, MemoryBank
+from .client import ClientModelState, MemoryBank, forward_memory
 from .config import RunConfig, load_federated_data
 from .errors import ConfigError
 from .evaluation import (
@@ -25,6 +25,7 @@ from .evaluation import (
     write_results_csv,
 )
 from .features import ManifestEntry, write_manifest
+from .numerics import DTYPE
 from .orchestrator import (
     FederationConfig,
     TrainingResult,
@@ -34,9 +35,8 @@ from .orchestrator import (
     latest_checkpoint,
     load_checkpoint,
     run_training,
-    serialized_bank_bytes,
-    serialized_param_bytes,
 )
+from .server import bank_nbytes, params_nbytes
 
 
 def train_run(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
@@ -65,8 +65,6 @@ class ScoredSample:
 def score_test_set(state: ClientModelState, bank: MemoryBank,
                    test_samples: list[LabeledSample], test_fused: list[np.ndarray],
                    cfg: FederationConfig) -> list[ScoredSample]:
-    from .client import forward_memory
-
     out = []
     for sample, fused in zip(test_samples, test_fused):
         m = forward_memory(state, fused, cfg.loss.activation)
@@ -199,9 +197,10 @@ def bench_comm(cfg: RunConfig, out_dir: str | Path) -> Path:
     """Per-round byte table: memory-bank exchange vs parameter exchange."""
     fed = cfg.federation
     state = _init_client_state(fed, 0)
-    bank = MemoryBank(data=np.zeros(fed.bank_shape, dtype=np.float32))
-    bank_bytes = serialized_bank_bytes(bank)
-    param_bytes = serialized_param_bytes(state)
+    bank = MemoryBank(data=np.zeros(fed.bank_shape, dtype=DTYPE))
+    bank_bytes = bank_nbytes(bank)
+    # what a parameter-averaging protocol would upload per client and round
+    param_bytes = params_nbytes(state.params)
     out_path = Path(out_dir) / "comm.csv"
     rounds = max(fed.rounds, 1)
     with open(out_path, "w") as fh:

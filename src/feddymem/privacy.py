@@ -88,7 +88,6 @@ class AuditConfig:
     sigma_y: float = 1.0
     lemma_configs: int = 100
     lemma_mc_samples: int = 10_000
-    reduce_chunk: int = 10_000
 
     def __post_init__(self):
         if self.mc_samples < 10_000 or self.lemma_mc_samples < 10_000:
@@ -161,15 +160,20 @@ def _draw_model(rng: Rng, d: int, n: int, rho: float, sigma_x: float,
     return sigma_x * u, y
 
 
-def _reduce_uniform(y: np.ndarray, chunk: int) -> np.ndarray:
+# trials per memory_reduce call in the audit's uniform reduction
+REDUCE_CHUNK = 10_000
+
+
+def _reduce_uniform(y: np.ndarray) -> np.ndarray:
     """Round-0 memory_reduce of the D per-sample statistics, all trials at
-    once: each trial occupies one cell of the (chunk, 1, 1) memory tensors."""
+    once: each trial occupies one cell of the (REDUCE_CHUNK, 1, 1) memory
+    tensors."""
     d, n = y.shape
     out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, chunk):
-        block = y[:, start:start + chunk].astype(np.float32)
+    for start in range(0, n, REDUCE_CHUNK):
+        block = y[:, start:start + REDUCE_CHUNK].astype(np.float32)
         memories = [block[i].reshape(-1, 1, 1) for i in range(d)]
-        out[start:start + chunk] = memory_reduce(memories, None, 0).data.reshape(-1)
+        out[start:start + REDUCE_CHUNK] = memory_reduce(memories, None, 0).data.reshape(-1)
     return out
 
 
@@ -199,7 +203,7 @@ def audit_reduction(cfg: AuditConfig) -> AuditReport:
         sigma_y = np.full(d, cfg.sigma_y, dtype=np.float64)
         x, y = _draw_model(rng.child("sweep", int(d)), d, n, cfg.rho,
                            cfg.sigma_x, sigma_y, j=0)
-        y_red = _reduce_uniform(y, cfg.reduce_chunk)
+        y_red = _reduce_uniform(y)
         rho_direct = pearson(x, y[0])
         rho_red = pearson(x, y_red)
         factor = lemma1_bound(np.full(d, 1.0 / d), sigma_y, 0)

@@ -21,12 +21,11 @@ from feddymem.evaluation import SynthSpec, auroc, pro, synth_dataset
 from feddymem.features import (
     ExtractorSpec,
     FeaturePyramid,
-    ProjectionParams,
     fuse_pyramid,
+    project_backward,
     project_forward,
 )
 from feddymem.generator import (
-    generate_memory,
     generator_backward,
     generator_forward,
     grid_sample,
@@ -38,12 +37,17 @@ from feddymem.orchestrator import (
     build_client_dataset,
     initialize,
     run_round,
-    serialized_bank_bytes,
-    serialized_param_bytes,
 )
 from feddymem.pipeline import eval_run, train_run
 from feddymem.privacy import AuditConfig, audit_reduction
-from feddymem.server import AggregationConfig, CommLedger, aggregate, kmeans
+from feddymem.server import (
+    AggregationConfig,
+    CommLedger,
+    aggregate,
+    bank_nbytes,
+    kmeans,
+    params_nbytes,
+)
 
 # ---------------------------------------------------------------------------
 # Frozen desk configuration (calibrated once; the calibration pilot is not in
@@ -109,27 +113,21 @@ def desk_runs(tmp_path_factory) -> DeskRuns:
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_loss(pyramid, proj, gen, bank, cfg):
+def _pipeline_loss(pyramid, params, bank, cfg):
     fused = fuse_pyramid(pyramid)
-    projected, _ = project_forward(fused, proj)
-    m = generate_memory(projected, gen)
+    projected, _ = project_forward(fused, params)
+    m = generator_forward(projected, params)[0]
     return metric_loss(m, bank, cfg)[0]
 
 
-def _pipeline_grads(pyramid, proj, gen, bank, cfg):
+def _pipeline_grads(pyramid, params, bank, cfg):
     fused = fuse_pyramid(pyramid)
-    projected, proj_cache = project_forward(fused, proj)
-    m, gen_cache = generator_forward(projected, gen)
+    projected, proj_cache = project_forward(fused, params)
+    m, gen_cache = generator_forward(projected, params)
     loss, grad_m = metric_loss(m, bank, cfg)
-    gen_grads = generator_backward(gen_cache, grad_m)
-    from feddymem.features import project_backward
-    _, g_pw, g_pb = project_backward(proj_cache, gen_grads.input, proj)
-    return {"proj.weight": g_pw, "proj.bias": g_pb,
-            "coord_w": gen_grads.coord_w, "coord_b": gen_grads.coord_b,
-            "phi1_w": gen_grads.phi1_w, "phi1_b": gen_grads.phi1_b,
-            "phi2_w": gen_grads.phi2_w, "phi2_b": gen_grads.phi2_b,
-            "out_w": gen_grads.out_w, "out_b": gen_grads.out_b,
-            "grid": gen_grads.grid}
+    grad_projected, gen_grads = generator_backward(gen_cache, grad_m)
+    _, proj_grads = project_backward(proj_cache, grad_projected, params)
+    return {**proj_grads, **gen_grads}
 
 
 def test_criterion_1_gradient_integrity():
@@ -153,18 +151,17 @@ def test_criterion_1_gradient_integrity():
         levels = [r.child("l0").normal((7, 7, 6)).astype(np.float64),
                   r.child("l1").normal((4, 4, 4)).astype(np.float64)]
         pyramid = FeaturePyramid(levels=levels)
-        proj = ProjectionParams(
-            weight=xavier_uniform(r.child("pw"), 10, c, (10, c)).astype(np.float64),
-            bias=r.child("pb").normal((c,), std=0.1).astype(np.float64))
-        gen = init_generator(r.child("gen"), c, (8, 8))
-        for name in ("coord_w", "coord_b", "phi1_w", "phi1_b", "phi2_w", "phi2_b",
-                     "out_w", "out_b", "grid"):
-            setattr(gen, name, getattr(gen, name).astype(np.float64))
+        params = {
+            "proj_w": xavier_uniform(r.child("pw"), 10, c, (10, c)).astype(np.float64),
+            "proj_b": r.child("pb").normal((c,), std=0.1).astype(np.float64),
+            **{name: value.astype(np.float64)
+               for name, value in init_generator(r.child("gen"), c, (8, 8)).items()},
+        }
         bank = MemoryBank(data=r.child("bank").normal((7, 7, c)).astype(np.float64))
 
         fused = fuse_pyramid(pyramid)
-        projected, _ = project_forward(fused, proj)
-        m, gen_cache = generator_forward(projected, gen)
+        projected, _ = project_forward(fused, params)
+        m, gen_cache = generator_forward(projected, params)
         from feddymem.client import knn_lookup
         _, dist = knn_lookup(m.reshape(-1, c), bank, cfg.knn_k + 1)
         if np.abs(dist - cfg.hinge_margin).min() < 5e-3:
@@ -175,18 +172,12 @@ def test_criterion_1_gradient_integrity():
         if min(frac.min(), (1.0 - frac).min()) < kink_margin:
             continue
 
-        grads = _pipeline_grads(pyramid, proj, gen, bank, cfg)
+        grads = _pipeline_grads(pyramid, params, bank, cfg)
+        assert list(grads) == list(params)
         for name, analytic in grads.items():
-            holder, attr = (proj, name.split(".")[1]) if name.startswith("proj.") \
-                else (gen, name)
-            def loss_fn(value, holder=holder, attr=attr):
-                saved = getattr(holder, attr)
-                setattr(holder, attr, value)
-                try:
-                    return _pipeline_loss(pyramid, proj, gen, bank, cfg)
-                finally:
-                    setattr(holder, attr, saved)
-            fd = finite_diff_grad(loss_fn, getattr(holder, attr), eps=eps)
+            def loss_fn(value, name=name):
+                return _pipeline_loss(pyramid, {**params, name: value}, bank, cfg)
+            fd = finite_diff_grad(loss_fn, params[name], eps=eps)
             err = max_rel_err(analytic, fd)
             worst = max(worst, err)
             assert err < 1e-3, f"seed {seed} group {name}: rel err {err}"
@@ -331,15 +322,15 @@ def test_criterion_5_protocol_invariants():
 
     banks_identical = True
     upload_sizes = set()
-    expected = serialized_bank_bytes(bank)
+    expected = bank_nbytes(bank)
     for t in range(1, 6):
         bank, metrics = run_round(states, bank, t, cfg_fed, datasets, ledger, monitor)
         for s in states:
             banks_identical &= bool(np.array_equal(s.local_bank.data, bank.data))
         upload_sizes.add(metrics.bytes_up // cfg_fed.n_clients)
 
-    bank_bytes = serialized_bank_bytes(bank)
-    param_bytes = serialized_param_bytes(states[0])
+    bank_bytes = bank_nbytes(bank)
+    param_bytes = params_nbytes(states[0].params)
     constant_uploads = upload_sizes == {expected}
     smaller = bank_bytes < param_bytes
 

@@ -189,12 +189,14 @@ class TestCliAuditBench:
 
 class TestCliErrors:
     def test_unknown_key_exit_2_with_json(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, {"federation": {"n_clientz": 1}})
-        code = main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = json.loads(capsys.readouterr().out)
-        assert err["error"]["type"] == "config"
-        assert err["error"]["key"] == "federation.n_clientz"
+        # common_init is a removed option; a config that still sets it must fail
+        for key in ("n_clientz", "common_init"):
+            cfg_path = write_config(tmp_path, {"federation": {key: 1}})
+            code = main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = json.loads(capsys.readouterr().out)
+            assert err["error"]["type"] == "config"
+            assert err["error"]["key"] == f"federation.{key}"
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.json"),

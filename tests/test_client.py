@@ -16,7 +16,6 @@ from feddymem.client import (
     max_patch_norm,
     memory_reduce,
     metric_loss,
-    named_params,
 )
 from feddymem.errors import ShapeError
 from feddymem.features import init_projection
@@ -32,8 +31,8 @@ def make_state(seed=0, cin=6, c=3, cfg=None):
     rng = Rng(seed)
     state = ClientModelState(
         client_id=0,
-        projection=init_projection(rng.child("p"), cin, c),
-        generator=init_generator(rng.child("g"), c, (4, 4)),
+        params={**init_projection(rng.child("p"), cin, c),
+                **init_generator(rng.child("g"), c, (4, 4))},
         adam={},
     )
     init_adam_states(state, cfg or LossConfig())
@@ -148,10 +147,10 @@ class TestClientUpdate:
         cfg = LossConfig(local_epochs=0)
         state = make_state(cfg=cfg)
         state.local_bank = make_bank(Rng(5), 4, 4, 3)
-        before = {k: v.copy() for k, v in named_params(state).items()}
+        before = {k: v.copy() for k, v in state.params.items()}
         losses, grads = client_update(state, _tiny_dataset(state), cfg, 1, Rng(0))
         assert losses == [] and grads == []
-        for k, v in named_params(state).items():
+        for k, v in state.params.items():
             assert np.array_equal(v, before[k])
 
     def test_training_reduces_loss(self):
@@ -173,7 +172,7 @@ class TestClientUpdate:
             state = make_state(cfg=cfg)
             state.local_bank = make_bank(Rng(5), 4, 4, 3)
             client_update(state, _tiny_dataset(state), cfg, 1, Rng(7).child("x"))
-            results.append({k: v.copy() for k, v in named_params(state).items()})
+            results.append({k: v.copy() for k, v in state.params.items()})
         for k in results[0]:
             assert np.array_equal(results[0][k], results[1][k])
 

@@ -10,14 +10,12 @@ from feddymem.features import (
     fuse_pyramid,
     init_projection,
     load_manifest,
-    project,
     project_backward,
     project_forward,
     read_pyramid,
     write_manifest,
     write_pyramid,
     ManifestEntry,
-    ProjectionParams,
 )
 from feddymem.numerics import Rng, bilinear_resize, conv1x1_forward, finite_diff_grad
 
@@ -112,49 +110,47 @@ class TestProject:
         fused = np.abs(Rng(2).normal((3, 3, 5)))
         w = np.zeros((5, 2), dtype=np.float32)
         w[0, 0] = w[1, 1] = 1.0
-        out = project(fused, ProjectionParams(weight=w, bias=np.zeros(2, np.float32)))
+        out = project_forward(fused, {"proj_w": w, "proj_b": np.zeros(2, np.float32)})[0]
         assert np.allclose(out, fused[..., :2])
 
     def test_relu_floor(self, rng):
         fused = rng.normal((3, 3, 4))
         params = init_projection(rng.child(1), 4, 2)
-        params.bias = np.full(2, -1e6, dtype=np.float32)
-        assert not project(fused, params).any()
+        params["proj_b"] = np.full(2, -1e6, dtype=np.float32)
+        assert not project_forward(fused, params)[0].any()
 
     def test_matches_conv_plus_relu_oracle(self, rng):
         fused = f64(rng.child(1), (4, 4, 6))
-        params = ProjectionParams(weight=f64(rng.child(2), (6, 3)),
-                                  bias=f64(rng.child(3), (3,)))
-        out = project(fused, params)
-        oracle = np.maximum(conv1x1_forward(fused, params.weight, params.bias), 0)
+        params = {"proj_w": f64(rng.child(2), (6, 3)), "proj_b": f64(rng.child(3), (3,))}
+        out = project_forward(fused, params)[0]
+        oracle = np.maximum(conv1x1_forward(fused, params["proj_w"], params["proj_b"]), 0)
         assert np.array_equal(out, oracle)
 
     def test_channel_mismatch(self, rng):
         params = init_projection(rng, 4, 2)
         with pytest.raises(ShapeError):
-            project(rng.normal((2, 2, 5)), params)
+            project_forward(rng.normal((2, 2, 5)), params)
 
     def test_positive_homogeneity(self, rng):
         fused = f64(rng.child(5), (3, 3, 4))
-        params = ProjectionParams(weight=f64(rng.child(6), (4, 2)),
-                                  bias=f64(rng.child(7), (2,)))
-        scaled = ProjectionParams(weight=3.0 * params.weight, bias=3.0 * params.bias)
-        assert max_rel_err(project(fused, scaled), 3.0 * project(fused, params)) < 1e-12
+        params = {"proj_w": f64(rng.child(6), (4, 2)), "proj_b": f64(rng.child(7), (2,))}
+        scaled = {name: 3.0 * value for name, value in params.items()}
+        assert max_rel_err(project_forward(fused, scaled)[0],
+                           3.0 * project_forward(fused, params)[0]) < 1e-12
 
     def test_backward_matches_finite_differences(self, rng):
         fused = f64(rng.child(1), (3, 3, 4))
-        weight = f64(rng.child(2), (4, 2))
-        bias = f64(rng.child(3), (2,))
+        params = {"proj_w": f64(rng.child(2), (4, 2)), "proj_b": f64(rng.child(3), (2,))}
         direction = f64(rng.child(4), (3, 3, 2))
 
-        out, cache = project_forward(fused, ProjectionParams(weight, bias))
-        gf, gw, gb = project_backward(cache, direction, ProjectionParams(weight, bias))
+        out, cache = project_forward(fused, params)
+        _, grads = project_backward(cache, direction, params)
+        assert list(grads) == list(params)
 
-        def loss_w(wv):
-            return float((project(fused, ProjectionParams(wv, bias)) * direction).sum())
+        for name in params:
+            def loss(value, name=name):
+                out = project_forward(fused, {**params, name: value})[0]
+                return float((out * direction).sum())
 
-        def loss_b(bv):
-            return float((project(fused, ProjectionParams(weight, bv)) * direction).sum())
-
-        assert max_rel_err(gw, finite_diff_grad(loss_w, weight, 1e-4)) < 1e-3
-        assert max_rel_err(gb, finite_diff_grad(loss_b, bias, 1e-4)) < 1e-3
+            fd = finite_diff_grad(loss, params[name], 1e-4)
+            assert max_rel_err(grads[name], fd) < 1e-3, name

@@ -5,47 +5,48 @@ from hypothesis import given, settings, strategies as st
 from conftest import f64, max_rel_err
 from feddymem.errors import ShapeError
 from feddymem.generator import (
-    GeneratorParams,
-    GridSpace,
-    coord_conv,
-    generate_memory,
     generator_backward,
     generator_forward,
     grid_sample,
     grid_sample_backward,
     init_generator,
-    map_coords,
     normalize_coords,
 )
 from feddymem.numerics import Rng, conv1x1_forward, finite_diff_grad
 
 
-def make_params(seed=0, c=4, grid_hw=(8, 8), dtype=np.float64) -> GeneratorParams:
-    params = init_generator(Rng(seed), c, grid_hw)
-    if dtype is not np.float32:
-        for name in ("coord_w", "coord_b", "phi1_w", "phi1_b", "phi2_w", "phi2_b",
-                     "out_w", "out_b", "grid"):
-            setattr(params, name, getattr(params, name).astype(dtype))
-    return params
+def make_params(seed=0, c=4, grid_hw=(8, 8), dtype=np.float64) -> dict[str, np.ndarray]:
+    return {name: value.astype(dtype)
+            for name, value in init_generator(Rng(seed), c, grid_hw).items()}
+
+
+def p_hat(p, params):
+    """The coordinate convolution's output, read from the forward cache."""
+    return generator_forward(p, params)[1].p_hat
+
+
+def coords(p, params):
+    """The per-pixel (x, y) in [-1, 1], read from the forward cache."""
+    return generator_forward(p, params)[1].coords
 
 
 class TestCoordConv:
     def test_single_pixel_coords_are_zero(self):
         params = make_params(c=2)
         # weights reading only the coordinate channels
-        params.coord_w = np.zeros((4, 2))
-        params.coord_w[2, 0] = 1.0  # X channel
-        params.coord_w[3, 1] = 1.0  # Y channel
-        params.coord_b = np.zeros(2)
-        out = coord_conv(np.ones((1, 1, 2)), params)
+        params["coord_w"] = np.zeros((4, 2))
+        params["coord_w"][2, 0] = 1.0  # X channel
+        params["coord_w"][3, 1] = 1.0  # Y channel
+        params["coord_b"] = np.zeros(2)
+        out = p_hat(np.ones((1, 1, 2)), params)
         assert np.array_equal(out, np.zeros((1, 1, 2)))
 
     def test_x_channel_readout(self):
         params = make_params(c=1)
-        params.coord_w = np.zeros((3, 1))
-        params.coord_w[1, 0] = 1.0
-        params.coord_b = np.zeros(1)
-        out = coord_conv(np.zeros((1, 3, 1)), params)
+        params["coord_w"] = np.zeros((3, 1))
+        params["coord_w"][1, 0] = 1.0
+        params["coord_b"] = np.zeros(1)
+        out = p_hat(np.zeros((1, 3, 1)), params)
         assert np.allclose(out[0, :, 0], [-1.0, 0.0, 1.0])
 
     def test_matches_concat_then_conv_oracle(self, rng):
@@ -55,26 +56,26 @@ class TestCoordConv:
         ys = np.linspace(-1, 1, 2)
         cat = np.concatenate([p, np.broadcast_to(xs[None, :, None], (2, 4, 1)),
                               np.broadcast_to(ys[:, None, None], (2, 4, 1))], axis=2)
-        oracle = conv1x1_forward(cat, params.coord_w, params.coord_b)
-        assert max_rel_err(coord_conv(p, params), oracle) < 1e-12
+        oracle = conv1x1_forward(cat, params["coord_w"], params["coord_b"])
+        assert max_rel_err(p_hat(p, params), oracle) < 1e-12
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            coord_conv(np.zeros((2, 2, 5)), make_params(c=4))
+            generator_forward(np.zeros((2, 2, 5)), make_params(c=4))
 
 
 class TestMapCoords:
     def test_zero_weights_give_center(self):
         params = make_params(c=3)
         for name in ("phi1_w", "phi1_b", "phi2_w", "phi2_b"):
-            setattr(params, name, np.zeros_like(getattr(params, name)))
-        out = map_coords(np.ones((2, 2, 3)), params)
+            params[name] = np.zeros_like(params[name])
+        out = coords(np.ones((2, 2, 3)), params)
         assert np.array_equal(out, np.zeros((2, 2, 2)))
 
     def test_huge_bias_saturates(self):
         params = make_params(c=3)
-        params.phi2_b = np.array([1e6, -1e6])
-        out = map_coords(np.ones((1, 1, 3)), params)
+        params["phi2_b"] = np.array([1e6, -1e6])
+        out = coords(np.ones((1, 1, 3)), params)
         assert out[0, 0, 0] == pytest.approx(1.0)
         assert out[0, 0, 1] == pytest.approx(-1.0)
 
@@ -83,7 +84,7 @@ class TestMapCoords:
     def test_bounded_componentwise(self, seed):
         params = make_params(seed % 97, c=4)
         p = Rng(seed).normal((10, 10, 4), std=5.0).astype(np.float64)
-        out = map_coords(p, params)
+        out = coords(p, params)
         assert np.abs(out).max() <= 1.0
 
 
@@ -146,10 +147,10 @@ class TestGridSample:
         with pytest.raises(ValueError):
             grid_sample(grid, np.array([[[-0.01, 0.0]]], dtype=np.float32))
 
-    def test_accepts_gridspace(self, rng):
-        g = rng.normal((3, 3, 1))
+    def test_accepts_generator_grid(self):
+        g = init_generator(Rng(3), 1, (3, 3))["grid"]
         coords = np.zeros((1, 1, 2), dtype=np.float32)
-        assert np.array_equal(grid_sample(GridSpace(grid=g), coords)[0, 0], g[0, 0])
+        assert np.array_equal(grid_sample(g, coords)[0, 0], g[0, 0])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -197,18 +198,18 @@ class TestGenerateMemory:
     def test_bypass_path_reproduces_p_hat(self, rng):
         c = 3
         params = make_params(c=c)
-        params.out_w = np.zeros((2 * c, c))
-        params.out_w[c:, :] = np.eye(c)  # read only the coordconv half
-        params.out_b = np.zeros(c)
+        params["out_w"] = np.zeros((2 * c, c))
+        params["out_w"][c:, :] = np.eye(c)  # read only the coordconv half
+        params["out_b"] = np.zeros(c)
         p = f64(rng, (3, 3, c))
-        m = generate_memory(p, params)
-        assert max_rel_err(m, coord_conv(p, params)) < 1e-12
+        m, cache = generator_forward(p, params)
+        assert max_rel_err(m, cache.p_hat) < 1e-12
 
     def test_frozen_seed_regression(self):
         import hashlib
         params = init_generator(Rng(101), 4, (8, 8))
         p = Rng(202).normal((5, 5, 4))
-        m = generate_memory(p, params)
+        m = generator_forward(p, params)[0]
         digest = hashlib.sha256(m.astype("<f4").tobytes()).hexdigest()
         assert digest == REGRESSION_SHA256
 
@@ -218,35 +219,31 @@ class TestGenerateMemory:
         direction = f64(rng.child(2), (4, 4, 3))
 
         m, cache = generator_forward(p, params)
-        grads = generator_backward(cache, direction)
+        grad_input, grads = generator_backward(cache, direction)
+        assert list(grads) == list(params)
 
-        names = ["coord_w", "coord_b", "phi1_w", "phi1_b", "phi2_w", "phi2_b",
-                 "out_w", "out_b", "grid"]
-        for name in names:
+        for name in params:
             def loss(value, name=name):
-                saved = getattr(params, name)
-                setattr(params, name, value)
-                try:
-                    return float((generate_memory(p, params) * direction).sum())
-                finally:
-                    setattr(params, name, saved)
+                return float((generator_forward(p, {**params, name: value})[0]
+                              * direction).sum())
 
-            fd = finite_diff_grad(loss, getattr(params, name), 1e-3)
-            assert max_rel_err(getattr(grads, name), fd) < 1e-3, name
+            fd = finite_diff_grad(loss, params[name], 1e-3)
+            assert max_rel_err(grads[name], fd) < 1e-3, name
 
         def loss_input(v):
-            return float((generate_memory(v, params) * direction).sum())
+            return float((generator_forward(v, params)[0] * direction).sum())
 
         fd = finite_diff_grad(loss_input, p, 1e-3)
-        assert max_rel_err(grads.input, fd) < 1e-3
+        assert max_rel_err(grad_input, fd) < 1e-3
 
     def test_zero_grad_in_zero_grads_out(self, rng):
         params = make_params(9, c=3)
         p = f64(rng, (3, 3, 3))
         _, cache = generator_forward(p, params)
-        grads = generator_backward(cache, np.zeros((3, 3, 3)))
-        for name in ("coord_w", "phi1_w", "phi2_w", "out_w", "grid", "input"):
-            assert not getattr(grads, name).any()
+        grad_input, grads = generator_backward(cache, np.zeros((3, 3, 3)))
+        assert not grad_input.any()
+        for name in ("coord_w", "phi1_w", "phi2_w", "out_w", "grid"):
+            assert not grads[name].any()
 
     def test_stale_cache_rejected(self, rng):
         params = make_params(9, c=3)

@@ -10,7 +10,6 @@ from feddymem.numerics import (
     AdamState,
     Rng,
     adam_step,
-    as_tensor,
     bilinear_resize,
     conv1x1_backward,
     conv1x1_forward,
@@ -19,24 +18,6 @@ from feddymem.numerics import (
     pairwise_dist,
 )
 import feddymem.numerics as numerics
-
-
-class TestTensor:
-    def test_rejects_nan(self):
-        with pytest.raises(NumericError):
-            as_tensor([1.0, np.nan])
-
-    def test_rejects_inf(self):
-        with pytest.raises(NumericError):
-            as_tensor([[np.inf]])
-
-    def test_rejects_rank5(self):
-        with pytest.raises(ShapeError):
-            as_tensor(np.zeros((1, 1, 1, 1, 1)))
-
-    def test_float32_row_major(self):
-        t = as_tensor([[1, 2], [3, 4]])
-        assert t.dtype == np.float32 and t.flags.c_contiguous
 
 
 class TestRng:
@@ -61,7 +42,7 @@ class TestRng:
 
 class TestConv1x1:
     def test_identity_weight(self):
-        x = as_tensor(np.arange(12).reshape(2, 3, 2))
+        x = np.arange(12, dtype=np.float32).reshape(2, 3, 2)
         out = conv1x1_forward(x, np.eye(2, dtype=np.float32), np.zeros(2, np.float32))
         assert np.array_equal(out, x)
 

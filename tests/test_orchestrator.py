@@ -17,10 +17,9 @@ from feddymem.orchestrator import (
     load_checkpoint,
     run_round,
     run_training,
-    serialized_bank_bytes,
-    serialized_param_bytes,
+    save_checkpoint,
 )
-from feddymem.server import CommLedger
+from feddymem.server import CommLedger, bank_nbytes, params_nbytes
 
 
 def desk_config(seed=3, rounds=3, baseline="feddymem", n_clients=3, ckpt=2):
@@ -54,7 +53,7 @@ class TestInitialize:
         for s in states:
             assert np.array_equal(s.local_bank.data, global_bank.data)
         assert metrics.round_index == 0
-        assert metrics.bytes_up == cfg.n_clients * serialized_bank_bytes(global_bank)
+        assert metrics.bytes_up == cfg.n_clients * bank_nbytes(global_bank)
 
     def test_single_client_bank_is_own_reduction(self):
         cfg = desk_config(n_clients=1)
@@ -157,13 +156,13 @@ class TestRunTraining:
         for m in result.metrics:
             sizes.add(m.bytes_up // cfg.n_clients)
         assert len(sizes) == 1
-        assert sizes.pop() == serialized_bank_bytes(result.global_bank)
+        assert sizes.pop() == bank_nbytes(result.global_bank)
 
     def test_bank_smaller_than_params(self, tmp_path):
         cfg = desk_config(rounds=1)
         result = run_training(cfg, desk_datasets(cfg), tmp_path / "run")
-        bank_bytes = serialized_bank_bytes(result.global_bank)
-        param_bytes = serialized_param_bytes(result.states[0])
+        bank_bytes = bank_nbytes(result.global_bank)
+        param_bytes = params_nbytes(result.states[0].params)
         assert bank_bytes < param_bytes
 
     def test_metrics_file_deterministic(self, tmp_path):
@@ -207,8 +206,8 @@ class TestRunTraining:
             (tmp_path / "resumed/metrics.jsonl").read_bytes()
         assert np.array_equal(full.global_bank.data, resumed.global_bank.data)
         for a, b in zip(full.states, resumed.states):
-            assert np.array_equal(a.projection.weight, b.projection.weight)
-            assert np.array_equal(a.generator.grid, b.generator.grid)
+            assert np.array_equal(a.params["proj_w"], b.params["proj_w"])
+            assert np.array_equal(a.params["grid"], b.params["grid"])
             assert a.adam["grid"].step == b.adam["grid"].step
         assert (tmp_path / "full/ledger.csv").read_bytes() == \
             (tmp_path / "resumed/ledger.csv").read_bytes()
@@ -240,6 +239,58 @@ class TestRunTraining:
         assert timings[0] == "round,seconds"
         assert [int(line.split(",")[0]) for line in timings[1:]] == list(range(7))
 
+    def test_checkpoint_save_is_crash_safe(self, tmp_path, monkeypatch):
+        from feddymem import tensorio
+        cfg = desk_config(rounds=6, ckpt=2)
+        run_training(cfg, desk_datasets(cfg), tmp_path / "full")
+
+        write_tensor = tensorio.write_tensor
+
+        def crash_saving_round_4(path, arr):
+            # the client files of round 4 are written by now
+            if "round_00004" in str(path):
+                raise RuntimeError("killed while saving round 4")
+            return write_tensor(path, arr)
+
+        monkeypatch.setattr(tensorio, "write_tensor", crash_saving_round_4)
+        with pytest.raises(RuntimeError, match="round 4"):
+            run_training(cfg, desk_datasets(cfg), tmp_path / "resumed")
+        monkeypatch.undo()
+        root = tmp_path / "resumed/checkpoints"
+        assert sorted(d.name for d in root.iterdir()) == \
+            ["partial_round_00004", "round_00000", "round_00002"]
+        assert (root / "partial_round_00004/client_0.fdmc").is_file()
+        # a round directory without a manifest, as an in-place save leaves it
+        (root / "round_00006").mkdir()
+        (root / "round_00006/client_0.fdmc").write_bytes(b"partial")
+        assert latest_checkpoint(tmp_path / "resumed").name == "round_00002"
+
+        run_training(cfg, desk_datasets(cfg), tmp_path / "resumed", resume=True)
+        assert sorted(d.name for d in root.iterdir()) == \
+            ["round_00000", "round_00002", "round_00004", "round_00006"]
+        for name in ("metrics.jsonl", "ledger.csv", "global_bank.fdm1"):
+            assert (tmp_path / "full" / name).read_bytes() == \
+                (tmp_path / "resumed" / name).read_bytes()
+        for ckpt in ("round_00004", "round_00006"):
+            full = tmp_path / "full/checkpoints" / ckpt
+            assert sorted(f.name for f in full.iterdir()) == \
+                sorted(f.name for f in (root / ckpt).iterdir())
+            for f in full.iterdir():
+                assert f.read_bytes() == (root / ckpt / f.name).read_bytes()
+
+    def test_checkpoint_load_save_is_byte_identical(self, tmp_path):
+        cfg = desk_config(rounds=2, ckpt=1)
+        run_training(cfg, desk_datasets(cfg), tmp_path / "run")
+        ckpt = latest_checkpoint(tmp_path / "run")
+        round_index, states, bank, monitor = load_checkpoint(ckpt, cfg)
+        again = save_checkpoint(tmp_path / "again", round_index, states, bank, monitor)
+        files = sorted(f.name for f in ckpt.iterdir())
+        assert files == sorted(f.name for f in again.iterdir())
+        assert "manifest.json" in files and "global_bank.fdm1" in files
+        assert sum(f.startswith("client_") for f in files) == cfg.n_clients
+        for name in files:
+            assert (ckpt / name).read_bytes() == (again / name).read_bytes(), name
+
     def test_checkpoint_roundtrip(self, tmp_path):
         cfg = desk_config(rounds=2, ckpt=1)
         result = run_training(cfg, desk_datasets(cfg), tmp_path / "run")
@@ -248,9 +299,9 @@ class TestRunTraining:
         assert round_index == 2
         assert np.array_equal(bank.data, result.global_bank.data)
         for a, b in zip(states, result.states):
-            for name in ("coord_w", "phi1_w", "out_w", "grid"):
-                assert np.array_equal(getattr(a.generator, name),
-                                      getattr(b.generator, name))
+            assert list(a.params) == list(b.params)
+            for name in a.params:
+                assert np.array_equal(a.params[name], b.params[name])
         assert monitor.r_hat_m == result.monitor.r_hat_m
 
     def test_loss_bound_and_quartile_trend(self, tmp_path):
