@@ -24,16 +24,21 @@ and eta the smallest subnormal of the result dtype, C the patch dim:
     which covers the norms, the product and the float64 operations that
     turn g into the lower bound lb = g - gamma_{2C+16}(u_64)(||a||^2 + ||b||^2);
   * so floor = (lb - (5C + 16) eta)(1 - gamma_{2C+16}(u)) <= q (1 - u)^2.
-A row keeps k + KNN_SLACK columns of least lb. It is certified when the
-floor of every excluded column exceeds D^2, D the k-th kept distance:
-then each excluded distance fl(sqrt(q)) >= sqrt(q)(1 - u) > D strictly.
-A row that is not certified is recomputed on its full explicit row.
+Each row takes its k columns of least lb as seeds and computes their
+explicit distances; U is the largest of them, squared in float64 and
+rounded up. The seeds are k distinct columns, so the k-th distance D
+satisfies D^2 <= U, and a column whose floor exceeds U has
+fl(sqrt(q)) >= sqrt(q)(1 - u) > D strictly: it is neither among the k
+nearest nor tied with the k-th. The candidates of a row are its seeds
+and its columns with floor <= U. A row whose only candidates are its
+seeds returns them; a row with more orders the explicit distances of its
+candidates. No row is recomputed on its full explicit row.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -199,8 +204,9 @@ def bilinear_resize(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
 # Pairwise Euclidean distances and exact k-nearest neighbours
 # ---------------------------------------------------------------------------
 
-KNN_CHUNK = 1024  # query rows per Gram block; memory stays O(KNN_CHUNK * Q)
-KNN_SLACK = 8     # Gram-ranked candidates kept per row beyond the k asked for
+# query rows per block: a knn call holds at most KNN_CHUNK * Q bounds and
+# KNN_CHUNK * Q * C explicit differences at a time
+KNN_CHUNK = 1024
 
 
 def _check_patches(a: np.ndarray, b: np.ndarray) -> None:
@@ -278,10 +284,40 @@ class GramFloor:
         return self.floor(self.lower(rows))
 
 
+def _k_nearest(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k least of the distances d to the columns cols, ascending by
+    distance, ties to the earlier position in cols."""
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(d, order, axis=1)
+
+
 def _knn_explicit(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     d = pairwise_dist(a, b)
     idx = np.argsort(d, axis=1, kind="stable")[:, :k]
     return idx, np.take_along_axis(d, idx, axis=1)
+
+
+def _least_bound_columns(lb: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k columns of least lb, ascending by index, from k argmin
+    passes; lb is left with those columns set to inf."""
+    r = np.arange(lb.shape[0])
+    cols = np.empty((lb.shape[0], k), dtype=np.intp)
+    for j in range(k):
+        cols[:, j] = lb.argmin(axis=1)
+        lb[r, cols[:, j]] = np.inf
+    return np.sort(cols, axis=1)
+
+
+def _knn_near_ties(rows: np.ndarray, b: np.ndarray, candidates: np.ndarray,
+                   k: int) -> tuple[np.ndarray, np.ndarray]:
+    """kNN of rows with more than k candidate columns, from the explicit
+    distances of the candidates only. Each row lists its candidates first,
+    ascending by index; a row with fewer candidates than the widest is
+    padded with excluded columns, which are farther than the k-th (module
+    docstring), so they never reach the result."""
+    width = int(np.count_nonzero(candidates, axis=1).max())
+    cols = np.argsort(~candidates, axis=1, kind="stable")[:, :width]
+    return _k_nearest(pairwise_dist(rows, b, cols), cols, k)
 
 
 def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,11 +326,14 @@ def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     The result equals, bit for bit, a stable argsort of the full
     `pairwise_dist(a, b)` row. Per chunk of KNN_CHUNK query rows a float64
-    Gram product ranks the columns, `argpartition` keeps k + KNN_SLACK of
-    them, and `pairwise_dist(rows, b, cols)` computes their distances,
-    which are ordered by (distance, index). The Gram form only filters:
-    each row is certified (contract in the module docstring) or redone on
-    its full explicit row.
+    Gram product bounds every squared distance from below (lb). Each row's
+    k columns of least lb are its seeds, and U, the largest of their
+    explicit distances squared, bounds the k-th squared distance. Only
+    the seeds and the columns whose floor is at most U can be among the k
+    nearest (module docstring). A row with no such column beyond its seeds
+    returns its seeds; a row with more, a near tie, orders the explicit
+    distances of its candidates. Without a usable Gram form, or when
+    k = Q, each chunk sorts its full explicit rows.
     """
     _check_patches(a, b)
     q = b.shape[0]
@@ -302,29 +341,26 @@ def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"k={k} must be in [1, {q}]")
     require_finite(a, "query patches")
     require_finite(b, "reference patches")
-    m = k + KNN_SLACK
-    if m >= q or a.shape[0] == 0:
+    if a.shape[0] == 0:
         return _knn_explicit(a, b, k)
     gram = GramFloor(a, b)
     idx_parts, dist_parts = [], []
     for s in range(0, a.shape[0], KNN_CHUNK):
         rows = a[s:s + KNN_CHUNK]
-        if not gram.usable:
+        if k == q or not gram.usable:
             idx, dist = _knn_explicit(rows, b, k)
         else:
             lb = gram.lower(slice(s, s + KNN_CHUNK))
-            part = np.argpartition(lb, m, axis=1)
-            cols = np.sort(part[:, :m], axis=1)
-            d = pairwise_dist(rows, b, cols)
-            order = np.argsort(d, axis=1, kind="stable")[:, :k]
-            idx = np.take_along_axis(cols, order, axis=1)
-            dist = np.take_along_axis(d, order, axis=1)
-            # the (m + 1)-th smallest bound is the least over excluded columns
-            excluded = np.take_along_axis(lb, part[:, m:m + 1], axis=1)[:, 0]
-            kth = dist[:, -1].astype(np.float64)
-            redo = np.flatnonzero(~(gram.floor(excluded) > kth * kth))
-            if redo.size:
-                idx[redo], dist[redo] = _knn_explicit(rows[redo], b, k)
+            seeds = _least_bound_columns(lb, k)
+            idx, dist = _k_nearest(pairwise_dist(rows, b, seeds), seeds, k)
+            bound = np.nextafter(dist[:, -1].astype(np.float64) ** 2, np.inf)
+            # floor is monotone in lb, so the least bound left outside the
+            # seeds certifies every other column at once
+            ties = np.flatnonzero(~(gram.floor(lb.min(axis=1)) > bound))
+            if ties.size:
+                candidates = gram.floor(lb[ties]) <= bound[ties, None]
+                np.put_along_axis(candidates, seeds[ties], True, axis=1)
+                idx[ties], dist[ties] = _knn_near_ties(rows[ties], b, candidates, k)
         idx_parts.append(idx)
         dist_parts.append(dist)
     return np.concatenate(idx_parts), np.concatenate(dist_parts)

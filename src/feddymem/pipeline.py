@@ -78,8 +78,10 @@ def score_test_set(state: ClientModelState, bank: MemoryBank,
 
 def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],
                     test_samples: list[LabeledSample], cfg: FederationConfig,
-                    slices: list[list[int]] | None = None) -> EvalMetrics:
-    """Per-client detection metrics; banks[n] is what client n queries.
+                    slices: list[list[int]] | None = None
+                    ) -> tuple[EvalMetrics, list[ScoredSample]]:
+    """Per-client detection metrics, banks[n] being what client n queries,
+    and client 0's scored samples.
 
     With `slices`, client n scores only its own test indices (local test
     distribution); otherwise every client scores the whole test set.
@@ -93,6 +95,8 @@ def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],
             samples = [test_samples[i] for i in slices[n]]
             fused = [test_dataset.fused[i] for i in slices[n]]
         scored = score_test_set(state, bank, samples, fused, cfg)
+        if n == 0:
+            first = scored
         labels = np.array([s.label for s in scored])
         image_scores = np.array([s.image_score for s in scored])
         i_aurocs.append(auroc(image_scores, labels))
@@ -101,7 +105,7 @@ def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],
         p_aurocs.append(auroc(pixel_scores, (pixel_labels > 0).astype(int)))
         pros.append(pro([s.pixel_scores for s in scored], [s.mask for s in scored]))
     return EvalMetrics(i_auroc_per_client=i_aurocs, p_auroc_per_client=p_aurocs,
-                       pro_per_client=pros)
+                       pro_per_client=pros), first
 
 
 def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None,
@@ -127,7 +131,7 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
         banks = [s.local_bank for s in states]
     else:
         banks = [global_bank] * len(states)
-    metrics = evaluate_states(states, banks, test_samples, cfg.federation)
+    metrics, first_scored = evaluate_states(states, banks, test_samples, cfg.federation)
 
     run_id = f"seed{cfg.federation.seed}_round{loaded_round}"
     write_results_csv(out_dir / "results.csv",
@@ -137,10 +141,7 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
     if export_heatmaps:
         heat_dir = out_dir / "heatmaps"
         heat_dir.mkdir(exist_ok=True)
-        test_fused = build_client_dataset(test_samples, cfg.federation.extractor).fused
-        scored = score_test_set(states[0], banks[0], test_samples, test_fused,
-                                cfg.federation)
-        for s in scored:
+        for s in first_scored:
             hm = postprocess_heatmap(s.pixel_scores, s.pixel_scores.shape)
             tensorio.write_tensor(heat_dir / f"{s.sample_id}.fdm1", hm)
     return metrics

@@ -20,12 +20,12 @@ reported descriptively only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .client import memory_reduce, MemoryBank
+from .client import memory_reduce
 from .errors import NumericError
 from .numerics import Rng
 

@@ -19,7 +19,6 @@ from feddymem.client import LossConfig, MemoryBank, memory_reduce, metric_loss
 from feddymem.config import load_run_config
 from feddymem.evaluation import SynthSpec, auroc, pro, synth_dataset
 from feddymem.features import (
-    ExtractorSpec,
     FeaturePyramid,
     fuse_pyramid,
     project_backward,
@@ -304,7 +303,6 @@ def test_criterion_4_aggregation_correctness():
 
 
 def test_criterion_5_protocol_invariants():
-    from feddymem.client import LossConfig as LC
     cfg_fed = load_run_config({
         "seed": 11,
         "federation": {"n_clients": 3, "rounds": 0, "checkpoint_interval": 0},

@@ -153,6 +153,33 @@ class TestCliTrainEval:
         hm = tensorio.read_tensor(heatmaps[0])
         assert hm.shape == (8, 8)
 
+    def test_heatmaps_reuse_the_evaluation_scoring(self, tmp_path, monkeypatch):
+        from feddymem import pipeline
+        from feddymem.orchestrator import build_client_dataset, latest_checkpoint, load_checkpoint
+        cfg_path = write_config(tmp_path, desk_doc())
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+        scored = []
+        score = pipeline.anomaly_map
+        monkeypatch.setattr(pipeline, "anomaly_map", lambda *args: scored.append(1) or score(*args))
+        assert main(["eval", "--config", cfg_path, "--out", str(out), "--export-heatmaps"]) == 0
+        cfg = load_run_config(cfg_path)
+        _, test = load_federated_data(cfg)
+        assert len(scored) == cfg.federation.n_clients * len(test)
+
+        # the files a second, separate scoring of client 0 writes
+        _, states, bank, _ = load_checkpoint(latest_checkpoint(out), cfg.federation)
+        fused = build_client_dataset(test, cfg.federation.extractor).fused
+        want = {f"{s.sample_id}.fdm1": s.pixel_scores
+                for s in pipeline.score_test_set(states[0], bank, test, fused, cfg.federation)}
+        written = sorted((out / "heatmaps").iterdir())
+        assert [path.name for path in written] == sorted(want)
+        for path in written:
+            ref = tmp_path / "ref.fdm1"
+            scores = want[path.name]
+            tensorio.write_tensor(ref, pipeline.postprocess_heatmap(scores, scores.shape))
+            assert path.read_bytes() == ref.read_bytes()
+
     def test_resume_flag(self, tmp_path):
         doc = desk_doc(rounds=2)
         cfg_path2 = write_config(tmp_path, doc, "cfg2.json")

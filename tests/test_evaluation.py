@@ -8,7 +8,6 @@ from feddymem.client import MemoryBank
 from feddymem.errors import NumericError, ShapeError
 from feddymem.evaluation import (
     PRO_HITS_CHUNK,
-    LabeledSample,
     SynthSpec,
     auroc,
     dirichlet_partition,

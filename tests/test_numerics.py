@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 from conftest import f64, max_rel_err
 from feddymem.errors import NumericError, ShapeError
 from feddymem.numerics import (
-    KNN_SLACK,
     AdamState,
     Rng,
     adam_step,
@@ -192,6 +193,23 @@ def assert_same_as_oracle(a, b, k):
     assert np.array_equal(dist, want_dist)
 
 
+@contextlib.contextmanager
+def spy(name):
+    """Record the arguments of every call the kernel makes to numerics.<name>."""
+    calls = []
+    real = getattr(numerics, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    setattr(numerics, name, record)
+    try:
+        yield calls
+    finally:
+        setattr(numerics, name, real)
+
+
 @st.composite
 def knn_case(draw, dtype_a=np.float32, dtype_b=np.float32):
     """Queries, a reference set and a k; in half the cases the rows of both
@@ -235,7 +253,7 @@ class TestKnnKernel:
     @settings(max_examples=40, deadline=None)
     def test_k_equal_to_and_one_below_q(self, seed, below, c):
         r = Rng(seed)
-        q = 12 + KNN_SLACK
+        q = 12 + 8
         a = r.child(1).normal((9, c))
         b = r.child(2).normal((q, c))
         b[3] = b[7]  # a duplicate reference row
@@ -266,29 +284,19 @@ class TestKnnKernel:
     @settings(max_examples=30, deadline=None)
     def test_cancelling_offset_falls_back_to_explicit_rows(self, seed, k, c):
         # at |x| ~ 1e8 the float64 Gram error bound exceeds every true
-        # squared distance, so no row can be certified from the Gram form
+        # squared distance, so every column of every row is a candidate
         r = Rng(seed)
         a = 1e8 + r.child(1).uniform(-1.0, 1.0, (7, c), dtype=np.float64)
-        b = 1e8 + r.child(2).uniform(-1.0, 1.0, (k + KNN_SLACK + 5, c), dtype=np.float64)
-        redone = []
-        explicit = numerics._knn_explicit
-
-        def spy(rows, ref, kk):
-            redone.append(rows.shape[0])
-            return explicit(rows, ref, kk)
-
-        numerics._knn_explicit = spy
-        try:
+        b = 1e8 + r.child(2).uniform(-1.0, 1.0, (k + 8 + 5, c), dtype=np.float64)
+        with spy("_knn_near_ties") as calls:
             assert_same_as_oracle(a, b, k)
-        finally:
-            numerics._knn_explicit = explicit
-        assert sum(redone) == a.shape[0]
+        assert sum(rows.shape[0] for rows, *_ in calls) == a.shape[0]
 
     def test_underflowing_squares_tie_at_zero(self):
         # float32 squares of 2e-25 and 3e-26 underflow to 0, so every column
         # but the large ones is at distance 0 and index 0 must win, although
-        # the float64 Gram form ranks column 0 behind columns 1..KNN_SLACK+1
-        b = np.array([[2e-25]] + [[3e-26]] * (KNN_SLACK + 1) + [[1.0 + j] for j in range(10)],
+        # the float64 Gram form ranks column 0 behind columns 1..9
+        b = np.array([[2e-25]] + [[3e-26]] * (8 + 1) + [[1.0 + j] for j in range(10)],
                      dtype=np.float32)
         a = np.zeros((1, 1), dtype=np.float32)
         assert_same_as_oracle(a, b, 1)
@@ -299,6 +307,50 @@ class TestKnnKernel:
         a = rng.child(1).normal((40, 5))
         b = rng.child(2).normal((50, 5))
         assert_same_as_oracle(a, b, 4)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_equidistant_columns_are_near_ties(self, seed, k, c):
+        # the 2c columns at +-0.5 e_i lie exactly 0.5 from the origin, so
+        # more than k floors sit under the seed bound of the origin's row
+        r = Rng(seed)
+        ring = 0.5 * np.concatenate([np.eye(c), -np.eye(c)]).astype(np.float32)
+        far = r.child(1).normal((20, c)) + 3.0
+        b = np.concatenate([far, ring])[r.child(2).permutation(20 + 2 * c)]
+        a = np.concatenate([np.zeros((1, c), np.float32), r.child(3).normal((5, c))])
+        k = min(k, 2 * c - 1)
+        with spy("_knn_near_ties") as calls:
+            assert_same_as_oracle(a, b, k)
+        assert sum(rows.shape[0] for rows, *_ in calls) >= 1
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=40, deadline=None)
+    def test_duplicates_straddling_kth_place(self, seed, k, dtype):
+        # five copies of one row are each query's nearest, so the k-th
+        # place falls inside a group of equal distances
+        r = Rng(seed)
+        b = r.child(1).normal((30, 4)).astype(dtype)
+        b[[5, 11, 17, 23]] = b[2]
+        a = (b[2] + 1e-3 * r.child(2).normal((6, 4))).astype(dtype)
+        with spy("_knn_near_ties") as calls:
+            assert_same_as_oracle(a, b, k)
+        assert sum(rows.shape[0] for rows, *_ in calls) == a.shape[0]
+
+    @pytest.mark.parametrize("case", ["bound-first", "k = Q", "unusable Gram form"])
+    def test_chunks_bound_every_distance_block(self, case, rng, monkeypatch):
+        monkeypatch.setattr(numerics, "KNN_CHUNK", 7)
+        a = rng.child(1).normal((40, 3), dtype=np.float64)
+        b = rng.child(2).normal((25, 3), dtype=np.float64)
+        k = {"bound-first": 4, "k = Q": 25, "unusable Gram form": 4}[case]
+        if case == "unusable Gram form":
+            # squared norms overflow float64; distances stay finite
+            a, b = 1e154 * (1 + 1e-10 * a), 1e154 * (1 + 1e-10 * b)
+            assert not numerics.GramFloor(a, b).usable
+        with spy("pairwise_dist") as calls:
+            assert_same_as_oracle(a, b, k)
+        # one or more calls per chunk of 7 rows, none of them wider
+        assert len(calls) >= 6
+        assert all(rows.shape[0] <= 7 for rows, *_ in calls)
 
     def test_selected_pairs_equal_full_matrix(self, rng):
         a = rng.child(1).normal((30, 16))
