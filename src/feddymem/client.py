@@ -80,9 +80,10 @@ class LossConfig:
 
 @dataclass
 class ClientDataset:
-    """Local samples with their frozen fused features, precomputed once."""
+    """Local samples' frozen fused features, precomputed once as one
+    (N, H, W, Cin) stack, and their ids."""
 
-    fused: list[np.ndarray]
+    fused: np.ndarray
     sample_ids: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -120,30 +121,33 @@ def knn_lookup(patches: np.ndarray, bank: MemoryBank, k: int) -> tuple[np.ndarra
 
 
 def metric_loss(m: np.ndarray, bank: MemoryBank,
-                cfg: LossConfig) -> tuple[float, np.ndarray]:
-    """Hinge loss over each patch's K nearest bank entries, and its gradient
-    w.r.t. the memory feature.
+                cfg: LossConfig) -> tuple[list[float], np.ndarray]:
+    """Hinge loss of each memory feature of a (B, H, W, C) stack over each
+    patch's K nearest bank entries, and the gradient of each sample's loss
+    w.r.t. its memory feature.
 
-    loss = mean over (patch, k) of max(0, dist - margin). The bank and the
-    neighbor selection are treated as constants: gradient flows only through
-    the distances back to the memory feature.
+    loss_b = mean over (patch, k) of max(0, dist - margin). One kNN lookup
+    serves all B * H * W patches. The bank and the neighbor selection are
+    treated as constants: gradient flows only through the distances back to
+    the memory feature.
     """
-    h, w, c = m.shape
+    b, h, w, c = m.shape
     if c != bank.data.shape[2]:
         raise ShapeError(f"memory channels {c} != bank channels {bank.data.shape[2]}")
-    patches = m.reshape(h * w, c)
+    patches = m.reshape(-1, c)
     idx, dist = knn_lookup(patches, bank, cfg.knn_k)
     margin = cfg.hinge_margin
     active = dist > margin
     denom = float(h * w * cfg.knn_k)
-    loss = float(np.where(active, dist - margin, 0.0).sum() / denom)
+    hinge = np.where(active, dist - margin, 0.0).reshape(b, -1)
+    losses = (hinge.sum(axis=1) / denom).tolist()
 
     neighbors = bank.patches[idx]                       # (P, K, C)
     diff = patches[:, None, :] - neighbors
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where((active & (dist > 0))[..., None], diff / dist[..., None], 0.0)
     grad_patches = unit.sum(axis=1) / denom
-    return loss, grad_patches.reshape(h, w, c).astype(m.dtype)
+    return losses, grad_patches.reshape(m.shape).astype(m.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +156,21 @@ def metric_loss(m: np.ndarray, bank: MemoryBank,
 
 
 def _forward_backward(state: ClientModelState, fused: np.ndarray, bank: MemoryBank,
-                      cfg: LossConfig) -> tuple[float, dict[str, np.ndarray]]:
+                      cfg: LossConfig) -> tuple[list[float], dict[str, np.ndarray]]:
+    """Each sample's loss for a (B, H, W, Cin) batch, and the gradients
+    summed over its samples in order: one forward pass, one metric loss and
+    one backward pass for the whole batch."""
     projected, proj_cache = project_forward(fused, state.params, cfg.activation)
     m, gen_cache = generator_forward(projected, state.params)
-    loss, grad_m = metric_loss(m, bank, cfg)
+    losses, grad_m = metric_loss(m, bank, cfg)
     grad_projected, gen_grads = generator_backward(gen_cache, grad_m)
-    _, proj_grads = project_backward(proj_cache, grad_projected, state.params)
-    return loss, {**proj_grads, **gen_grads}
+    return losses, {**project_backward(proj_cache, grad_projected), **gen_grads}
 
 
 def forward_memory(state: ClientModelState, fused: np.ndarray,
                    activation: str = "relu") -> np.ndarray:
-    """Inference-only pass: fused features -> memory feature."""
+    """Inference-only pass: (B, H, W, Cin) fused features -> (B, H, W, C)
+    memory features."""
     projected, _ = project_forward(fused, state.params, activation)
     return generator_forward(projected, state.params)[0]
 
@@ -187,18 +194,15 @@ def client_update(state: ClientModelState, dataset: ClientDataset, cfg: LossConf
         order = rng.child("shuffle", round_t, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            acc: dict[str, np.ndarray] = {}
+            losses, grads = _forward_backward(state, dataset.fused[batch], bank, cfg)
             batch_loss = 0.0
-            for i in batch:
-                loss, grads = _forward_backward(state, dataset.fused[i], bank, cfg)
+            for loss in losses:
                 batch_loss += loss
-                for name, g in grads.items():
-                    acc[name] = acc.get(name, 0.0) + g
             scale = 1.0 / len(batch)
             batch_loss *= scale
             grad_sq = 0.0
             for name, param in state.params.items():
-                g = acc[name] * scale
+                g = grads[name] * scale
                 grad_sq += float((g.astype(np.float64) ** 2).sum())
                 state.params[name] = adam_step(param, g, state.adam[name])
             loss_trace.append(batch_loss)
@@ -207,9 +211,14 @@ def client_update(state: ClientModelState, dataset: ClientDataset, cfg: LossConf
 
 
 def extract_all_memories(state: ClientModelState, dataset: ClientDataset,
-                         activation: str = "relu") -> list[np.ndarray]:
-    """Pure inference pass over the dataset in manifest order."""
-    return [forward_memory(state, f, activation) for f in dataset.fused]
+                         cfg: LossConfig) -> np.ndarray:
+    """Pure inference pass over the dataset in manifest order, one forward
+    pass per block of `cfg.batch_size` samples: (N, H, W, C)."""
+    if len(dataset) == 0:
+        raise ValueError("client dataset is empty")
+    step = cfg.batch_size
+    return np.concatenate([forward_memory(state, dataset.fused[s:s + step], cfg.activation)
+                           for s in range(0, len(dataset), step)])
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +226,10 @@ def extract_all_memories(state: ClientModelState, dataset: ClientDataset,
 # ---------------------------------------------------------------------------
 
 
-def memory_reduce(memories: list[np.ndarray], prev_bank: MemoryBank | None,
+def memory_reduce(memories: np.ndarray | list[np.ndarray], prev_bank: MemoryBank | None,
                   t: int) -> MemoryBank:
-    """Compress per-sample memory features into one bank-sized tensor.
+    """Compress per-sample memory features, a sequence of (H, W, C) arrays
+    or one (N, H, W, C) stack, into one bank-sized tensor.
 
     Round 0 uses uniform weights; later rounds weight each memory by the
     Frobenius norm of its difference from the previous bank, then blend the
@@ -227,7 +237,7 @@ def memory_reduce(memories: list[np.ndarray], prev_bank: MemoryBank | None,
     memory coincides with the previous bank (all weights zero) the weights
     fall back to uniform, the limit of the weighting as distances vanish.
     """
-    if not memories:
+    if len(memories) == 0:
         raise ValueError("memory_reduce needs at least one memory feature")
     if t == 0:
         if prev_bank is not None:
@@ -240,7 +250,7 @@ def memory_reduce(memories: list[np.ndarray], prev_bank: MemoryBank | None,
         if m.shape != shape:
             raise ShapeError("memory features must share one shape")
 
-    stack = np.stack(memories).astype(np.float64)
+    stack = np.asarray(memories, dtype=np.float64)
     if t == 0:
         weights = np.ones(len(memories), dtype=np.float64)
     else:
@@ -257,6 +267,6 @@ def memory_reduce(memories: list[np.ndarray], prev_bank: MemoryBank | None,
 
 
 def max_patch_norm(arr: np.ndarray) -> float:
-    """Largest L2 norm over the HW patch vectors of an (H, W, C) tensor."""
+    """Largest L2 norm over the patch vectors of an (..., C) tensor."""
     flat = arr.reshape(-1, arr.shape[-1]).astype(np.float64)
     return float(np.sqrt((flat * flat).sum(axis=1)).max())

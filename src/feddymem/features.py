@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import ShapeError
-from .numerics import (DTYPE, Rng, bilinear_resize, conv1x1_backward, conv1x1_forward,
+from .numerics import (DTYPE, Rng, bilinear_resize, conv1x1_forward, conv1x1_param_grads,
                        require_finite, xavier_uniform)
 
 SAMPLE_CHANNELS = 3
@@ -77,6 +77,17 @@ class FeaturePyramid:
                 raise ShapeError("pyramid spatial extents must be nonincreasing")
             prev = lvl.shape
 
+    @property
+    def fused_shape(self) -> tuple[int, int, int]:
+        """Level-0 dims by the total channel count."""
+        h, w = self.levels[0].shape[:2]
+        return h, w, sum(lvl.shape[2] for lvl in self.levels)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the levels promote to."""
+        return np.result_type(*self.levels)
+
 
 @functools.lru_cache(maxsize=32)
 def _synthetic_weights(spec: ExtractorSpec) -> tuple[np.ndarray, ...]:
@@ -131,12 +142,17 @@ def extract_pyramid(sample, spec: ExtractorSpec) -> FeaturePyramid:
     return FeaturePyramid(levels=levels, provenance=f"synthetic:{spec.seed}")
 
 
-def fuse_pyramid(p: FeaturePyramid) -> np.ndarray:
-    """Resize every level to level-0 dims and concatenate along channels."""
-    h0, w0 = p.levels[0].shape[:2]
-    parts = [lvl if lvl.shape[:2] == (h0, w0) else bilinear_resize(lvl, (h0, w0))
-             for lvl in p.levels]
-    return np.concatenate(parts, axis=2)
+def fuse_pyramid(p: FeaturePyramid, out: np.ndarray | None = None) -> np.ndarray:
+    """Resize every level to level-0 dims and concatenate along channels,
+    each level resized straight into its channels of `out` (of shape
+    `p.fused_shape`) when given."""
+    if out is None:
+        out = np.empty(p.fused_shape, dtype=p.dtype)
+    start = 0
+    for lvl in p.levels:
+        bilinear_resize(lvl, out.shape[:2], out=out[..., start:start + lvl.shape[2]])
+        start += lvl.shape[2]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +191,8 @@ class ProjectionCache:
 
 def project_forward(fused: np.ndarray, params: dict[str, np.ndarray],
                     activation: str = "relu") -> tuple[np.ndarray, ProjectionCache]:
-    """Trainable per-pixel projection with nonlinearity: sigma(conv1x1(fused)).
+    """Trainable per-pixel projection with nonlinearity, sigma(conv1x1(fused)),
+    of a (B, H, W, Cin) stack of fused features.
 
     Reads `proj_w` and `proj_b` from `params`; other keys are ignored.
     """
@@ -187,12 +204,12 @@ def project_forward(fused: np.ndarray, params: dict[str, np.ndarray],
     return out, ProjectionCache(fused=fused, out=out, activation=activation)
 
 
-def project_backward(cache: ProjectionCache, grad_out: np.ndarray,
-                     params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gradient w.r.t. the fused input, and the `proj_w`/`proj_b` gradients."""
+def project_backward(cache: ProjectionCache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    """The `proj_w`/`proj_b` gradients, summed over the stack. The fused
+    features are frozen, so no gradient w.r.t. them is formed."""
     grad_pre = _activate_backward(cache.out, grad_out, cache.activation)
-    grad_fused, g_w, g_b = conv1x1_backward(cache.fused, params["proj_w"], grad_pre)
-    return grad_fused, {"proj_w": g_w, "proj_b": g_b}
+    g_w, g_b = conv1x1_param_grads(cache.fused, grad_pre)
+    return {"proj_w": g_w, "proj_b": g_b}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Trainable memory generator.
 
-Pipeline for one projected feature map p of shape (H, W, C):
+Pipeline for each projected feature map p of shape (H, W, C) in a
+(B, H, W, C) stack:
 
     p_hat  = conv1x1(concat(p, X, Y))            coordinate convolution
     coords = tanh(conv1x1(relu(conv1x1(p_hat)))) per-pixel (x, y) in [-1, 1]
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .numerics import DTYPE, Rng, conv1x1_backward, conv1x1_forward, xavier_normal, xavier_uniform
+from .numerics import (DTYPE, Rng, conv1x1_backward, conv1x1_forward, sum_samples,
+                       xavier_normal, xavier_uniform)
 
 
 def init_generator(rng: Rng, channels: int, grid_hw: tuple[int, int] = (8, 8),
@@ -62,9 +64,9 @@ def coordinate_channels(h: int, w: int, dtype=DTYPE) -> tuple[np.ndarray, np.nda
 
 
 def _with_coords(p: np.ndarray) -> np.ndarray:
-    h, w, _ = p.shape
-    x_chan, y_chan = coordinate_channels(h, w, p.dtype)
-    return np.concatenate([p, x_chan[..., None], y_chan[..., None]], axis=2)
+    b, h, w, _ = p.shape
+    xy = np.stack(coordinate_channels(h, w, p.dtype), axis=2)
+    return np.concatenate([p, np.broadcast_to(xy, (b, h, w, 2))], axis=3)
 
 
 def normalize_coords(coords: np.ndarray, grid_hw: tuple[int, int]) -> np.ndarray:
@@ -101,9 +103,10 @@ def _corner_setup(grid: np.ndarray, coords: np.ndarray):
 
 
 def grid_sample(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Four-corner bilinear sampling of the grid at normalized coordinates."""
-    if grid.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
-        raise ShapeError("grid_sample expects grid (Hg, Wg, C) and coords (H, W, 2)")
+    """Four-corner bilinear sampling of the grid at a (B, H, W, 2) stack of
+    normalized coordinates."""
+    if grid.ndim != 3 or coords.ndim != 4 or coords.shape[3] != 2:
+        raise ShapeError("grid_sample expects grid (Hg, Wg, C) and coords (B, H, W, 2)")
     x0, x1, y0, y1, fx, fy = _corner_setup(grid, coords)
     w00 = ((1 - fy) * (1 - fx))[..., None]
     w01 = ((1 - fy) * fx)[..., None]
@@ -115,26 +118,37 @@ def grid_sample(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 def grid_sample_backward(grid: np.ndarray, coords: np.ndarray,
                          grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of grid_sample w.r.t. the grid cells and the coordinates.
+    """Gradients of grid_sample w.r.t. the grid cells, summed over the stack,
+    and w.r.t. the coordinates.
 
     The four corner cells receive the bilinear weights times grad_out; the
     coordinate gradient uses the a.e. derivative (floor indices constant).
+    Each sample scatters into its own copy of the grid, so every cell adds
+    its contributions in the order one sample alone would, and the copies
+    are then summed in sample order (`sum_samples`).
     """
     x0, x1, y0, y1, fx, fy = _corner_setup(grid, coords)
     g00, g01, g10, g11 = grid[y0, x0], grid[y0, x1], grid[y1, x0], grid[y1, x1]
 
-    grad_grid = np.zeros_like(grid)
-    np.add.at(grad_grid, (y0, x0), ((1 - fy) * (1 - fx))[..., None] * grad_out)
-    np.add.at(grad_grid, (y0, x1), ((1 - fy) * fx)[..., None] * grad_out)
-    np.add.at(grad_grid, (y1, x0), (fy * (1 - fx))[..., None] * grad_out)
-    np.add.at(grad_grid, (y1, x1), (fy * fx)[..., None] * grad_out)
+    n = coords.shape[0]
+    hg, wg, c = grid.shape
+    grad_grid = np.zeros(n * grid.size, dtype=grid.dtype)
+    copies = np.arange(n)[:, None, None] * (hg * wg)
+    channels = np.arange(c)
+    for yi, xi, weight in ((y0, x0, (1 - fy) * (1 - fx)), (y0, x1, (1 - fy) * fx),
+                           (y1, x0, fy * (1 - fx)), (y1, x1, fy * fx)):
+        # flat indices, in the order the (b, h, w, c) loop visits them, take
+        # numpy's fast path for np.add.at
+        flat = ((copies + yi * wg + xi)[..., None] * c + channels).reshape(-1)
+        np.add.at(grad_grid, flat, (weight[..., None] * grad_out).reshape(-1))
+    grad_grid = grad_grid.reshape((n,) + grid.shape)
 
     d_dfx = (1 - fy)[..., None] * (g01 - g00) + fy[..., None] * (g11 - g10)
     d_dfy = (1 - fx)[..., None] * (g10 - g00) + fx[..., None] * (g11 - g01)
     grad_coords = np.empty_like(coords)
-    grad_coords[..., 0] = (grad_out * d_dfx).sum(axis=2)
-    grad_coords[..., 1] = (grad_out * d_dfy).sum(axis=2)
-    return grad_grid, grad_coords
+    grad_coords[..., 0] = (grad_out * d_dfx).sum(axis=3)
+    grad_coords[..., 1] = (grad_out * d_dfy).sum(axis=3)
+    return sum_samples(grad_grid), grad_coords
 
 
 @dataclass
@@ -151,12 +165,12 @@ class GeneratorCache:
 
 def generator_forward(p: np.ndarray,
                       params: dict[str, np.ndarray]) -> tuple[np.ndarray, GeneratorCache]:
-    """Memory feature (H, W, C) for one projected feature map, and the cache
-    its backward pass reads. Keys of `params` other than the generator's are
-    ignored."""
+    """Memory features (B, H, W, C) for a stack of projected feature maps,
+    and the cache its backward pass reads. Keys of `params` other than the
+    generator's are ignored."""
     c = params["coord_w"].shape[1]
-    if p.ndim != 3 or p.shape[2] != c:
-        raise ShapeError(f"expected (H, W, {c}) input, got {p.shape}")
+    if p.ndim != 4 or p.shape[3] != c:
+        raise ShapeError(f"expected (B, H, W, {c}) input, got {p.shape}")
     grid = params["grid"]
     coord_cat = _with_coords(p)
     p_hat = conv1x1_forward(coord_cat, params["coord_w"], params["coord_b"])
@@ -165,7 +179,7 @@ def generator_forward(p: np.ndarray,
     coords = np.tanh(conv1x1_forward(hidden, params["phi2_w"], params["phi2_b"]))
     coords_norm = normalize_coords(coords, grid.shape[:2])
     sampled = grid_sample(grid, coords_norm)
-    out_cat = np.concatenate([sampled, p_hat], axis=2)
+    out_cat = np.concatenate([sampled, p_hat], axis=3)
     m = conv1x1_forward(out_cat, params["out_w"], params["out_b"])
     cache = GeneratorCache(params=params, p=p, coord_cat=coord_cat, p_hat=p_hat,
                            hidden=hidden, coords=coords, coords_norm=coords_norm,
@@ -175,9 +189,10 @@ def generator_forward(p: np.ndarray,
 
 def generator_backward(cache: GeneratorCache,
                        grad_m: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Exact gradients: the one w.r.t. the input, and one per parameter key."""
+    """Exact gradients: the one w.r.t. the input, and one per parameter key,
+    each summed over the stack in sample order."""
     params = cache.params
-    c = cache.p.shape[2]
+    c = cache.p.shape[3]
     if grad_m.shape != cache.p.shape:
         raise ShapeError(
             f"grad shape {grad_m.shape} does not match cached forward {cache.p.shape}")

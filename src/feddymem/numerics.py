@@ -1,7 +1,8 @@
 """Dense array substrate and differentiable primitives.
 
 Conventions used repo-wide:
-  * feature maps are numpy arrays of shape (H, W, C), channels last;
+  * feature maps are numpy arrays of shape (H, W, C), channels last, and
+    the model's layers take a stack of B of them, (B, H, W, C);
   * patch matrices are (P, C);
   * float32 is the storage dtype, but every op preserves the dtype of its
     inputs so the exact same code paths can be exercised in float64
@@ -134,31 +135,51 @@ def xavier_normal(rng: Rng, fan_in: int, fan_out: int, shape, dtype=DTYPE) -> np
 
 
 def conv1x1_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Per-pixel linear map: out[h, w, :] = x[h, w, :] @ weight + bias."""
-    if x.ndim != 3:
-        raise ShapeError(f"conv1x1 input must be (H, W, Cin), got {x.shape}")
-    if weight.ndim != 2 or weight.shape[0] != x.shape[2]:
+    """Per-pixel linear map of a (B, H, W, Cin) stack:
+    out[b, h, w, :] = x[b, h, w, :] @ weight + bias, as one product over
+    all B * H * W rows."""
+    if x.ndim != 4:
+        raise ShapeError(f"conv1x1 input must be (B, H, W, Cin), got {x.shape}")
+    if weight.ndim != 2 or weight.shape[0] != x.shape[3]:
         raise ShapeError(f"weight {weight.shape} incompatible with input {x.shape}")
     if bias.shape != (weight.shape[1],):
         raise ShapeError(f"bias {bias.shape} incompatible with weight {weight.shape}")
-    h, w, cin = x.shape
-    out = x.reshape(h * w, cin) @ weight + bias
-    return out.reshape(h, w, weight.shape[1])
+    out = x.reshape(-1, x.shape[3]) @ weight + bias
+    return out.reshape(x.shape[:3] + (weight.shape[1],))
+
+
+def sum_samples(per_sample: np.ndarray) -> np.ndarray:
+    """Sum over the leading (sample) axis, one sample at a time in order
+    and starting from 0.0: the float a loop accumulating each sample's
+    gradient gives, whatever the stack's size."""
+    total = 0.0
+    for g in per_sample:
+        total = total + g
+    return total
+
+
+def conv1x1_param_grads(x: np.ndarray,
+                        grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias gradients of conv1x1_forward over a (B, H, W, .)
+    stack: each sample's own products, from one batched matmul, summed
+    over the samples by `sum_samples`."""
+    if grad_out.shape[:3] != x.shape[:3]:
+        raise ShapeError(f"grad {grad_out.shape} incompatible with input {x.shape}")
+    b = x.shape[0]
+    xf = x.reshape(b, -1, x.shape[3])
+    g = grad_out.reshape(b, -1, grad_out.shape[3])
+    return sum_samples(np.matmul(xf.transpose(0, 2, 1), g)), sum_samples(g.sum(axis=1))
 
 
 def conv1x1_backward(
     x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradients of conv1x1_forward w.r.t. input, weight and bias."""
-    if grad_out.shape != x.shape[:2] + (weight.shape[1],):
+    """Exact gradients of conv1x1_forward w.r.t. the input (per pixel), the
+    weight and the bias (summed over the stack, `conv1x1_param_grads`)."""
+    if grad_out.shape != x.shape[:3] + (weight.shape[1],):
         raise ShapeError(f"grad {grad_out.shape} incompatible with forward shapes")
-    h, w, cin = x.shape
-    g = grad_out.reshape(h * w, weight.shape[1])
-    xf = x.reshape(h * w, cin)
-    grad_x = (g @ weight.T).reshape(x.shape)
-    grad_weight = xf.T @ g
-    grad_bias = g.sum(axis=0)
-    return grad_x, grad_weight, grad_bias
+    grad_x = (grad_out.reshape(-1, weight.shape[1]) @ weight.T).reshape(x.shape)
+    return (grad_x, *conv1x1_param_grads(x, grad_out))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +199,10 @@ def _resize_axis_coords(n_in: int, n_out: int, dtype):
     return lo, hi, frac
 
 
-def bilinear_resize(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Align-corners bilinear interpolation of an (H, W, C) map to target dims."""
+def bilinear_resize(x: np.ndarray, target: tuple[int, int],
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Align-corners bilinear interpolation of an (H, W, C) map to target
+    dims, into `out` when given."""
     if x.ndim != 3:
         raise ShapeError(f"resize input must be (H, W, C), got {x.shape}")
     h0, w0 = int(target[0]), int(target[1])
@@ -187,17 +210,25 @@ def bilinear_resize(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
         raise ShapeError(f"target extents must be >= 1, got {target}")
     h, w, _ = x.shape
     if (h0, w0) == (h, w):
-        return x.copy()
+        if out is None:
+            return x.copy()
+        np.copyto(out, x)
+        return out
     y0, y1, fy = _resize_axis_coords(h, h0, x.dtype)
     x0, x1, fx = _resize_axis_coords(w, w0, x.dtype)
     fy = fy[:, None, None]
     fx = fx[None, :, None]
-    # lerp form a + f*(b - a) keeps constant inputs exactly constant
-    top = x[y0][:, x0]
-    top = top + fx * (x[y0][:, x1] - top)
-    bot = x[y1][:, x0]
-    bot = bot + fx * (x[y1][:, x1] - bot)
-    return top + fy * (bot - top)
+    # lerp form a + f*(b - a) keeps constant inputs exactly constant. Every
+    # source row is lerped along x once; the output is then
+    # top + fy * (bot - top) of rows y0 (top) and y1 (bot), formed in place
+    left = x[:, x0]
+    rows = left + fx * (x[:, x1] - left)
+    out = np.take(rows, y0, axis=0, out=out)
+    diff = rows[y1]
+    diff -= out
+    diff *= fy
+    out += diff
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +236,10 @@ def bilinear_resize(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # query rows per block: a knn call holds at most KNN_CHUNK * Q bounds and
-# KNN_CHUNK * Q * C explicit differences at a time
-KNN_CHUNK = 1024
+# KNN_CHUNK * Q * C explicit differences at a time. A batch of client
+# samples makes one call of B * H * W rows, so this, not the batch size,
+# bounds the call's working set.
+KNN_CHUNK = 512
 
 
 def _check_patches(a: np.ndarray, b: np.ndarray) -> None:
@@ -361,6 +394,7 @@ def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
                 candidates = gram.floor(lb[ties]) <= bound[ties, None]
                 np.put_along_axis(candidates, seeds[ties], True, axis=1)
                 idx[ties], dist[ties] = _knn_near_ties(rows[ties], b, candidates, k)
+            del lb  # so that two chunks' bounds are never held at once
         idx_parts.append(idx)
         dist_parts.append(dist)
     return np.concatenate(idx_parts), np.concatenate(dist_parts)

@@ -177,14 +177,15 @@ class ConvergenceMonitor:
 
 
 def build_client_dataset(samples, spec: ExtractorSpec) -> ClientDataset:
-    """Precompute frozen fused features for a list of labeled samples."""
-    fused = []
-    ids = []
-    for s in samples:
-        source = s.features if spec.kind == "synthetic" else s.sample_id
-        fused.append(fuse_pyramid(extract_pyramid(source, spec)))
-        ids.append(s.sample_id)
-    return ClientDataset(fused=fused, sample_ids=ids)
+    """Precompute frozen fused features for a list of labeled samples, each
+    fused in place into its row of one (N, H, W, Cin) stack."""
+    fused = np.empty((0, 0, 0, 0), dtype=DTYPE)
+    for i, s in enumerate(samples):
+        pyramid = extract_pyramid(s.features if spec.kind == "synthetic" else s.sample_id, spec)
+        if i == 0:
+            fused = np.empty((len(samples),) + pyramid.fused_shape, dtype=pyramid.dtype)
+        fuse_pyramid(pyramid, out=fused[i])
+    return ClientDataset(fused=fused, sample_ids=[s.sample_id for s in samples])
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +216,6 @@ def _aggregate_banks(banks: list[MemoryBank], cfg: FederationConfig,
     return aggregate(banks, cfg.aggregation_config(round_index))
 
 
-def _largest_patch_norm(memories: list[np.ndarray]) -> float:
-    return max(max_patch_norm(m) for m in memories)
-
-
 def _run_clients(tasks, threads: int):
     """Run one task per client; tasks touch only their own client's state,
     and shared state (the monitor, the ledger) is updated from the returned
@@ -247,9 +244,9 @@ def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
             if t > 0:
                 losses, grad_sqs = client_update(state, datasets[n], cfg.loss, t,
                                                  rng.child("update", n))
-            memories = extract_all_memories(state, datasets[n], cfg.loss.activation)
+            memories = extract_all_memories(state, datasets[n], cfg.loss)
             bank = memory_reduce(memories, state.local_bank, t)
-            return losses, grad_sqs, bank, _largest_patch_norm(memories)
+            return losses, grad_sqs, bank, max_patch_norm(memories)
         return task
 
     results = _run_clients([make_task(n) for n in range(cfg.n_clients)], threads)

@@ -63,49 +63,47 @@ class ScoredSample:
 
 
 def score_test_set(state: ClientModelState, bank: MemoryBank,
-                   test_samples: list[LabeledSample], test_fused: list[np.ndarray],
+                   test_samples: list[LabeledSample], test_fused: np.ndarray,
                    cfg: FederationConfig) -> list[ScoredSample]:
-    out = []
-    for sample, fused in zip(test_samples, test_fused):
-        m = forward_memory(state, fused, cfg.loss.activation)
-        amap = anomaly_map(m, bank, cfg.loss.knn_k, cfg.score_mode)
-        out.append(ScoredSample(sample_id=sample.sample_id, label=sample.label,
-                                image_score=amap.image_score,
-                                pixel_scores=amap.pixel_scores,
-                                mask=sample.mask_or_zeros()))
-    return out
+    """Score a block of test samples, their fused features stacked as
+    (N, H, W, Cin), against the bank: one forward pass and one kNN lookup
+    for the whole block."""
+    m = forward_memory(state, test_fused, cfg.loss.activation)
+    amaps = anomaly_map(m, bank, cfg.loss.knn_k, cfg.score_mode)
+    return [ScoredSample(sample_id=sample.sample_id, label=sample.label,
+                         image_score=amap.image_score, pixel_scores=amap.pixel_scores,
+                         mask=sample.mask_or_zeros())
+            for sample, amap in zip(test_samples, amaps)]
 
 
 def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],
-                    test_samples: list[LabeledSample], cfg: FederationConfig,
-                    slices: list[list[int]] | None = None
+                    test_samples: list[LabeledSample], cfg: FederationConfig
                     ) -> tuple[EvalMetrics, list[ScoredSample]]:
-    """Per-client detection metrics, banks[n] being what client n queries,
-    and client 0's scored samples.
+    """Per-client detection metrics over the whole test set, banks[n] being
+    what client n queries, and client 0's scored samples.
 
-    With `slices`, client n scores only its own test indices (local test
-    distribution); otherwise every client scores the whole test set.
+    The test features are built one block of `cfg.loss.batch_size` samples
+    at a time, and every client scores a block before the next is built,
+    so the features of the whole test set are never held at once.
     """
-    test_dataset = build_client_dataset(test_samples, cfg.extractor)
+    scored: list[list[ScoredSample]] = [[] for _ in states]
+    step = cfg.loss.batch_size
+    for s in range(0, len(test_samples), step):
+        block = test_samples[s:s + step]
+        fused = build_client_dataset(block, cfg.extractor).fused
+        for n, (state, bank) in enumerate(zip(states, banks)):
+            scored[n] += score_test_set(state, bank, block, fused, cfg)
     i_aurocs, p_aurocs, pros = [], [], []
-    for n, (state, bank) in enumerate(zip(states, banks)):
-        if slices is None:
-            samples, fused = test_samples, test_dataset.fused
-        else:
-            samples = [test_samples[i] for i in slices[n]]
-            fused = [test_dataset.fused[i] for i in slices[n]]
-        scored = score_test_set(state, bank, samples, fused, cfg)
-        if n == 0:
-            first = scored
-        labels = np.array([s.label for s in scored])
-        image_scores = np.array([s.image_score for s in scored])
+    for client in scored:
+        labels = np.array([s.label for s in client])
+        image_scores = np.array([s.image_score for s in client])
         i_aurocs.append(auroc(image_scores, labels))
-        pixel_scores = np.concatenate([s.pixel_scores.reshape(-1) for s in scored])
-        pixel_labels = np.concatenate([s.mask.reshape(-1) for s in scored])
+        pixel_scores = np.concatenate([s.pixel_scores.reshape(-1) for s in client])
+        pixel_labels = np.concatenate([s.mask.reshape(-1) for s in client])
         p_aurocs.append(auroc(pixel_scores, (pixel_labels > 0).astype(int)))
-        pros.append(pro([s.pixel_scores for s in scored], [s.mask for s in scored]))
+        pros.append(pro([s.pixel_scores for s in client], [s.mask for s in client]))
     return EvalMetrics(i_auroc_per_client=i_aurocs, p_auroc_per_client=p_aurocs,
-                       pro_per_client=pros), first
+                       pro_per_client=pros), scored[0]
 
 
 def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None,

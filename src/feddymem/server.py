@@ -46,8 +46,9 @@ class KMeansResult:
     objective_history: list[float]
 
 
-def _sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    return ((points - center) ** 2).sum(axis=1).astype(np.float64)
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to its center (or to one center)."""
+    return ((points - centers) ** 2).sum(axis=1).astype(np.float64)
 
 
 def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
@@ -56,9 +57,12 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     distances fall back to a uniform draw.
 
     One Gram product per step bounds every candidate's squared distances
-    from below (`GramFloor`); only points whose bound does not clear
-    their current D^2 get explicit differences, so each candidate's D^2
-    array is the one a full recomputation would give."""
+    from below (`GramFloor`); only the (candidate, point) pairs whose bound
+    does not clear the point's current D^2 get explicit differences, for
+    all candidates together, so each candidate's D^2 row is the one a full
+    recomputation would give. The first candidate of least potential wins.
+    Every potential is finite: it is at most sum(D^2), and an infinite D^2
+    makes `choice_weighted` raise first."""
     n = points.shape[0]
     n_candidates = 2 + int(np.log2(max(k, 2)))
     chosen = np.empty(k, dtype=np.int64)
@@ -67,16 +71,16 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     gram = GramFloor(points, points)
     for j in range(1, k):
         candidates = rng.choice_weighted(d2, n_candidates)
-        best_idx, best_d2, best_pot = -1, None, np.inf
-        for idx, floor in zip(candidates, gram.floors(candidates)):
-            near = np.flatnonzero(~(floor > d2))
-            cand = d2.copy()
-            cand[near] = np.minimum(d2[near], _sq_dists(points[near], points[idx]))
-            pot = cand.sum()
-            if pot < best_pot:
-                best_idx, best_d2, best_pot = int(idx), cand, pot
-        chosen[j] = best_idx
-        d2 = best_d2
+        rows, cols = np.nonzero(~(gram.floors(candidates) > d2))
+        sq = np.empty(len(rows))
+        # n pairs at a time: never more differences than one full candidate
+        for s in range(0, len(rows), n):
+            sq[s:s + n] = _sq_dists(points[cols[s:s + n]], points[candidates[rows[s:s + n]]])
+        cand = np.tile(d2, (len(candidates), 1))
+        cand[rows, cols] = np.minimum(d2[cols], sq)
+        best = int(np.argmin(cand.sum(axis=1)))
+        chosen[j] = candidates[best]
+        d2 = cand[best]
     return chosen
 
 

@@ -113,20 +113,19 @@ def desk_runs(tmp_path_factory) -> DeskRuns:
 
 
 def _pipeline_loss(pyramid, params, bank, cfg):
-    fused = fuse_pyramid(pyramid)
+    fused = fuse_pyramid(pyramid)[None]
     projected, _ = project_forward(fused, params)
     m = generator_forward(projected, params)[0]
-    return metric_loss(m, bank, cfg)[0]
+    return metric_loss(m, bank, cfg)[0][0]
 
 
 def _pipeline_grads(pyramid, params, bank, cfg):
-    fused = fuse_pyramid(pyramid)
+    fused = fuse_pyramid(pyramid)[None]
     projected, proj_cache = project_forward(fused, params)
     m, gen_cache = generator_forward(projected, params)
     loss, grad_m = metric_loss(m, bank, cfg)
     grad_projected, gen_grads = generator_backward(gen_cache, grad_m)
-    _, proj_grads = project_backward(proj_cache, grad_projected, params)
-    return {**proj_grads, **gen_grads}
+    return {**project_backward(proj_cache, grad_projected), **gen_grads}
 
 
 def test_criterion_1_gradient_integrity():
@@ -158,7 +157,7 @@ def test_criterion_1_gradient_integrity():
         }
         bank = MemoryBank(data=r.child("bank").normal((7, 7, c)).astype(np.float64))
 
-        fused = fuse_pyramid(pyramid)
+        fused = fuse_pyramid(pyramid)[None]
         projected, _ = project_forward(fused, params)
         m, gen_cache = generator_forward(projected, params)
         from feddymem.client import knn_lookup
@@ -198,13 +197,13 @@ def test_criterion_2_grid_sampling_exactness():
     grid = r.normal((8, 8, 5))
     ys, xs = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
     lattice = np.stack([xs, ys], axis=2).astype(np.float32)
-    exact = np.array_equal(grid_sample(grid, lattice), grid)
+    exact = np.array_equal(grid_sample(grid, lattice[None])[0], grid)
 
     mid_ok = True
     for (x, y, corners) in [(0.5, 0.0, [(0, 0), (0, 1)]),
                             (3.0, 4.5, [(4, 3), (5, 3)]),
                             (6.5, 7.0, [(7, 6), (7, 7)])]:
-        out = grid_sample(grid, np.array([[[x, y]]], dtype=np.float32))[0, 0]
+        out = grid_sample(grid, np.array([[[[x, y]]]], dtype=np.float32))[0, 0, 0]
         mean = (grid[corners[0]] + grid[corners[1]]) / 2.0
         mid_ok &= bool(np.abs(out - mean).max() < 1e-6)
 

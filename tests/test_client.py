@@ -16,11 +16,12 @@ from feddymem.client import (
     max_patch_norm,
     memory_reduce,
     metric_loss,
+    _forward_backward,
 )
 from feddymem.errors import ShapeError
 from feddymem.features import init_projection
 from feddymem.generator import init_generator
-from feddymem.numerics import Rng, finite_diff_grad, pairwise_dist
+from feddymem.numerics import Rng, adam_step, finite_diff_grad, pairwise_dist
 
 
 def make_bank(rng, h=4, w=4, c=3, round_index=0):
@@ -75,37 +76,39 @@ class TestKnn:
 class TestMetricLoss:
     def test_zero_when_patches_coincide(self, rng):
         bank = make_bank(rng)
-        m = bank.data.copy()
+        m = bank.data[None].copy()
         cfg = LossConfig(knn_k=1)
         loss, grad = metric_loss(m, bank, cfg)
-        assert loss == 0.0
+        assert loss == [0.0]
         assert not grad.any()
 
     def test_hand_evaluated_hinge(self):
         bank = MemoryBank(data=np.zeros((1, 1, 1), dtype=np.float32))
-        m = np.full((1, 1, 1), 1.01)
-        loss, grad = metric_loss(m, bank, LossConfig(hinge_margin=0.01, knn_k=1))
+        m = np.full((1, 1, 1, 1), 1.01)
+        (loss,), grad = metric_loss(m, bank, LossConfig(hinge_margin=0.01, knn_k=1))
         assert loss == pytest.approx(1.0, abs=1e-7)
-        assert grad[0, 0, 0] == pytest.approx(1.0, abs=1e-7)
+        assert grad[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-7)
 
     def test_matches_brute_force_oracle(self, rng):
         cfg = LossConfig(hinge_margin=0.05, knn_k=2)
-        m = f64(rng.child(1), (1, 2, 3))
+        m = f64(rng.child(1), (2, 1, 2, 3))
         bank = MemoryBank(data=f64(rng.child(2), (2, 3, 3)))
-        loss, _ = metric_loss(m, bank, cfg)
-        expected = 0.0
-        for patch in m.reshape(2, 3):
-            dists = sorted(np.linalg.norm(patch - q) for q in bank.patches)
-            expected += sum(max(0.0, d - cfg.hinge_margin) for d in dists[:2])
-        expected /= 2 * 2
-        assert loss == pytest.approx(expected, rel=1e-9)
+        losses, _ = metric_loss(m, bank, cfg)
+        assert len(losses) == 2
+        for loss, sample in zip(losses, m):
+            expected = 0.0
+            for patch in sample.reshape(2, 3):
+                dists = sorted(np.linalg.norm(patch - q) for q in bank.patches)
+                expected += sum(max(0.0, d - cfg.hinge_margin) for d in dists[:2])
+            expected /= 2 * 2
+            assert loss == pytest.approx(expected, rel=1e-9)
 
     def test_loss_nonnegative_and_bounded(self, rng):
         for seed in range(10):
             m = Rng(seed).normal((3, 3, 4)).astype(np.float64)
             bank = make_bank(Rng(seed + 100), 4, 4, 4)
             cfg = LossConfig(hinge_margin=0.01, knn_k=3)
-            loss, _ = metric_loss(m, bank, cfg)
+            (loss,), _ = metric_loss(m[None], bank, cfg)
             r_hat = max(max_patch_norm(m), max_patch_norm(bank.data))
             assert 0.0 <= loss <= 2.0 * r_hat
 
@@ -113,7 +116,7 @@ class TestMetricLoss:
         cfg = LossConfig(hinge_margin=0.05, knn_k=2)
         bank = make_bank(rng.child(1), 3, 3, 3)
         for attempt in range(20):
-            m = Rng(500 + attempt).normal((2, 2, 3)).astype(np.float64)
+            m = Rng(500 + attempt).normal((1, 2, 2, 3)).astype(np.float64)
             _, dist = knn_lookup(m.reshape(4, 3), bank, cfg.knn_k + 1)
             # exclude points near the hinge kink or a KNN tie
             if np.abs(dist - cfg.hinge_margin).min() < 1e-3:
@@ -121,24 +124,25 @@ class TestMetricLoss:
             if np.abs(dist[:, -1] - dist[:, -2]).min() < 1e-3:
                 continue
             loss, grad = metric_loss(m, bank, cfg)
-            fd = finite_diff_grad(lambda v: metric_loss(v, bank, cfg)[0], m, 1e-5)
+            fd = finite_diff_grad(lambda v: metric_loss(v, bank, cfg)[0][0], m, 1e-5)
             assert max_rel_err(grad, fd) < 1e-3
             return
         pytest.fail("no kink-free sample found")
 
     def test_invariant_under_bank_permutation(self, rng):
-        m = f64(rng.child(1), (3, 3, 4))
+        m = f64(rng.child(1), (2, 3, 3, 4))
         bank = make_bank(rng.child(2), 4, 4, 4)
         perm = Rng(9).permutation(bank.size)
         shuffled = MemoryBank(data=bank.patches[perm].reshape(bank.data.shape))
         cfg = LossConfig(knn_k=3)
         assert metric_loss(m, bank, cfg)[0] == pytest.approx(
             metric_loss(m, shuffled, cfg)[0], rel=1e-9)
+        assert np.allclose(metric_loss(m, bank, cfg)[1], metric_loss(m, shuffled, cfg)[1])
 
 
 def _tiny_dataset(state, n=6, seed=3):
     rng = Rng(seed)
-    fused = [rng.child(i).normal((4, 4, 6)).astype(np.float32) for i in range(n)]
+    fused = np.stack([rng.child(i).normal((4, 4, 6)) for i in range(n)])
     return ClientDataset(fused=fused, sample_ids=[f"s{i}" for i in range(n)])
 
 
@@ -188,29 +192,112 @@ class TestClientUpdate:
         state = make_state(cfg=cfg)
         state.local_bank = make_bank(Rng(5), 4, 4, 3)
         with pytest.raises(ValueError):
-            client_update(state, ClientDataset(fused=[]), cfg, 1, Rng(0))
+            client_update(state, ClientDataset(fused=np.empty((0, 4, 4, 6), np.float32)),
+                          cfg, 1, Rng(0))
+
+
+def _per_sample_update(state, dataset, cfg, round_t, rng):
+    """client_update with every batch run as batches of one sample: each
+    sample's loss and gradients accumulated from 0.0 in sample order."""
+    loss_trace, grad_sq_trace = [], []
+    n = len(dataset)
+    for epoch in range(cfg.local_epochs):
+        order = rng.child("shuffle", round_t, epoch).permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            acc, batch_loss = {}, 0.0
+            for i in batch:
+                (loss,), grads = _forward_backward(state, dataset.fused[i:i + 1],
+                                                   state.local_bank, cfg)
+                batch_loss += loss
+                for name, g in grads.items():
+                    acc[name] = acc.get(name, 0.0) + g
+            scale = 1.0 / len(batch)
+            grad_sq = 0.0
+            for name, param in state.params.items():
+                g = acc[name] * scale
+                grad_sq += float((g.astype(np.float64) ** 2).sum())
+                state.params[name] = adam_step(param, g, state.adam[name])
+            loss_trace.append(batch_loss * scale)
+            grad_sq_trace.append(grad_sq)
+    return loss_trace, grad_sq_trace
+
+
+def _typed_setup(seed, n, dtype, cfg):
+    state = make_state(seed % 97, cfg=cfg)
+    state.params = {k: v.astype(dtype) for k, v in state.params.items()}
+    init_adam_states(state, cfg)
+    state.local_bank = MemoryBank(data=Rng(seed).child("bank").normal((4, 4, 3)).astype(dtype))
+    data = ClientDataset(fused=Rng(seed).child("data").normal((n, 4, 4, 6)).astype(dtype))
+    return state, data
+
+
+class TestBatchedStep:
+    """One forward, metric loss and backward pass over a (B, ...) batch gives
+    the bits of B batches of one sample, accumulated in sample order."""
+
+    @given(st.integers(1, 12), st.sampled_from(["relu", "tanh"]),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_gradients_equal_accumulated_singles(self, b, activation, dtype, seed):
+        cfg = LossConfig(activation=activation)
+        state, data = _typed_setup(seed, b, dtype, cfg)
+        losses, grads = _forward_backward(state, data.fused, state.local_bank, cfg)
+        acc, singles = {}, []
+        for i in range(b):
+            (loss,), one = _forward_backward(state, data.fused[i:i + 1], state.local_bank, cfg)
+            singles.append(loss)
+            for name, g in one.items():
+                acc[name] = acc.get(name, 0.0) + g
+        assert losses == singles
+        assert list(grads) == list(state.params) == list(acc)
+        for name, g in grads.items():
+            assert g.dtype == acc[name].dtype == dtype, name
+            assert np.array_equal(g, acc[name]), name
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from(["relu", "tanh"]),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_client_update_equals_batches_of_one(self, n, batch, activation, dtype, seed):
+        # n % batch != 0 in most draws: the last batch is the uneven one
+        cfg = LossConfig(batch_size=batch, activation=activation, learning_rate=5e-3,
+                         local_epochs=2)
+        runs = []
+        for update in (client_update, _per_sample_update):
+            state, data = _typed_setup(seed, n, dtype, cfg)
+            runs.append((update(state, data, cfg, 1, Rng(seed).child("u")), state.params))
+        (traces, params), (oracle_traces, oracle_params) = runs
+        assert traces == oracle_traces
+        for name in params:
+            assert np.array_equal(params[name], oracle_params[name]), name
 
 
 class TestExtractAllMemories:
     def test_singleton(self):
         state = make_state()
         data = _tiny_dataset(state, n=1)
-        assert len(extract_all_memories(state, data)) == 1
+        assert extract_all_memories(state, data, LossConfig()).shape == (1, 4, 4, 3)
 
     def test_pure_repeated_calls(self):
         state = make_state()
         data = _tiny_dataset(state, n=3)
-        a = extract_all_memories(state, data)
-        b = extract_all_memories(state, data)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        a = extract_all_memories(state, data, LossConfig())
+        b = extract_all_memories(state, data, LossConfig())
+        assert np.array_equal(a, b)
 
     def test_matches_per_sample_forward(self):
+        # blocks of any size give the bits of blocks of one
         state = make_state()
-        data = _tiny_dataset(state, n=3)
-        memories = extract_all_memories(state, data)
-        for m, fused in zip(memories, data.fused):
-            assert np.array_equal(m, forward_memory(state, fused))
+        data = _tiny_dataset(state, n=7)
+        for activation in ("relu", "tanh"):
+            singles = [forward_memory(state, data.fused[i:i + 1], activation)[0]
+                       for i in range(len(data))]
+            for batch_size in (1, 2, 3, 7, 8):
+                memories = extract_all_memories(
+                    state, data, LossConfig(batch_size=batch_size, activation=activation))
+                assert memories.shape == (7, 4, 4, 3)
+                for m, single in zip(memories, singles):
+                    assert np.array_equal(m, single)
 
 
 class TestMemoryReduce:

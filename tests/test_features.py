@@ -100,6 +100,15 @@ class TestFuse:
             assert np.array_equal(fused[..., start:start + c], expected)
             start += c
 
+    def test_into_out_equals_fresh(self, rng):
+        levels = [rng.child(i).normal(((8 >> i), (8 >> i), 2 + i)) for i in range(3)]
+        p = FeaturePyramid(levels=levels)
+        stack = np.empty((2,) + p.fused_shape, dtype=p.dtype)
+        row = stack[1]
+        assert fuse_pyramid(p, out=row) is row
+        assert np.array_equal(row, fuse_pyramid(p))
+        assert p.fused_shape == (8, 8, 9) and p.dtype == np.float32
+
     def test_output_dims_equal_level0(self, rng):
         levels = [rng.child(9).normal((6, 4, 3)), rng.child(8).normal((3, 2, 5))]
         assert fuse_pyramid(FeaturePyramid(levels=levels)).shape == (6, 4, 8)
@@ -107,20 +116,20 @@ class TestFuse:
 
 class TestProject:
     def test_identity_slice_passthrough(self):
-        fused = np.abs(Rng(2).normal((3, 3, 5)))
+        fused = np.abs(Rng(2).normal((1, 3, 3, 5)))
         w = np.zeros((5, 2), dtype=np.float32)
         w[0, 0] = w[1, 1] = 1.0
         out = project_forward(fused, {"proj_w": w, "proj_b": np.zeros(2, np.float32)})[0]
         assert np.allclose(out, fused[..., :2])
 
     def test_relu_floor(self, rng):
-        fused = rng.normal((3, 3, 4))
+        fused = rng.normal((2, 3, 3, 4))
         params = init_projection(rng.child(1), 4, 2)
         params["proj_b"] = np.full(2, -1e6, dtype=np.float32)
         assert not project_forward(fused, params)[0].any()
 
     def test_matches_conv_plus_relu_oracle(self, rng):
-        fused = f64(rng.child(1), (4, 4, 6))
+        fused = f64(rng.child(1), (2, 4, 4, 6))
         params = {"proj_w": f64(rng.child(2), (6, 3)), "proj_b": f64(rng.child(3), (3,))}
         out = project_forward(fused, params)[0]
         oracle = np.maximum(conv1x1_forward(fused, params["proj_w"], params["proj_b"]), 0)
@@ -129,22 +138,22 @@ class TestProject:
     def test_channel_mismatch(self, rng):
         params = init_projection(rng, 4, 2)
         with pytest.raises(ShapeError):
-            project_forward(rng.normal((2, 2, 5)), params)
+            project_forward(rng.normal((1, 2, 2, 5)), params)
 
     def test_positive_homogeneity(self, rng):
-        fused = f64(rng.child(5), (3, 3, 4))
+        fused = f64(rng.child(5), (2, 3, 3, 4))
         params = {"proj_w": f64(rng.child(6), (4, 2)), "proj_b": f64(rng.child(7), (2,))}
         scaled = {name: 3.0 * value for name, value in params.items()}
         assert max_rel_err(project_forward(fused, scaled)[0],
                            3.0 * project_forward(fused, params)[0]) < 1e-12
 
     def test_backward_matches_finite_differences(self, rng):
-        fused = f64(rng.child(1), (3, 3, 4))
+        fused = f64(rng.child(1), (2, 3, 3, 4))
         params = {"proj_w": f64(rng.child(2), (4, 2)), "proj_b": f64(rng.child(3), (2,))}
-        direction = f64(rng.child(4), (3, 3, 2))
+        direction = f64(rng.child(4), (2, 3, 3, 2))
 
         out, cache = project_forward(fused, params)
-        _, grads = project_backward(cache, direction, params)
+        grads = project_backward(cache, direction)
         assert list(grads) == list(params)
 
         for name in params:

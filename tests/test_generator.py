@@ -21,13 +21,20 @@ def make_params(seed=0, c=4, grid_hw=(8, 8), dtype=np.float64) -> dict[str, np.n
 
 
 def p_hat(p, params):
-    """The coordinate convolution's output, read from the forward cache."""
-    return generator_forward(p, params)[1].p_hat
+    """The coordinate convolution's output for one (H, W, C) map, read from
+    the forward cache."""
+    return generator_forward(p[None], params)[1].p_hat[0]
 
 
 def coords(p, params):
-    """The per-pixel (x, y) in [-1, 1], read from the forward cache."""
-    return generator_forward(p, params)[1].coords
+    """The per-pixel (x, y) in [-1, 1] for one (H, W, C) map, read from the
+    forward cache."""
+    return generator_forward(p[None], params)[1].coords[0]
+
+
+def sample(grid, coords):
+    """grid_sample of one (H, W, 2) coordinate map."""
+    return grid_sample(grid, coords[None])[0]
 
 
 class TestCoordConv:
@@ -56,12 +63,14 @@ class TestCoordConv:
         ys = np.linspace(-1, 1, 2)
         cat = np.concatenate([p, np.broadcast_to(xs[None, :, None], (2, 4, 1)),
                               np.broadcast_to(ys[:, None, None], (2, 4, 1))], axis=2)
-        oracle = conv1x1_forward(cat, params["coord_w"], params["coord_b"])
+        oracle = conv1x1_forward(cat[None], params["coord_w"], params["coord_b"])[0]
         assert max_rel_err(p_hat(p, params), oracle) < 1e-12
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            generator_forward(np.zeros((2, 2, 5)), make_params(c=4))
+            generator_forward(np.zeros((1, 2, 2, 5)), make_params(c=4))
+        with pytest.raises(ShapeError):
+            generator_forward(np.zeros((2, 2, 4)), make_params(c=4))
 
 
 class TestMapCoords:
@@ -108,25 +117,25 @@ class TestGridSample:
         grid = rng.normal((5, 6, 3))
         ys, xs = np.meshgrid(np.arange(5), np.arange(6), indexing="ij")
         coords = np.stack([xs, ys], axis=2).astype(np.float32)
-        out = grid_sample(grid, coords)
+        out = sample(grid, coords)
         assert np.array_equal(out, grid)
 
     def test_specific_cell(self, rng):
         grid = rng.normal((4, 4, 2))
         coords = np.array([[[2.0, 3.0]]], dtype=np.float32)  # (x=2, y=3)
-        assert np.array_equal(grid_sample(grid, coords)[0, 0], grid[3, 2])
+        assert np.array_equal(sample(grid, coords)[0, 0], grid[3, 2])
 
     def test_midpoint_two_corner_mean(self, rng):
         grid = rng.normal((3, 3, 2)).astype(np.float64)
         coords = np.array([[[0.5, 0.0]]])
-        out = grid_sample(grid, coords)[0, 0]
+        out = sample(grid, coords)[0, 0]
         assert max_rel_err(out, (grid[0, 0] + grid[0, 1]) / 2) < 1e-9
 
     def test_matches_four_corner_oracle(self, rng):
         grid = f64(rng.child(1), (4, 5, 3))
         px, py = 2.3, 1.7
         coords = np.array([[[px, py]]])
-        out = grid_sample(grid, coords)[0, 0]
+        out = sample(grid, coords)[0, 0]
         x0, y0 = int(px), int(py)
         oracle = np.zeros(3)
         for m in (0, 1):
@@ -138,19 +147,21 @@ class TestGridSample:
     def test_exact_upper_boundary_ok(self, rng):
         grid = rng.normal((4, 4, 1))
         coords = np.array([[[3.0, 3.0]]], dtype=np.float32)
-        assert np.array_equal(grid_sample(grid, coords)[0, 0], grid[3, 3])
+        assert np.array_equal(sample(grid, coords)[0, 0], grid[3, 3])
 
     def test_out_of_range_rejected(self, rng):
         grid = rng.normal((4, 4, 1))
         with pytest.raises(ValueError):
-            grid_sample(grid, np.array([[[3.01, 0.0]]], dtype=np.float32))
+            sample(grid, np.array([[[3.01, 0.0]]], dtype=np.float32))
         with pytest.raises(ValueError):
-            grid_sample(grid, np.array([[[-0.01, 0.0]]], dtype=np.float32))
+            sample(grid, np.array([[[-0.01, 0.0]]], dtype=np.float32))
+        with pytest.raises(ShapeError):
+            grid_sample(grid, np.zeros((1, 1, 2), dtype=np.float32))
 
     def test_accepts_generator_grid(self):
         g = init_generator(Rng(3), 1, (3, 3))["grid"]
         coords = np.zeros((1, 1, 2), dtype=np.float32)
-        assert np.array_equal(grid_sample(g, coords)[0, 0], g[0, 0])
+        assert np.array_equal(sample(g, coords)[0, 0], g[0, 0])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -159,7 +170,7 @@ class TestGridSample:
         grid = r.child(1).normal((4, 4, 2)).astype(np.float64)
         coords = np.stack([r.child(2).uniform(0, 3, (5, 5)),
                            r.child(3).uniform(0, 3, (5, 5))], axis=2).astype(np.float64)
-        out = grid_sample(grid, coords)
+        out = sample(grid, coords)
         for c in range(2):
             assert out[..., c].min() >= grid[..., c].min() - 1e-9
             assert out[..., c].max() <= grid[..., c].max() + 1e-9
@@ -167,16 +178,16 @@ class TestGridSample:
     def test_backward_integer_coords_hit_one_cell(self, rng):
         grid = rng.normal((4, 4, 2)).astype(np.float64)
         coords = np.array([[[2.0, 1.0]]])
-        g_grid, g_coords = grid_sample_backward(grid, coords, np.ones((1, 1, 2)))
+        g_grid, g_coords = grid_sample_backward(grid, coords[None], np.ones((1, 1, 1, 2)))
         assert g_grid[1, 2].tolist() == [1.0, 1.0]
         g_grid[1, 2] = 0
         assert not g_grid.any()
 
     def test_backward_matches_finite_differences(self, rng):
         grid = f64(rng.child(1), (4, 5, 3))
-        coords = np.stack([rng.child(2).generator.uniform(0.1, 3.4, (2, 2)),
-                           rng.child(3).generator.uniform(0.1, 2.4, (2, 2))], axis=2)
-        direction = f64(rng.child(4), (2, 2, 3))
+        coords = np.stack([rng.child(2).generator.uniform(0.1, 3.4, (2, 2, 2)),
+                           rng.child(3).generator.uniform(0.1, 2.4, (2, 2, 2))], axis=3)
+        direction = f64(rng.child(4), (2, 2, 2, 3))
         g_grid, g_coords = grid_sample_backward(grid, coords, direction)
 
         def loss_grid(gv):
@@ -201,7 +212,7 @@ class TestGenerateMemory:
         params["out_w"] = np.zeros((2 * c, c))
         params["out_w"][c:, :] = np.eye(c)  # read only the coordconv half
         params["out_b"] = np.zeros(c)
-        p = f64(rng, (3, 3, c))
+        p = f64(rng, (2, 3, 3, c))
         m, cache = generator_forward(p, params)
         assert max_rel_err(m, cache.p_hat) < 1e-12
 
@@ -209,14 +220,14 @@ class TestGenerateMemory:
         import hashlib
         params = init_generator(Rng(101), 4, (8, 8))
         p = Rng(202).normal((5, 5, 4))
-        m = generator_forward(p, params)[0]
+        m = generator_forward(p[None], params)[0][0]
         digest = hashlib.sha256(m.astype("<f4").tobytes()).hexdigest()
         assert digest == REGRESSION_SHA256
 
     def test_gradcheck_all_groups(self, rng):
         params = make_params(7, c=3, grid_hw=(4, 4))
-        p = f64(rng.child(1), (4, 4, 3))
-        direction = f64(rng.child(2), (4, 4, 3))
+        p = f64(rng.child(1), (2, 4, 4, 3))
+        direction = f64(rng.child(2), (2, 4, 4, 3))
 
         m, cache = generator_forward(p, params)
         grad_input, grads = generator_backward(cache, direction)
@@ -238,15 +249,15 @@ class TestGenerateMemory:
 
     def test_zero_grad_in_zero_grads_out(self, rng):
         params = make_params(9, c=3)
-        p = f64(rng, (3, 3, 3))
+        p = f64(rng, (2, 3, 3, 3))
         _, cache = generator_forward(p, params)
-        grad_input, grads = generator_backward(cache, np.zeros((3, 3, 3)))
+        grad_input, grads = generator_backward(cache, np.zeros((2, 3, 3, 3)))
         assert not grad_input.any()
         for name in ("coord_w", "phi1_w", "phi2_w", "out_w", "grid"):
             assert not grads[name].any()
 
     def test_stale_cache_rejected(self, rng):
         params = make_params(9, c=3)
-        _, cache = generator_forward(f64(rng, (3, 3, 3)), params)
+        _, cache = generator_forward(f64(rng, (1, 3, 3, 3)), params)
         with pytest.raises(ShapeError):
-            generator_backward(cache, np.zeros((2, 2, 3)))
+            generator_backward(cache, np.zeros((1, 2, 2, 3)))

@@ -43,51 +43,55 @@ class TestRng:
 
 class TestConv1x1:
     def test_identity_weight(self):
-        x = np.arange(12, dtype=np.float32).reshape(2, 3, 2)
+        x = np.arange(12, dtype=np.float32).reshape(1, 2, 3, 2)
         out = conv1x1_forward(x, np.eye(2, dtype=np.float32), np.zeros(2, np.float32))
         assert np.array_equal(out, x)
 
     def test_hand_sum(self):
-        x = np.full((2, 2, 2), 0.0, dtype=np.float32)
+        x = np.full((1, 2, 2, 2), 0.0, dtype=np.float32)
         x[..., 0] = 3.0
         x[..., 1] = 4.0
         out = conv1x1_forward(x, np.array([[1.0], [1.0]], np.float32), np.zeros(1, np.float32))
         assert np.allclose(out, 7.0)
 
     def test_matches_per_pixel_oracle(self, rng):
-        x = f64(rng.child(1), (3, 3, 2))
+        x = f64(rng.child(1), (2, 3, 3, 2))
         w = f64(rng.child(2), (2, 3))
         b = f64(rng.child(3), (3,))
         out = conv1x1_forward(x, w, b)
-        oracle = np.empty((3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                oracle[i, j] = x[i, j] @ w + b
+        oracle = np.empty((2, 3, 3, 3))
+        for n in range(2):
+            for i in range(3):
+                for j in range(3):
+                    oracle[n, i, j] = x[n, i, j] @ w + b
         assert max_rel_err(out, oracle) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            conv1x1_forward(np.zeros((2, 2, 3), np.float32),
+            conv1x1_forward(np.zeros((1, 2, 2, 3), np.float32),
+                            np.zeros((2, 2), np.float32), np.zeros(2, np.float32))
+        with pytest.raises(ShapeError):
+            conv1x1_forward(np.zeros((2, 2, 2), np.float32),
                             np.zeros((2, 2), np.float32), np.zeros(2, np.float32))
 
     def test_backward_zero_grad(self, rng):
-        x = f64(rng, (2, 2, 3))
+        x = f64(rng, (2, 2, 2, 3))
         w = f64(rng.child(1), (3, 2))
-        gx, gw, gb = conv1x1_backward(x, w, np.zeros((2, 2, 2)))
+        gx, gw, gb = conv1x1_backward(x, w, np.zeros((2, 2, 2, 2)))
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_backward_scalar_product_rule(self):
-        x = np.full((1, 1, 1), 3.0)
+        x = np.full((1, 1, 1, 1), 3.0)
         w = np.full((1, 1), 5.0)
-        g = np.full((1, 1, 1), 2.0)
+        g = np.full((1, 1, 1, 1), 2.0)
         gx, gw, gb = conv1x1_backward(x, w, g)
         assert gx.item() == 10.0 and gw.item() == 6.0 and gb.item() == 2.0
 
     def test_backward_matches_finite_differences(self, rng):
-        x = f64(rng.child(10), (3, 2, 4))
+        x = f64(rng.child(10), (2, 3, 2, 4))
         w = f64(rng.child(11), (4, 3))
         b = f64(rng.child(12), (3,))
-        proj = f64(rng.child(13), (3, 2, 3))  # fixed direction for a scalar loss
+        proj = f64(rng.child(13), (2, 3, 2, 3))  # fixed direction for a scalar loss
 
         def loss_of_x(xv):
             return float((conv1x1_forward(xv, w, b) * proj).sum())
@@ -139,6 +143,27 @@ class TestBilinearResize:
         for c in range(2):
             assert out[..., c].min() >= x[..., c].min() - eps
             assert out[..., c].max() <= x[..., c].max() + eps
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_two_row_lerp_into_any_out(self, h, w, h0, w0, dtype, seed):
+        # oracle: lerp rows y0 and y1 along x, then lerp the two along y
+        from feddymem.numerics import _resize_axis_coords
+        x = Rng(seed).normal((h, w, 3)).astype(dtype)
+        y0, y1, fy = _resize_axis_coords(h, h0, x.dtype)
+        x0, x1, fx = _resize_axis_coords(w, w0, x.dtype)
+        fy, fx = fy[:, None, None], fx[None, :, None]
+        top = x[y0][:, x0] + fx * (x[y0][:, x1] - x[y0][:, x0])
+        bot = x[y1][:, x0] + fx * (x[y1][:, x1] - x[y1][:, x0])
+        oracle = x.copy() if (h0, w0) == (h, w) else top + fy * (bot - top)
+        assert np.array_equal(bilinear_resize(x, (h0, w0)), oracle)
+        # into a strided channel slice of a wider array
+        wide = np.full((h0, w0, 5), np.nan, dtype=dtype)
+        view = wide[..., 1:4]
+        assert bilinear_resize(x, (h0, w0), out=view) is view
+        assert np.array_equal(view, oracle)
+        assert np.isnan(wide[..., [0, 4]]).all()
 
 
 class TestPairwiseDist:

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from feddymem.client import LossConfig
+from feddymem.client import LossConfig, client_update, extract_all_memories
 from feddymem.errors import ConfigError
 from feddymem.evaluation import SynthSpec, synth_dataset
 from feddymem.features import ExtractorSpec
+from feddymem.numerics import Rng
 from feddymem.orchestrator import (
     ConvergenceMonitor,
     FederationConfig,
@@ -19,7 +25,10 @@ from feddymem.orchestrator import (
     run_training,
     save_checkpoint,
 )
+from feddymem.pipeline import evaluate_states, score_test_set
 from feddymem.server import CommLedger, bank_nbytes, params_nbytes
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def desk_config(seed=3, rounds=3, baseline="feddymem", n_clients=3, ckpt=2):
@@ -60,7 +69,7 @@ class TestInitialize:
         datasets = desk_datasets(cfg)
         states, global_bank, _ = initialize(cfg, datasets)
         from feddymem.client import extract_all_memories, memory_reduce
-        memories = extract_all_memories(states[0], datasets[0])
+        memories = extract_all_memories(states[0], datasets[0], cfg.loss)
         own = memory_reduce(memories, None, 0)
         got = sorted(map(tuple, np.round(global_bank.patches, 4).tolist()))
         want = sorted(map(tuple, np.round(own.patches, 4).tolist()))
@@ -102,7 +111,7 @@ class TestRunRound:
         expected_banks = []
         for n, s in enumerate(shadow):
             client_update(s, datasets[n], cfg.loss, 1, Rng(cfg.seed).child("update", n))
-            mems = extract_all_memories(s, datasets[n])
+            mems = extract_all_memories(s, datasets[n], cfg.loss)
             expected_banks.append(memory_reduce(mems, s.local_bank, 1).data)
         bank, _ = run_round(states, bank, 1, cfg, datasets, ledger, monitor)
         assert np.allclose(bank.data, np.mean(expected_banks, axis=0), atol=1e-6)
@@ -140,6 +149,89 @@ class TestRunRound:
         assert np.array_equal(bank_1, bank_3)
         assert r_hat_1 == r_hat_3 > 0.0
         assert lines_1 == lines_3
+
+
+class TestDatasets:
+    def test_fused_stack_rows_are_the_samples_fused_features(self):
+        from feddymem.features import extract_pyramid, fuse_pyramid
+        cfg = desk_config()
+        spec = SynthSpec(n_types=2, samples_per_type=3, test_normals_per_type=1,
+                         test_anomalies_per_type=1, base_hw=cfg.extractor.base_hw,
+                         n_clients=1, seed=cfg.seed)
+        samples = synth_dataset(spec).client_train[0]
+        data = build_client_dataset(samples, cfg.extractor)
+        assert data.fused.shape == (len(samples), 8, 8, 18) and data.fused.dtype == np.float32
+        assert data.sample_ids == [s.sample_id for s in samples]
+        for row, s in zip(data.fused, samples):
+            assert np.array_equal(row, fuse_pyramid(extract_pyramid(s.features, cfg.extractor)))
+
+    def test_empty_dataset_builds_and_is_rejected(self):
+        cfg = desk_config()
+        data = build_client_dataset([], cfg.extractor)
+        assert len(data) == 0
+        states, _, _ = initialize(cfg, desk_datasets(cfg))
+        with pytest.raises(ValueError, match="empty"):
+            client_update(states[0], data, cfg.loss, 1, Rng(0))
+        with pytest.raises(ValueError, match="empty"):
+            extract_all_memories(states[0], data, cfg.loss)
+
+
+class TestBlockedScoring:
+    def test_blocks_equal_blocks_of_one(self):
+        cfg = desk_config(n_clients=2)
+        spec = SynthSpec(n_types=2, samples_per_type=6, test_normals_per_type=3,
+                         test_anomalies_per_type=4, base_hw=cfg.extractor.base_hw,
+                         n_clients=cfg.n_clients, seed=cfg.seed)
+        data = synth_dataset(spec)
+        datasets = [build_client_dataset(s, cfg.extractor) for s in data.client_train]
+        states, bank, _ = initialize(cfg, datasets)
+        bank, _ = run_round(states, bank, 1, cfg, datasets, CommLedger(), ConvergenceMonitor())
+        test = data.test
+        fused = build_client_dataset(test, cfg.extractor).fused
+        singles = [score_test_set(states[1], bank, [s], fused[i:i + 1], cfg)[0]
+                   for i, s in enumerate(test)]
+        pairs = [zip(score_test_set(states[1], bank, test, fused, cfg), singles)]
+        results = []
+        for batch_size in (1, 3, len(test)):
+            fed = replace(cfg, loss=replace(cfg.loss, batch_size=batch_size))
+            results.append(evaluate_states(states, [bank] * cfg.n_clients, test, fed))
+        (one_metrics, one_first), *blocked = results
+        assert [s.sample_id for s in one_first] == [s.sample_id for s in test]
+        for metrics, first in blocked:
+            assert metrics == one_metrics
+            pairs.append(zip(first, one_first))
+        for pair in pairs:
+            for a, b in pair:
+                assert a.sample_id == b.sample_id and a.image_score == b.image_score
+                assert np.array_equal(a.pixel_scores, b.pixel_scores)
+
+
+def _sha256_files(root: Path, pattern: str) -> dict[str, str]:
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.glob(pattern))}
+
+
+class TestBlasThreads:
+    def test_two_desk_rounds_identical_under_one_and_two_blas_threads(self, tmp_path):
+        # batched GEMMs are tall enough for OpenBLAS to split them over threads
+        from test_acceptance import DESK_CONFIG
+        doc = json.loads(json.dumps(DESK_CONFIG))
+        doc["federation"].update(rounds=2, checkpoint_interval=1)
+        config = tmp_path / "desk.json"
+        config.write_text(json.dumps(doc))
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "feddymem.cli", "train", "--config",
+                            str(config), "--out", str(out)], env=env, check=True,
+                           capture_output=True, timeout=600)
+            files = {**_sha256_files(out, "global_bank.fdm1"), **_sha256_files(out, "metrics.jsonl"),
+                     **_sha256_files(out, "checkpoints/*/client_*.fdmc")}
+            assert len(files) == 2 + 3 * doc["federation"]["n_clients"]
+            digests.append(files)
+        assert digests[0] == digests[1]
 
 
 class TestRunTraining:

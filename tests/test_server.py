@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feddymem.client import MemoryBank
 from feddymem.errors import ShapeError
@@ -10,6 +11,7 @@ from feddymem.server import (
     AggregationConfig,
     CommLedger,
     _hartigan_polish,
+    _plusplus_seeding,
     aggregate,
     average_banks,
     bank_nbytes,
@@ -35,11 +37,9 @@ def brute_force_sse(points: np.ndarray, k: int) -> float:
     return best
 
 
-def reference_kmeans(points: np.ndarray, k: int, cfg: AggregationConfig):
-    """One seeded k-means run written with full distance matrices: greedy
-    k-means++ recomputing every point's D^2 per candidate, and Lloyd
-    assigning by argmin over the full (P, K) distance matrix."""
-    rng = Rng(cfg.seed).child("kmeanspp", 0)
+def reference_seeding(points: np.ndarray, k: int, rng: Rng) -> list[int]:
+    """Greedy k-means++ recomputing every point's D^2 per candidate, one
+    candidate at a time; the first strictly smaller potential wins."""
     n = points.shape[0]
     n_candidates = 2 + int(np.log2(max(k, 2)))
     chosen = [rng.integers(0, n)]
@@ -58,6 +58,15 @@ def reference_kmeans(points: np.ndarray, k: int, cfg: AggregationConfig):
                 best_idx, best_d2, best_pot = idx, cand, cand.sum()
         chosen.append(best_idx)
         d2 = best_d2
+    return chosen
+
+
+def reference_kmeans(points: np.ndarray, k: int, cfg: AggregationConfig):
+    """One seeded k-means run written with full distance matrices: the
+    reference seeding, and Lloyd assigning by argmin over the full (P, K)
+    distance matrix."""
+    n = points.shape[0]
+    chosen = reference_seeding(points, k, Rng(cfg.seed).child("kmeanspp", 0))
     centers = points[chosen].copy()
 
     def lloyd(centers):
@@ -160,6 +169,18 @@ class TestKMeans:
         assert np.array_equal(res.centers, centers)
         assert np.array_equal(res.assignments, assignments)
         assert res.objective_history == history
+
+    @given(st.integers(1, 80), st.integers(1, 4), st.integers(1, 24), st.integers(1, 30),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_seeding_matches_per_candidate_loop(self, n, c, k, distinct, seed):
+        # few distinct rows make candidates repeat and potentials tie
+        k = min(k, n)
+        r = Rng(seed)
+        rows = r.child(1).normal((distinct, c))
+        pts = rows[r.child(2).generator.integers(0, distinct, size=n)]
+        got = _plusplus_seeding(pts, k, Rng(seed).child("s"))
+        assert got.tolist() == reference_seeding(pts, k, Rng(seed).child("s"))
 
     def test_against_exhaustive_oracle(self):
         # Lloyd is a local method: require >= 95% global-optimum hits and log
