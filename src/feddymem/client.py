@@ -126,16 +126,19 @@ def metric_loss(m: np.ndarray, bank: MemoryBank,
     patch's K nearest bank entries, and the gradient of each sample's loss
     w.r.t. its memory feature.
 
-    loss_b = mean over (patch, k) of max(0, dist - margin). One kNN lookup
-    serves all B * H * W patches. The bank and the neighbor selection are
+    loss_b = mean over (patch, k) of max(0, dist - margin). Each sample's
+    H * W patches make one kNN lookup; the hinge and the gradient are then
+    formed for the whole stack. The bank and the neighbor selection are
     treated as constants: gradient flows only through the distances back to
     the memory feature.
     """
     b, h, w, c = m.shape
     if c != bank.data.shape[2]:
         raise ShapeError(f"memory channels {c} != bank channels {bank.data.shape[2]}")
+    lookups = [knn_lookup(sample.reshape(h * w, c), bank, cfg.knn_k) for sample in m]
+    idx = np.concatenate([i for i, _ in lookups])
+    dist = np.concatenate([d for _, d in lookups])
     patches = m.reshape(-1, c)
-    idx, dist = knn_lookup(patches, bank, cfg.knn_k)
     margin = cfg.hinge_margin
     active = dist > margin
     denom = float(h * w * cfg.knn_k)
@@ -226,10 +229,10 @@ def extract_all_memories(state: ClientModelState, dataset: ClientDataset,
 # ---------------------------------------------------------------------------
 
 
-def memory_reduce(memories: np.ndarray | list[np.ndarray], prev_bank: MemoryBank | None,
+def memory_reduce(memories: np.ndarray, prev_bank: MemoryBank | None,
                   t: int) -> MemoryBank:
-    """Compress per-sample memory features, a sequence of (H, W, C) arrays
-    or one (N, H, W, C) stack, into one bank-sized tensor.
+    """Compress an (N, H, W, C) stack of per-sample memory features into
+    one bank-sized tensor.
 
     Round 0 uses uniform weights; later rounds weight each memory by the
     Frobenius norm of its difference from the previous bank, then blend the
@@ -237,6 +240,8 @@ def memory_reduce(memories: np.ndarray | list[np.ndarray], prev_bank: MemoryBank
     memory coincides with the previous bank (all weights zero) the weights
     fall back to uniform, the limit of the weighting as distances vanish.
     """
+    if memories.ndim != 4:
+        raise ShapeError(f"memories must be (N, H, W, C), got {memories.shape}")
     if len(memories) == 0:
         raise ValueError("memory_reduce needs at least one memory feature")
     if t == 0:
@@ -244,13 +249,10 @@ def memory_reduce(memories: np.ndarray | list[np.ndarray], prev_bank: MemoryBank
             raise ValueError("round 0 must not have a previous bank")
     elif prev_bank is None:
         raise ValueError(f"round {t} requires the previous bank")
+    elif memories.shape[1:] != prev_bank.data.shape:
+        raise ShapeError(f"memories {memories.shape[1:]} != bank {prev_bank.data.shape}")
 
-    shape = memories[0].shape
-    for m in memories:
-        if m.shape != shape:
-            raise ShapeError("memory features must share one shape")
-
-    stack = np.asarray(memories, dtype=np.float64)
+    stack = memories.astype(np.float64)
     if t == 0:
         weights = np.ones(len(memories), dtype=np.float64)
     else:

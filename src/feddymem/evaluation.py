@@ -56,16 +56,15 @@ class AnomalyMap:
 
 def pixel_scores(m_test: np.ndarray, bank: MemoryBank, k: int,
                  mode: str = "min") -> np.ndarray:
-    """Per-pixel anomaly scores (B, H, W) of a (B, H, W, C) stack of memory
-    features, from the K nearest bank patches of one kNN lookup."""
+    """Per-pixel anomaly scores from the K nearest bank patches."""
     if mode not in ("min", "mean"):
         raise ValueError(f"unknown score mode {mode!r}")
-    b, h, w, c = m_test.shape
+    h, w, c = m_test.shape
     if c != bank.data.shape[2]:
         raise ShapeError(f"memory channels {c} != bank channels {bank.data.shape[2]}")
-    _, dist = knn_lookup(m_test.reshape(-1, c), bank, k)
+    _, dist = knn_lookup(m_test.reshape(h * w, c), bank, k)
     scores = dist[:, 0] if mode == "min" else dist.mean(axis=1)
-    return scores.reshape(b, h, w)
+    return scores.reshape(h, w)
 
 
 def image_score(a: np.ndarray) -> float:
@@ -76,10 +75,9 @@ def image_score(a: np.ndarray) -> float:
 
 
 def anomaly_map(m_test: np.ndarray, bank: MemoryBank, k: int,
-                mode: str = "min") -> list[AnomalyMap]:
-    """One anomaly map per memory feature of a (B, H, W, C) stack."""
-    return [AnomalyMap(pixel_scores=scores, image_score=image_score(scores))
-            for scores in pixel_scores(m_test, bank, k, mode)]
+                mode: str = "min") -> AnomalyMap:
+    scores = pixel_scores(m_test, bank, k, mode)
+    return AnomalyMap(pixel_scores=scores, image_score=image_score(scores))
 
 
 def postprocess_heatmap(a: np.ndarray, image_hw: tuple[int, int],

@@ -77,17 +77,6 @@ class FeaturePyramid:
                 raise ShapeError("pyramid spatial extents must be nonincreasing")
             prev = lvl.shape
 
-    @property
-    def fused_shape(self) -> tuple[int, int, int]:
-        """Level-0 dims by the total channel count."""
-        h, w = self.levels[0].shape[:2]
-        return h, w, sum(lvl.shape[2] for lvl in self.levels)
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The dtype the levels promote to."""
-        return np.result_type(*self.levels)
-
 
 @functools.lru_cache(maxsize=32)
 def _synthetic_weights(spec: ExtractorSpec) -> tuple[np.ndarray, ...]:
@@ -142,17 +131,12 @@ def extract_pyramid(sample, spec: ExtractorSpec) -> FeaturePyramid:
     return FeaturePyramid(levels=levels, provenance=f"synthetic:{spec.seed}")
 
 
-def fuse_pyramid(p: FeaturePyramid, out: np.ndarray | None = None) -> np.ndarray:
-    """Resize every level to level-0 dims and concatenate along channels,
-    each level resized straight into its channels of `out` (of shape
-    `p.fused_shape`) when given."""
-    if out is None:
-        out = np.empty(p.fused_shape, dtype=p.dtype)
-    start = 0
-    for lvl in p.levels:
-        bilinear_resize(lvl, out.shape[:2], out=out[..., start:start + lvl.shape[2]])
-        start += lvl.shape[2]
-    return out
+def fuse_pyramid(p: FeaturePyramid) -> np.ndarray:
+    """Resize every level to level-0 dims and concatenate along channels."""
+    h0, w0 = p.levels[0].shape[:2]
+    parts = [lvl if lvl.shape[:2] == (h0, w0) else bilinear_resize(lvl, (h0, w0))
+             for lvl in p.levels]
+    return np.concatenate(parts, axis=2)
 
 
 # ---------------------------------------------------------------------------

@@ -199,10 +199,8 @@ def _resize_axis_coords(n_in: int, n_out: int, dtype):
     return lo, hi, frac
 
 
-def bilinear_resize(x: np.ndarray, target: tuple[int, int],
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Align-corners bilinear interpolation of an (H, W, C) map to target
-    dims, into `out` when given."""
+def bilinear_resize(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
+    """Align-corners bilinear interpolation of an (H, W, C) map to target dims."""
     if x.ndim != 3:
         raise ShapeError(f"resize input must be (H, W, C), got {x.shape}")
     h0, w0 = int(target[0]), int(target[1])
@@ -210,25 +208,18 @@ def bilinear_resize(x: np.ndarray, target: tuple[int, int],
         raise ShapeError(f"target extents must be >= 1, got {target}")
     h, w, _ = x.shape
     if (h0, w0) == (h, w):
-        if out is None:
-            return x.copy()
-        np.copyto(out, x)
-        return out
+        return x.copy()
     y0, y1, fy = _resize_axis_coords(h, h0, x.dtype)
     x0, x1, fx = _resize_axis_coords(w, w0, x.dtype)
     fy = fy[:, None, None]
     fx = fx[None, :, None]
     # lerp form a + f*(b - a) keeps constant inputs exactly constant. Every
-    # source row is lerped along x once; the output is then
-    # top + fy * (bot - top) of rows y0 (top) and y1 (bot), formed in place
+    # source row is lerped along x once, then output rows lerp between
+    # their two source rows
     left = x[:, x0]
     rows = left + fx * (x[:, x1] - left)
-    out = np.take(rows, y0, axis=0, out=out)
-    diff = rows[y1]
-    diff -= out
-    diff *= fy
-    out += diff
-    return out
+    top = rows[y0]
+    return top + fy * (rows[y1] - top)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +227,8 @@ def bilinear_resize(x: np.ndarray, target: tuple[int, int],
 # ---------------------------------------------------------------------------
 
 # query rows per block: a knn call holds at most KNN_CHUNK * Q bounds and
-# KNN_CHUNK * Q * C explicit differences at a time. A batch of client
-# samples makes one call of B * H * W rows, so this, not the batch size,
-# bounds the call's working set.
-KNN_CHUNK = 512
+# KNN_CHUNK * Q * C explicit differences at a time
+KNN_CHUNK = 1024
 
 
 def _check_patches(a: np.ndarray, b: np.ndarray) -> None:
@@ -394,7 +383,6 @@ def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
                 candidates = gram.floor(lb[ties]) <= bound[ties, None]
                 np.put_along_axis(candidates, seeds[ties], True, axis=1)
                 idx[ties], dist[ties] = _knn_near_ties(rows[ties], b, candidates, k)
-            del lb  # so that two chunks' bounds are never held at once
         idx_parts.append(idx)
         dist_parts.append(dist)
     return np.concatenate(idx_parts), np.concatenate(dist_parts)

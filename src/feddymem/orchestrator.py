@@ -33,7 +33,7 @@ from .client import (
     max_patch_norm,
     memory_reduce,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .features import ExtractorSpec, extract_pyramid, fuse_pyramid, init_projection
 from .generator import init_generator
 from .numerics import DTYPE, Rng
@@ -178,13 +178,18 @@ class ConvergenceMonitor:
 
 def build_client_dataset(samples, spec: ExtractorSpec) -> ClientDataset:
     """Precompute frozen fused features for a list of labeled samples, each
-    fused in place into its row of one (N, H, W, Cin) stack."""
+    written into its row of one (N, H, W, Cin) stack. Every sample must
+    fuse to the first sample's shape."""
     fused = np.empty((0, 0, 0, 0), dtype=DTYPE)
     for i, s in enumerate(samples):
-        pyramid = extract_pyramid(s.features if spec.kind == "synthetic" else s.sample_id, spec)
+        source = s.features if spec.kind == "synthetic" else s.sample_id
+        row = fuse_pyramid(extract_pyramid(source, spec))
         if i == 0:
-            fused = np.empty((len(samples),) + pyramid.fused_shape, dtype=pyramid.dtype)
-        fuse_pyramid(pyramid, out=fused[i])
+            fused = np.empty((len(samples),) + row.shape, dtype=row.dtype)
+        elif row.shape != fused.shape[1:]:
+            raise ShapeError(f"sample {s.sample_id!r} fuses to {row.shape}, "
+                             f"not the first sample's {fused.shape[1:]}")
+        fused[i] = row
     return ClientDataset(fused=fused, sample_ids=[s.sample_id for s in samples])
 
 

@@ -66,14 +66,17 @@ def score_test_set(state: ClientModelState, bank: MemoryBank,
                    test_samples: list[LabeledSample], test_fused: np.ndarray,
                    cfg: FederationConfig) -> list[ScoredSample]:
     """Score a block of test samples, their fused features stacked as
-    (N, H, W, Cin), against the bank: one forward pass and one kNN lookup
-    for the whole block."""
-    m = forward_memory(state, test_fused, cfg.loss.activation)
-    amaps = anomaly_map(m, bank, cfg.loss.knn_k, cfg.score_mode)
-    return [ScoredSample(sample_id=sample.sample_id, label=sample.label,
-                         image_score=amap.image_score, pixel_scores=amap.pixel_scores,
-                         mask=sample.mask_or_zeros())
-            for sample, amap in zip(test_samples, amaps)]
+    (N, H, W, Cin), against the bank: one forward pass for the whole block,
+    then one anomaly map per sample."""
+    memories = forward_memory(state, test_fused, cfg.loss.activation)
+    out = []
+    for sample, m in zip(test_samples, memories):
+        amap = anomaly_map(m, bank, cfg.loss.knn_k, cfg.score_mode)
+        out.append(ScoredSample(sample_id=sample.sample_id, label=sample.label,
+                                image_score=amap.image_score,
+                                pixel_scores=amap.pixel_scores,
+                                mask=sample.mask_or_zeros()))
+    return out
 
 
 def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],

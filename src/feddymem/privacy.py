@@ -172,7 +172,7 @@ def _reduce_uniform(y: np.ndarray) -> np.ndarray:
     out = np.empty(n, dtype=np.float64)
     for start in range(0, n, REDUCE_CHUNK):
         block = y[:, start:start + REDUCE_CHUNK].astype(np.float32)
-        memories = [block[i].reshape(-1, 1, 1) for i in range(d)]
+        memories = block.reshape(d, -1, 1, 1)
         out[start:start + REDUCE_CHUNK] = memory_reduce(memories, None, 0).data.reshape(-1)
     return out
 

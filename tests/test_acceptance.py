@@ -222,23 +222,23 @@ def test_criterion_3_memory_reduce_algebra():
     r = Rng(5)
     mems = [r.child(i).normal((4, 4, 3)).astype(np.float64) for i in range(6)]
 
-    mean_err = max_rel_err(memory_reduce(mems, None, 0).data,
+    mean_err = max_rel_err(memory_reduce(np.stack(mems), None, 0).data,
                            np.mean(np.stack(mems), axis=0))
 
     prev = MemoryBank(data=r.child("prev").normal((4, 4, 3)), round_index=0)
-    out1 = memory_reduce(mems, prev, 1)
+    out1 = memory_reduce(np.stack(mems), prev, 1)
     w = np.array([np.linalg.norm((m - prev.data).reshape(-1)) for m in mems])
     mbar = np.tensordot(w, np.stack(mems), axes=1) / w.sum()
     midpoint_err = max_rel_err(out1.data, 0.5 * mbar + 0.5 * prev.data)
 
     perm = Rng(9).permutation(6)
-    perm_err = max_rel_err(memory_reduce([mems[i] for i in perm], prev, 1).data,
+    perm_err = max_rel_err(memory_reduce(np.stack(mems)[perm], prev, 1).data,
                            out1.data)
 
     a = np.full((1, 1, 1), 1.0, dtype=np.float32)
     b = np.full((1, 1, 1), 3.0, dtype=np.float32)
     zero_prev = MemoryBank(data=np.zeros((1, 1, 1), dtype=np.float32), round_index=0)
-    scalar = memory_reduce([a, b], zero_prev, 1).data.item()
+    scalar = memory_reduce(np.stack([a, b]), zero_prev, 1).data.item()
 
     ok = mean_err <= 1e-6 and midpoint_err <= 1e-6 and perm_err < 1e-5 and scalar == 1.25
     _report(3, f"memory-reduce algebra (mean {mean_err:.1e}, mid {midpoint_err:.1e}, "

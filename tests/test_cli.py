@@ -161,13 +161,11 @@ class TestCliTrainEval:
         assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
         scored = []
         score = pipeline.anomaly_map
-        monkeypatch.setattr(pipeline, "anomaly_map",
-                            lambda m, *args: scored.append(len(m)) or score(m, *args))
+        monkeypatch.setattr(pipeline, "anomaly_map", lambda *args: scored.append(1) or score(*args))
         assert main(["eval", "--config", cfg_path, "--out", str(out), "--export-heatmaps"]) == 0
         cfg = load_run_config(cfg_path)
         _, test = load_federated_data(cfg)
-        # each client scores each test sample once; the heatmaps score none
-        assert sum(scored) == cfg.federation.n_clients * len(test)
+        assert len(scored) == cfg.federation.n_clients * len(test)
 
         # the files a second, separate scoring of client 0 writes
         _, states, bank, _ = load_checkpoint(latest_checkpoint(out), cfg.federation)

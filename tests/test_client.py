@@ -304,21 +304,21 @@ class TestMemoryReduce:
     def test_round0_is_mean(self, rng):
         a = f64(rng.child(1), (2, 2, 2))
         b = f64(rng.child(2), (2, 2, 2))
-        out = memory_reduce([a, b], None, 0)
+        out = memory_reduce(np.stack([a, b]), None, 0)
         assert max_rel_err(out.data, (a + b) / 2) < 1e-6
 
     def test_hand_scalar_case(self):
         a = np.full((1, 1, 1), 1.0, dtype=np.float32)
         b = np.full((1, 1, 1), 3.0, dtype=np.float32)
         prev = MemoryBank(data=np.zeros((1, 1, 1), dtype=np.float32), round_index=0)
-        out = memory_reduce([a, b], prev, 1)
+        out = memory_reduce(np.stack([a, b]), prev, 1)
         # weights (1, 3) -> weighted mean 2.5; alpha=1/2 blends with prev 0
         assert out.data[0, 0, 0] == 1.25
 
     def test_round1_alpha_is_half(self, rng):
         mems = [f64(rng.child(i), (2, 2, 2)) for i in range(3)]
         prev = MemoryBank(data=f64(rng.child(9), (2, 2, 2)).astype(np.float32))
-        out = memory_reduce(mems, prev, 1)
+        out = memory_reduce(np.stack(mems), prev, 1)
         w = np.array([np.linalg.norm(m - prev.data) for m in mems])
         mbar = np.tensordot(w, np.stack(mems), axes=1) / w.sum()
         expected = 0.5 * mbar + 0.5 * prev.data
@@ -328,7 +328,7 @@ class TestMemoryReduce:
         mems = [f64(rng.child(i), (1, 1, 1)) for i in range(2)]
         prev = MemoryBank(data=np.ones((1, 1, 1), dtype=np.float32))
         for t in (1, 2, 5):
-            out = memory_reduce(mems, prev, t)
+            out = memory_reduce(np.stack(mems), prev, t)
             w = np.array([abs(float(m.item() - prev.data.item())) for m in mems])
             mbar = float((w * np.array([m.item() for m in mems])).sum() / w.sum())
             alpha = 1.0 / (t + 1)
@@ -342,8 +342,8 @@ class TestMemoryReduce:
         mems = [r.child(i).normal((2, 2, 3)) for i in range(5)]
         prev = MemoryBank(data=r.child(99).normal((2, 2, 3)))
         perm = r.child(50).permutation(5)
-        out_a = memory_reduce(mems, prev, 2)
-        out_b = memory_reduce([mems[i] for i in perm], prev, 2)
+        out_a = memory_reduce(np.stack(mems), prev, 2)
+        out_b = memory_reduce(np.stack(mems)[perm], prev, 2)
         assert max_rel_err(out_a.data, out_b.data) < 1e-5
 
     def test_weight_monotonicity(self):
@@ -352,28 +352,30 @@ class TestMemoryReduce:
         near = np.full((1, 1, 1), 0.5)
         far = np.full((1, 1, 1), 2.0)
         farther = np.full((1, 1, 1), 4.0)
-        base = memory_reduce([near, far], prev, 1).data.item()
-        moved = memory_reduce([near, farther], prev, 1).data.item()
+        base = memory_reduce(np.stack([near, far]), prev, 1).data.item()
+        moved = memory_reduce(np.stack([near, farther]), prev, 1).data.item()
         assert moved > base
 
     def test_degenerate_zero_weights_fall_back_uniform(self):
         prev = MemoryBank(data=np.ones((1, 1, 2), dtype=np.float32))
         mems = [prev.data.copy(), prev.data.copy()]
-        out = memory_reduce(mems, prev, 3)
+        out = memory_reduce(np.stack(mems), prev, 3)
         assert np.allclose(out.data, 1.0)
 
     def test_round0_rejects_prev(self, rng):
         with pytest.raises(ValueError):
-            memory_reduce([rng.normal((1, 1, 1))], make_bank(rng, 1, 1, 1), 0)
+            memory_reduce(rng.normal((1, 1, 1, 1)), make_bank(rng, 1, 1, 1), 0)
 
     def test_later_round_requires_prev(self, rng):
         with pytest.raises(ValueError):
-            memory_reduce([rng.normal((1, 1, 1))], None, 2)
+            memory_reduce(rng.normal((1, 1, 1, 1)), None, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            memory_reduce([], None, 0)
+            memory_reduce(np.empty((0, 1, 1, 1)), None, 0)
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
-            memory_reduce([rng.normal((1, 1, 1)), rng.normal((1, 1, 2))], None, 0)
+            memory_reduce(rng.normal((2, 1, 1)), None, 0)
+        with pytest.raises(ShapeError):
+            memory_reduce(rng.normal((2, 1, 1, 2)), make_bank(rng, 1, 1, 1), 1)

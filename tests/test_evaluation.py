@@ -130,32 +130,31 @@ levels = st.sampled_from([1, 2, 3, 8, None])
 class TestPixelScores:
     def test_exact_match_scores_zero(self, rng):
         bank = MemoryBank(data=rng.normal((3, 3, 4)))
-        m = np.broadcast_to(bank.data[0, 0], (3, 2, 2, 4)).copy()
+        m = np.broadcast_to(bank.data[0, 0], (2, 2, 4)).copy()
         scores = pixel_scores(m, bank, 1)
-        assert scores.shape == (3, 2, 2)
         assert np.all(scores == 0.0)
 
     def test_hand_distance(self):
         bank = MemoryBank(data=np.array([0.0, 10.0], dtype=np.float32).reshape(1, 2, 1))
-        scores = pixel_scores(np.full((1, 1, 1, 1), 4.0, np.float32), bank, 2)
-        assert scores[0, 0, 0] == 4.0
+        scores = pixel_scores(np.full((1, 1, 1), 4.0, np.float32), bank, 2)
+        assert scores[0, 0] == 4.0
 
     def test_matches_min_oracle(self, rng):
-        m = f64(rng.child(1), (2, 3, 3, 4))
+        m = f64(rng.child(1), (3, 3, 4))
         bank = MemoryBank(data=f64(rng.child(2), (4, 4, 4)))
         scores = pixel_scores(m, bank, 3)
-        d = pairwise_dist(m.reshape(18, 4), bank.patches)
+        d = pairwise_dist(m.reshape(9, 4), bank.patches)
         assert max_rel_err(scores.reshape(-1), d.min(axis=1)) < 1e-12
 
     def test_mean_mode(self, rng):
-        m = f64(rng.child(1), (2, 2, 2, 3))
+        m = f64(rng.child(1), (2, 2, 3))
         bank = MemoryBank(data=f64(rng.child(2), (3, 3, 3)))
         scores = pixel_scores(m, bank, 2, mode="mean")
-        d = np.sort(pairwise_dist(m.reshape(8, 3), bank.patches), axis=1)
+        d = np.sort(pairwise_dist(m.reshape(4, 3), bank.patches), axis=1)
         assert max_rel_err(scores.reshape(-1), d[:, :2].mean(axis=1)) < 1e-12
 
     def test_invariant_under_bank_permutation(self, rng):
-        m = f64(rng.child(1), (2, 3, 3, 4))
+        m = f64(rng.child(1), (3, 3, 4))
         bank = MemoryBank(data=f64(rng.child(2), (4, 4, 4)))
         perm = Rng(3).permutation(16)
         shuffled = MemoryBank(data=bank.patches[perm].reshape(4, 4, 4))

@@ -100,15 +100,6 @@ class TestFuse:
             assert np.array_equal(fused[..., start:start + c], expected)
             start += c
 
-    def test_into_out_equals_fresh(self, rng):
-        levels = [rng.child(i).normal(((8 >> i), (8 >> i), 2 + i)) for i in range(3)]
-        p = FeaturePyramid(levels=levels)
-        stack = np.empty((2,) + p.fused_shape, dtype=p.dtype)
-        row = stack[1]
-        assert fuse_pyramid(p, out=row) is row
-        assert np.array_equal(row, fuse_pyramid(p))
-        assert p.fused_shape == (8, 8, 9) and p.dtype == np.float32
-
     def test_output_dims_equal_level0(self, rng):
         levels = [rng.child(9).normal((6, 4, 3)), rng.child(8).normal((3, 2, 5))]
         assert fuse_pyramid(FeaturePyramid(levels=levels)).shape == (6, 4, 8)

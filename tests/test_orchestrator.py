@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from feddymem.client import LossConfig, client_update, extract_all_memories
-from feddymem.errors import ConfigError
-from feddymem.evaluation import SynthSpec, synth_dataset
-from feddymem.features import ExtractorSpec
+from feddymem.errors import ConfigError, ShapeError
+from feddymem.evaluation import LabeledSample, SynthSpec, synth_dataset
+from feddymem.features import (ExtractorSpec, FeaturePyramid, ManifestEntry, write_manifest,
+                               write_pyramid)
 from feddymem.numerics import Rng
 from feddymem.orchestrator import (
     ConvergenceMonitor,
@@ -164,6 +165,30 @@ class TestDatasets:
         assert data.sample_ids == [s.sample_id for s in samples]
         for row, s in zip(data.fused, samples):
             assert np.array_equal(row, fuse_pyramid(extract_pyramid(s.features, cfg.extractor)))
+
+    def test_samples_fusing_to_another_shape_are_rejected(self, tmp_path):
+        # file-kind pyramids come from disk: a sample whose level-0 dims or
+        # channel count differ from the first sample's must not be resampled
+        # into, or left partly unwritten in, the first sample's row shape
+        levels = {"first": [(8, 8, 4), (4, 4, 2)],
+                  "taller": [(10, 8, 4), (4, 4, 2)],
+                  "fewer_channels": [(8, 8, 4), (4, 4, 1)]}
+        r = Rng(3)
+        for name, shapes in levels.items():
+            pyramid = FeaturePyramid(levels=[r.child(name, i).normal(shape)
+                                             for i, shape in enumerate(shapes)])
+            write_pyramid(tmp_path / f"{name}.fdmc", pyramid)
+        write_manifest(tmp_path / "manifest.json",
+                       [ManifestEntry(name, f"{name}.fdmc", 0) for name in levels])
+        spec = ExtractorSpec(kind="file", manifest_path=str(tmp_path / "manifest.json"))
+
+        def sample(name):
+            return LabeledSample(sample_id=name, features=np.zeros((8, 8, 3)), label=0)
+
+        assert build_client_dataset([sample("first")] * 2, spec).fused.shape == (2, 8, 8, 6)
+        for other in ("taller", "fewer_channels"):
+            with pytest.raises(ShapeError, match=other):
+                build_client_dataset([sample("first"), sample(other)], spec)
 
     def test_empty_dataset_builds_and_is_rejected(self):
         cfg = desk_config()

@@ -104,7 +104,7 @@ class TestDynamicScalarReduce:
             mems = [np.full((1, 1, 1), y[i, j], dtype=np.float32) for i in range(d)]
             prev = MemoryBank(data=np.full((1, 1, 1), prev_val, dtype=np.float32),
                               round_index=0)
-            expected = memory_reduce(mems, prev, 1).data.item()
+            expected = memory_reduce(np.stack(mems), prev, 1).data.item()
             assert vec[j] == pytest.approx(expected, rel=1e-5)
 
     def test_requires_round_ge_one(self):
