@@ -33,7 +33,7 @@ import numpy as np
 from . import tensorio
 from .client import LossConfig
 from .errors import ConfigError
-from .evaluation import LabeledSample, SynthSpec, synth_dataset
+from .evaluation import LabeledSample, SynthSpec, synth_dataset, synth_test_set
 from .features import ExtractorSpec, load_manifest
 from .orchestrator import FederationConfig
 from .privacy import AuditConfig
@@ -239,6 +239,12 @@ def load_federated_data(cfg: RunConfig) -> tuple[list[list[LabeledSample]], list
     if cfg.synth is not None:
         data = synth_dataset(cfg.synth)
         return data.client_train, data.test
-    client_train = [_load_manifest_samples(p) for p in cfg.train_manifests]
-    test = _load_manifest_samples(cfg.test_manifest)
-    return client_train, test
+    return [_load_manifest_samples(p) for p in cfg.train_manifests], load_test_set(cfg)
+
+
+def load_test_set(cfg: RunConfig) -> list[LabeledSample]:
+    """The global test set of `load_federated_data`, without building or
+    reading any training sample."""
+    if cfg.synth is not None:
+        return synth_test_set(cfg.synth)
+    return _load_manifest_samples(cfg.test_manifest)

@@ -326,20 +326,7 @@ def synth_dataset(spec: SynthSpec) -> SynthDataset:
     currently largest client.
     """
     rng = Rng(spec.seed).child("synth")
-    # every type blends a shared base pattern with a type-specific deviation
-    # (spread=1 gives fully independent types): per-type distributions differ
-    # without being mutually unrecognizable
-    s = spec.type_spread
-    base = rng.child("proto_base").uniform(-1.0, 1.0,
-                                           (spec.prototype_cells, spec.prototype_cells, 3))
-    prototypes = [
-        bilinear_resize((1.0 - s) * base
-                        + s * rng.child("proto", t).uniform(-1.0, 1.0,
-                                                            (spec.prototype_cells, spec.prototype_cells, 3)),
-                        spec.base_hw)
-        for t in range(spec.n_types)
-    ]
-
+    prototypes = _prototypes(rng, spec)
     train_samples: list[LabeledSample] = []
     for t in range(spec.n_types):
         for i in range(spec.samples_per_type):
@@ -355,6 +342,35 @@ def synth_dataset(spec: SynthSpec) -> SynthDataset:
             assignment[c].append(assignment[donor].pop())
     client_train = [[train_samples[i] for i in idxs] for idxs in assignment]
 
+    test_assignment = _assign_test_slices(spec)
+    return SynthDataset(client_train=client_train, test=_test_set(rng, prototypes, spec),
+                        assignment=assignment, test_assignment=test_assignment)
+
+
+def synth_test_set(spec: SynthSpec) -> list[LabeledSample]:
+    """The global test set of `synth_dataset(spec)`, built alone: its
+    samples draw only from their own streams and the type prototypes."""
+    rng = Rng(spec.seed).child("synth")
+    return _test_set(rng, _prototypes(rng, spec), spec)
+
+
+def _prototypes(rng: Rng, spec: SynthSpec) -> list[np.ndarray]:
+    # every type blends a shared base pattern with a type-specific deviation
+    # (spread=1 gives fully independent types): per-type distributions differ
+    # without being mutually unrecognizable
+    s = spec.type_spread
+    base = rng.child("proto_base").uniform(-1.0, 1.0,
+                                           (spec.prototype_cells, spec.prototype_cells, 3))
+    return [
+        bilinear_resize((1.0 - s) * base
+                        + s * rng.child("proto", t).uniform(-1.0, 1.0,
+                                                            (spec.prototype_cells, spec.prototype_cells, 3)),
+                        spec.base_hw)
+        for t in range(spec.n_types)
+    ]
+
+
+def _test_set(rng: Rng, prototypes: list[np.ndarray], spec: SynthSpec) -> list[LabeledSample]:
     test: list[LabeledSample] = []
     for t in range(spec.n_types):
         for i in range(spec.test_normals_per_type):
@@ -366,10 +382,7 @@ def synth_dataset(spec: SynthSpec) -> SynthDataset:
             x, mask = _add_anomaly(rng.child("anom_patch", t, i), base_x, spec)
             test.append(LabeledSample(
                 sample_id=f"test_anom_t{t}_i{i}", features=x, label=1, mask=mask, type_id=t))
-
-    test_assignment = _assign_test_slices(spec)
-    return SynthDataset(client_train=client_train, test=test, assignment=assignment,
-                        test_assignment=test_assignment)
+    return test
 
 
 def _assign_test_slices(spec: SynthSpec) -> list[list[int]]:

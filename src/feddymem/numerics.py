@@ -20,11 +20,18 @@ filter is certified with gamma_n(u) = n u / (1 - n u), u the unit roundoff
 and eta the smallest subnormal of the result dtype, C the patch dim:
   * explicit differences give a squared distance q with
     |q - d^2| <= gamma_{C+2}(u) d^2 + C eta;
-  * the float64 Gram value g satisfies
-    |g - d^2| <= gamma_{2C+16}(u_64) (||a||^2 + ||b||^2) + 4C eta,
-    which covers the norms, the product and the float64 operations that
-    turn g into the lower bound lb = g - gamma_{2C+16}(u_64)(||a||^2 + ||b||^2);
-  * so floor = (lb - (5C + 16) eta)(1 - gamma_{2C+16}(u)) <= q (1 - u)^2.
+  * the bound lb is one float64 product of augmented operands,
+    [a, keep ||a||^2, 1] . [-2b, 1, keep ||b||^2], a sum of C+2 terms whose
+    absolute values add up to at most (2 + gamma_C(u_64))(||a||^2 + ||b||^2),
+    the norms being C-term float64 sums themselves. So
+    lb <= d^2 + (keep (1 + u_64)(1 + gamma_C(u_64)) - 1
+                 + (2 + gamma_C(u_64)) gamma_{C+2}(u_64)) (||a||^2 + ||b||^2)
+          + (3C + 2) eta,
+    where the factor of (||a||^2 + ||b||^2) is (keep - 1) + (3C + 5) u_64
+    to first order. With keep = 1 - gamma_{4C+16}(u_64) it is negative for
+    every C, so lb <= d^2 + (3C + 2) eta whatever order BLAS sums in;
+  * so floor = (lb - (5C + 16) eta)(1 - gamma_{2C+16}(u)) <= q (1 - u)^2,
+    the two float64 operations of `floor` included.
 Each row takes its k columns of least lb as seeds and computes their
 explicit distances; U is the largest of them, squared in float64 and
 rounded up. The seeds are k distinct columns, so the k-th distance D
@@ -34,6 +41,16 @@ nearest nor tied with the k-th. The candidates of a row are its seeds
 and its columns with floor <= U. A row whose only candidates are its
 seeds returns them; a row with more orders the explicit distances of its
 candidates. No row is recomputed on its full explicit row.
+
+k-means++ seeding asks which pairs could lower a point's current D^2
+(`GramFloor.near`); it compares lb with the per-point threshold
+t = (D^2 / (1 - gamma_{2C+16}(u)) + (5C + 16) eta)(1 + 8 eps_64) instead
+of forming floors: t's three roundings cannot undo the (1 + 8 eps_64), so
+lb > t means floor > D^2 exactly, and q > D^2.
+
+A knn call works in blocks of max(1, KNN_BOUNDS // Q) query rows, so it
+holds at most max(KNN_BOUNDS, Q) bounds and max(KNN_BOUNDS, Q) * C
+explicit differences at a time.
 """
 
 from __future__ import annotations
@@ -226,9 +243,9 @@ def bilinear_resize(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
 # Pairwise Euclidean distances and exact k-nearest neighbours
 # ---------------------------------------------------------------------------
 
-# query rows per block: a knn call holds at most KNN_CHUNK * Q bounds and
-# KNN_CHUNK * Q * C explicit differences at a time
-KNN_CHUNK = 1024
+# float64 bounds per block of knn query rows: 2 MiB, one core's L2 cache
+# on the 2-core host the blocks were measured on (module docstring)
+KNN_BOUNDS = 2**18
 
 
 def _check_patches(a: np.ndarray, b: np.ndarray) -> None:
@@ -265,7 +282,8 @@ def _gamma(n: int, u: float) -> float:
 
 class GramFloor:
     """Certified floors on the explicit-difference squared distances between
-    the rows of a and b, from float64 Gram products (module docstring)."""
+    the rows of a and b, from one augmented float64 Gram product (module
+    docstring)."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         _check_patches(a, b)
@@ -273,37 +291,43 @@ class GramFloor:
         # explicit differences run in a - b's dtype; float16 in the
         # promotion gives integer inputs a float's roundoff
         info = np.finfo(np.result_type(a.dtype, b.dtype, np.float16))
-        keep = 1.0 - _gamma(2 * c + 16, np.finfo(np.float64).eps / 2)
+        keep = 1.0 - _gamma(4 * c + 16, np.finfo(np.float64).eps / 2)
         self._scale = 1.0 - _gamma(2 * c + 16, float(info.eps) / 2)
         self._absolute = (5 * c + 16) * float(info.smallest_subnormal)
-        self._a = a.astype(np.float64)
+        a64 = a.astype(np.float64)
         b64 = b.astype(np.float64)
-        a_sq = np.einsum("pc,pc->p", self._a, self._a)
+        a_sq = np.einsum("pc,pc->p", a64, a64)
         b_sq = np.einsum("qc,qc->q", b64, b64)
         # False when the Gram form could overflow float64
         self.usable = float(a_sq.max(initial=0.0)) + float(b_sq.max(initial=0.0)) < 1e300
-        self._a_sq_kept = keep * a_sq
-        self._b_sq_kept = keep * b_sq
-        self._b_neg2_t = (-2.0 * b64).T  # scaling by -2 is exact
+        # (P, C+2) and (C+2, Q) operands whose product is
+        # -2ab + keep ||a||^2 + keep ||b||^2
+        self._a = np.concatenate([a64, keep * a_sq[:, None], np.ones((len(a_sq), 1))], axis=1)
+        self._b = np.concatenate([-2.0 * b64.T, np.ones((1, len(b_sq))), keep * b_sq[None]])
 
     def lower(self, rows) -> np.ndarray:
         """Lower bounds lb on the true squared distances of a[rows] to b."""
-        lb = self._a[rows] @ self._b_neg2_t
-        lb += self._a_sq_kept[rows, None]
-        lb += self._b_sq_kept
-        return lb
+        return self._a[rows] @ self._b
 
     def floor(self, lb: np.ndarray) -> np.ndarray:
         """Floors, monotone in lb, of q (1 - u)^2 for the computed q."""
         return (lb - self._absolute) * self._scale
 
-    def floors(self, rows) -> np.ndarray:
-        """Floors f <= q of the squared distances q of a[rows] to b that
-        explicit differences, ((a_p - b_q) ** 2) summed over C in a - b's
-        dtype, give; -inf where the Gram form could overflow."""
+    def near(self, rows, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (i, j), i indexing rows and j the rows of b, whose
+        explicit squared distance q may be below d2[j]: every pair with
+        lb <= t[j] = (d2[j] / scale + absolute)(1 + 8 eps_64). Three float64
+        roundings cannot undo the (1 + 8 eps_64), so lb > t means
+        floor(lb) > d2[j] exactly, and q > d2[j]. Every pair when the Gram
+        form is unusable."""
         if not self.usable:
-            return np.full((self._a[rows].shape[0], self._b_sq_kept.shape[0]), -np.inf)
-        return self.floor(self.lower(rows))
+            kept = np.ones((len(self._a[rows]), self._b.shape[1]), dtype=bool)
+        else:
+            t = (d2 / self._scale + self._absolute) * (1.0 + 8.0 * np.finfo(np.float64).eps)
+            kept = self.lower(rows) <= t
+        # row-major pairs, as np.nonzero gives them, which is several times
+        # slower on a 2-D mask
+        return np.divmod(np.flatnonzero(kept), kept.shape[1])
 
 
 def _k_nearest(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -347,15 +371,15 @@ def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     (P, k), ascending by distance, ties toward the lower index of b.
 
     The result equals, bit for bit, a stable argsort of the full
-    `pairwise_dist(a, b)` row. Per chunk of KNN_CHUNK query rows a float64
-    Gram product bounds every squared distance from below (lb). Each row's
-    k columns of least lb are its seeds, and U, the largest of their
-    explicit distances squared, bounds the k-th squared distance. Only
-    the seeds and the columns whose floor is at most U can be among the k
-    nearest (module docstring). A row with no such column beyond its seeds
-    returns its seeds; a row with more, a near tie, orders the explicit
-    distances of its candidates. Without a usable Gram form, or when
-    k = Q, each chunk sorts its full explicit rows.
+    `pairwise_dist(a, b)` row. Per block of max(1, KNN_BOUNDS // Q) query
+    rows one augmented float64 Gram product bounds every squared distance
+    from below (lb). Each row's k columns of least lb are its seeds, and U,
+    the largest of their explicit distances squared, bounds the k-th
+    squared distance. Only the seeds and the columns whose floor is at most
+    U can be among the k nearest (module docstring). A row with no such
+    column beyond its seeds returns its seeds; a row with more, a near tie,
+    orders the explicit distances of its candidates. Without a usable Gram
+    form, or when k = Q, each block sorts its full explicit rows.
     """
     _check_patches(a, b)
     q = b.shape[0]
@@ -366,13 +390,14 @@ def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[0] == 0:
         return _knn_explicit(a, b, k)
     gram = GramFloor(a, b)
+    step = max(1, KNN_BOUNDS // q)
     idx_parts, dist_parts = [], []
-    for s in range(0, a.shape[0], KNN_CHUNK):
-        rows = a[s:s + KNN_CHUNK]
+    for s in range(0, a.shape[0], step):
+        rows = a[s:s + step]
         if k == q or not gram.usable:
             idx, dist = _knn_explicit(rows, b, k)
         else:
-            lb = gram.lower(slice(s, s + KNN_CHUNK))
+            lb = gram.lower(slice(s, s + step))
             seeds = _least_bound_columns(lb, k)
             idx, dist = _k_nearest(pairwise_dist(rows, b, seeds), seeds, k)
             bound = np.nextafter(dist[:, -1].astype(np.float64) ** 2, np.inf)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensorio
 from .client import ClientModelState, MemoryBank, forward_memory
-from .config import RunConfig, load_federated_data
+from .config import RunConfig, load_federated_data, load_test_set
 from .errors import ConfigError
 from .evaluation import (
     EvalMetrics,
@@ -127,7 +127,7 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
             raise FileNotFoundError(f"no checkpoint for round {round_index} under {out_dir}")
     loaded_round, states, global_bank, _ = load_checkpoint(ckpt, cfg.federation)
 
-    _, test_samples = load_federated_data(cfg)
+    test_samples = load_test_set(cfg)
     if cfg.federation.baseline == "local_only":
         banks = [s.local_bank for s in states]
     else:

@@ -58,11 +58,11 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
 
     One Gram product per step bounds every candidate's squared distances
     from below (`GramFloor`); only the (candidate, point) pairs whose bound
-    does not clear the point's current D^2 get explicit differences, for
-    all candidates together, so each candidate's D^2 row is the one a full
-    recomputation would give. The first candidate of least potential wins.
-    Every potential is finite: it is at most sum(D^2), and an infinite D^2
-    makes `choice_weighted` raise first."""
+    does not clear the point's current D^2 (`GramFloor.near`) get explicit
+    differences, for all candidates together, so each candidate's D^2 row
+    is the one a full recomputation would give. The first candidate of
+    least potential wins. Every potential is finite: it is at most
+    sum(D^2), and an infinite D^2 makes `choice_weighted` raise first."""
     n = points.shape[0]
     n_candidates = 2 + int(np.log2(max(k, 2)))
     chosen = np.empty(k, dtype=np.int64)
@@ -71,7 +71,7 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     gram = GramFloor(points, points)
     for j in range(1, k):
         candidates = rng.choice_weighted(d2, n_candidates)
-        rows, cols = np.nonzero(~(gram.floors(candidates) > d2))
+        rows, cols = gram.near(candidates, d2)
         sq = np.empty(len(rows))
         # n pairs at a time: never more differences than one full candidate
         for s in range(0, len(rows), n):

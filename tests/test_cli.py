@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from feddymem import tensorio
+from feddymem import config, tensorio
 from feddymem.cli import main
-from feddymem.config import load_run_config, load_federated_data
+from feddymem.config import load_run_config, load_federated_data, load_test_set
 from feddymem.errors import ConfigError
+from feddymem.pipeline import write_synth_dataset
 
 
 def desk_doc(seed=3, rounds=2, baseline="feddymem"):
@@ -21,6 +22,18 @@ def desk_doc(seed=3, rounds=2, baseline="feddymem"):
         "dataset": {"n_types": 2, "samples_per_type": 5, "test_normals_per_type": 3,
                     "test_anomalies_per_type": 3},
     }
+
+
+def manifest_doc(root):
+    """desk_doc() reading the dataset `synth` wrote under root."""
+    doc = desk_doc()
+    doc["dataset"] = {
+        "kind": "manifest",
+        "train_manifests": [str(root / "train_client0.json"),
+                            str(root / "train_client1.json")],
+        "test_manifest": str(root / "test.json"),
+    }
+    return doc
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -79,14 +92,7 @@ class TestCliSynthAndManifest:
         assert anomalous and all("mask_path" in e for e in anomalous)
 
         # reload through the manifest dataset kind and compare tensors
-        doc = desk_doc()
-        doc["dataset"] = {
-            "kind": "manifest",
-            "train_manifests": [str(root / "train_client0.json"),
-                                str(root / "train_client1.json")],
-            "test_manifest": str(root / "test.json"),
-        }
-        cfg = load_run_config(doc)
+        cfg = load_run_config(manifest_doc(root))
         client_samples, test_samples = load_federated_data(cfg)
         synth_cfg = load_run_config(desk_doc())
         orig_clients, orig_test = load_federated_data(synth_cfg)
@@ -98,6 +104,23 @@ class TestCliSynthAndManifest:
             assert np.array_equal(a.features, b.features)
             if b.mask is not None:
                 assert np.array_equal(a.mask > 0, b.mask > 0)
+
+    def test_test_set_alone_equals_federated_data(self, tmp_path, monkeypatch):
+        synth_cfg = load_run_config(desk_doc())
+        root = write_synth_dataset(synth_cfg, tmp_path)
+        for cfg in (synth_cfg, load_run_config(manifest_doc(root))):
+            want = load_federated_data(cfg)[1]
+            with monkeypatch.context() as m:
+                # neither kind builds or reads a training sample
+                m.setattr(config, "synth_dataset", None)
+                m.setattr(cfg, "train_manifests", None)
+                got = load_test_set(cfg)
+            assert [(s.sample_id, s.label) for s in got] == [(s.sample_id, s.label) for s in want]
+            for a, b in zip(got, want):
+                assert a.features.dtype == b.features.dtype
+                assert a.features.tobytes() == b.features.tobytes()
+                assert (a.mask is None) == (b.mask is None)
+                assert a.mask is None or a.mask.tobytes() == b.mask.tobytes()
 
 
 class TestCliTrainEval:

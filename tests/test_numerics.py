@@ -212,6 +212,27 @@ def assert_same_as_oracle(a, b, k):
     assert np.array_equal(dist, want_dist)
 
 
+def record_lower(monkeypatch):
+    """Record every block of bounds `GramFloor.lower` returns."""
+    blocks = []
+    real = numerics.GramFloor.lower
+
+    def lower(self, rows):
+        blocks.append(real(self, rows))
+        return blocks[-1]
+
+    monkeypatch.setattr(numerics.GramFloor, "lower", lower)
+    return blocks
+
+
+def assert_within_budget(calls, blocks, budget):
+    """No `pairwise_dist` call computes, and no block of bounds holds, more
+    than `budget` pairs."""
+    for rows, b, *cols in calls:
+        assert rows.shape[0] * (cols[0].shape[1] if cols else b.shape[0]) <= budget
+    assert all(lb.size <= budget for lb in blocks)
+
+
 @contextlib.contextmanager
 def spy(name):
     """Record the arguments of every call the kernel makes to numerics.<name>."""
@@ -322,10 +343,14 @@ class TestKnnKernel:
         assert knn(a, b, 1)[0][0, 0] == 0
 
     def test_chunks_match_oracle(self, rng, monkeypatch):
-        monkeypatch.setattr(numerics, "KNN_CHUNK", 7)
+        monkeypatch.setattr(numerics, "KNN_BOUNDS", 7 * 50 + 3)
         a = rng.child(1).normal((40, 5))
         b = rng.child(2).normal((50, 5))
-        assert_same_as_oracle(a, b, 4)
+        blocks = record_lower(monkeypatch)
+        with spy("pairwise_dist") as calls:
+            assert_same_as_oracle(a, b, 4)
+        assert [lb.shape for lb in blocks] == [(7, 50)] * 5 + [(5, 50)]
+        assert_within_budget(calls, blocks, 7 * 50 + 3)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
@@ -357,7 +382,7 @@ class TestKnnKernel:
 
     @pytest.mark.parametrize("case", ["bound-first", "k = Q", "unusable Gram form"])
     def test_chunks_bound_every_distance_block(self, case, rng, monkeypatch):
-        monkeypatch.setattr(numerics, "KNN_CHUNK", 7)
+        monkeypatch.setattr(numerics, "KNN_BOUNDS", 7 * 25)
         a = rng.child(1).normal((40, 3), dtype=np.float64)
         b = rng.child(2).normal((25, 3), dtype=np.float64)
         k = {"bound-first": 4, "k = Q": 25, "unusable Gram form": 4}[case]
@@ -365,11 +390,22 @@ class TestKnnKernel:
             # squared norms overflow float64; distances stay finite
             a, b = 1e154 * (1 + 1e-10 * a), 1e154 * (1 + 1e-10 * b)
             assert not numerics.GramFloor(a, b).usable
+        blocks = record_lower(monkeypatch)
         with spy("pairwise_dist") as calls:
             assert_same_as_oracle(a, b, k)
-        # one or more calls per chunk of 7 rows, none of them wider
+        # one or more calls per block of 7 rows, none of them wider
         assert len(calls) >= 6
         assert all(rows.shape[0] <= 7 for rows, *_ in calls)
+        assert len(blocks) == (6 if case == "bound-first" else 0)
+        assert_within_budget(calls, blocks, 7 * 25)
+
+    def test_one_row_per_block_when_q_exceeds_the_budget(self, rng, monkeypatch):
+        monkeypatch.setattr(numerics, "KNN_BOUNDS", 10)
+        a = rng.child(1).normal((4, 3))
+        b = rng.child(2).normal((25, 3))
+        blocks = record_lower(monkeypatch)
+        assert_same_as_oracle(a, b, 2)
+        assert [lb.shape for lb in blocks] == [(1, 25)] * 4
 
     def test_selected_pairs_equal_full_matrix(self, rng):
         a = rng.child(1).normal((30, 16))
@@ -393,6 +429,53 @@ class TestKnnKernel:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             knn(np.zeros((1, 2)), np.zeros((3, 2)), 4)
+
+
+@st.composite
+def gram_case(draw):
+    """Rows of a and b drawn, with repeats, from one pool of rows that share
+    a common offset of up to 1e4, so the squared norms can dwarf the squared
+    distances; the pool's spread runs down to below the offset's roundoff."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    c = draw(st.integers(1, 64))
+    r = Rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.floats(-1e4, 1e4))
+    spread = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 1.0, 10.0]))
+    pool = (offset + spread * r.child(1).normal((6, c), dtype=np.float64)).astype(dtype)
+    pick = st.integers(0, len(pool) - 1)
+    a = pool[draw(st.lists(pick, min_size=1, max_size=8))]
+    b = pool[draw(st.lists(pick, min_size=1, max_size=12))]
+    return a, b, r.child(2)
+
+
+class TestGramFloor:
+    """The invariant `knn` and k-means++ seeding rest on: no Gram bound
+    drops a pair whose explicit squared distance could matter."""
+
+    @given(gram_case())
+    @settings(max_examples=300, deadline=None)
+    def test_floors_and_near_never_miss_an_explicit_distance(self, case):
+        a, b, r = case
+        diff = a[:, None, :] - b[None, :, :]
+        q = np.einsum("pqc,pqc->pq", diff, diff).astype(np.float64)
+        gram = numerics.GramFloor(a, b)
+        assert gram.usable
+        assert (gram.floor(gram.lower(slice(None))) <= q).all()
+        # each column's D^2 sits just above one row's explicit distance, or
+        # at zero, which no pair can be below
+        at = r.generator.integers(0, len(a), size=len(b))
+        d2 = np.nextafter(q[at, np.arange(len(b))], np.inf)
+        d2[r.generator.random(len(b)) < 0.2] = 0.0
+        kept = np.zeros(q.shape, dtype=bool)
+        kept[gram.near(np.arange(len(a)), d2)] = True
+        assert kept[q < d2].all()
+
+    def test_near_keeps_every_pair_when_unusable(self):
+        a = np.full((3, 2), 1e154)
+        gram = numerics.GramFloor(a, a[:2])
+        assert not gram.usable
+        rows, cols = gram.near(np.array([2, 0]), np.zeros(2))
+        assert sorted(zip(rows, cols)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestAdam:
