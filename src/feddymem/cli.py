@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", "full federated training run"),
         ("eval", "score the test set against a trained run"),
         ("audit", "empirical privacy audit of memory-reduce"),
-        ("bench-comm", "per-round bank vs parameter byte comparison"),
+        ("bench-comm", "one-row table: bytes a client uploads per round, bank vs parameters"),
     ]:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)

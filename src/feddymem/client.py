@@ -1,14 +1,16 @@
 """Client-side training: metric loss against the received global bank,
 memory extraction over the local dataset, and memory-reduce.
 
-A client never shares raw samples. Per round it (1) trains the projection
-and generator so local memory features align with the bank from the previous
-round, (2) extracts memory features for every local sample with the trained
-weights, and (3) compresses them into one bank-sized tensor via
+A client never shares raw samples. Its local data is one (N, H, W, Cin)
+stack of the samples' frozen fused features. Per round it (1) trains the
+projection and generator so local memory features align with the bank from
+the previous round, (2) extracts memory features for every local sample with
+the trained weights, and (3) compresses them into one bank-sized tensor via
 distance-weighted averaging plus a round-indexed EMA.
 
-A client's trainable state is one mapping of name to array, kept local (only
-banks are exchanged). Its keys, in this order, are the projection's
+A client's state is its trainable weights, their Adam moments and its
+current bank, all kept local (only banks are exchanged). The weights are one
+mapping of name to array. Its keys, in this order, are the projection's
 `proj_w`, `proj_b` (`features.init_projection`) and the generator's
 `coord_w`, `coord_b`, `phi1_w`, `phi1_b`, `phi2_w`, `phi2_b`, `out_w`,
 `out_b`, `grid` (`generator.init_generator`). Gradients, Adam states and
@@ -17,7 +19,7 @@ checkpoint sections use the same keys in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,6 @@ class MemoryBank:
     """Fixed-size set of patch features; (H, W, C) with HW patches of dim C."""
 
     data: np.ndarray
-    round_index: int = 0
 
     def __post_init__(self):
         if self.data.ndim != 3:
@@ -49,7 +50,7 @@ class MemoryBank:
         return self.data.shape[0] * self.data.shape[1]
 
     def copy(self) -> "MemoryBank":
-        return MemoryBank(data=self.data.copy(), round_index=self.round_index)
+        return MemoryBank(data=self.data.copy())
 
 
 @dataclass
@@ -76,18 +77,6 @@ class LossConfig:
             raise ValueError("learning_rate must be > 0")
         if self.local_epochs < 0:
             raise ValueError("local_epochs must be >= 0")
-
-
-@dataclass
-class ClientDataset:
-    """Local samples' frozen fused features, precomputed once as one
-    (N, H, W, Cin) stack, and their ids."""
-
-    fused: np.ndarray
-    sample_ids: list[str] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.fused)
 
 
 @dataclass
@@ -178,9 +167,10 @@ def forward_memory(state: ClientModelState, fused: np.ndarray,
     return generator_forward(projected, state.params)[0]
 
 
-def client_update(state: ClientModelState, dataset: ClientDataset, cfg: LossConfig,
+def client_update(state: ClientModelState, dataset: np.ndarray, cfg: LossConfig,
                   round_t: int, rng: Rng) -> tuple[list[float], list[float]]:
-    """Local epochs of batched training against the client's current bank.
+    """Local epochs of batched training on the (N, H, W, Cin) fused stack
+    against the client's current bank.
 
     Returns (per-batch loss trace, per-batch squared gradient norm trace);
     trace length is local_epochs * ceil(len(dataset) / batch_size).
@@ -197,7 +187,7 @@ def client_update(state: ClientModelState, dataset: ClientDataset, cfg: LossConf
         order = rng.child("shuffle", round_t, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            losses, grads = _forward_backward(state, dataset.fused[batch], bank, cfg)
+            losses, grads = _forward_backward(state, dataset[batch], bank, cfg)
             batch_loss = 0.0
             for loss in losses:
                 batch_loss += loss
@@ -213,14 +203,15 @@ def client_update(state: ClientModelState, dataset: ClientDataset, cfg: LossConf
     return loss_trace, grad_sq_trace
 
 
-def extract_all_memories(state: ClientModelState, dataset: ClientDataset,
+def extract_all_memories(state: ClientModelState, dataset: np.ndarray,
                          cfg: LossConfig) -> np.ndarray:
-    """Pure inference pass over the dataset in manifest order, one forward
-    pass per block of `cfg.batch_size` samples: (N, H, W, C)."""
+    """Pure inference pass over the (N, H, W, Cin) fused stack in manifest
+    order, one forward pass per block of `cfg.batch_size` samples:
+    (N, H, W, C)."""
     if len(dataset) == 0:
         raise ValueError("client dataset is empty")
     step = cfg.batch_size
-    return np.concatenate([forward_memory(state, dataset.fused[s:s + step], cfg.activation)
+    return np.concatenate([forward_memory(state, dataset[s:s + step], cfg.activation)
                            for s in range(0, len(dataset), step)])
 
 
@@ -265,7 +256,7 @@ def memory_reduce(memories: np.ndarray, prev_bank: MemoryBank | None,
     if t > 0:
         alpha = 1.0 / (t + 1)
         mean = alpha * mean + (1.0 - alpha) * prev_bank.data.astype(np.float64)
-    return MemoryBank(data=mean.astype(DTYPE), round_index=t)
+    return MemoryBank(data=mean.astype(DTYPE))
 
 
 def max_patch_norm(arr: np.ndarray) -> float:

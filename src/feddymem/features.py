@@ -64,7 +64,6 @@ class FeaturePyramid:
     """L per-level feature maps, spatial extents nonincreasing with level."""
 
     levels: list[np.ndarray]
-    provenance: str = ""
 
     def __post_init__(self):
         if not self.levels:
@@ -128,7 +127,7 @@ def extract_pyramid(sample, spec: ExtractorSpec) -> FeaturePyramid:
             cur = _mean_pool2(cur)
         cur = np.tanh(cur @ w)
         levels.append(cur)
-    return FeaturePyramid(levels=levels, provenance=f"synthetic:{spec.seed}")
+    return FeaturePyramid(levels=levels)
 
 
 def fuse_pyramid(p: FeaturePyramid) -> np.ndarray:
@@ -201,15 +200,10 @@ def project_backward(cache: ProjectionCache, grad_out: np.ndarray) -> dict[str, 
 # ---------------------------------------------------------------------------
 
 
-def write_pyramid(path: str | Path, p: FeaturePyramid) -> int:
-    sections = {f"level{i}": lvl for i, lvl in enumerate(p.levels)}
-    return tensorio.write_container(path, sections)
-
-
 def read_pyramid(path: str | Path) -> FeaturePyramid:
     sections = tensorio.read_container(path)
     names = sorted(sections, key=lambda n: int(n.removeprefix("level")))
-    return FeaturePyramid(levels=[sections[n] for n in names], provenance=str(path))
+    return FeaturePyramid(levels=[sections[n] for n in names])
 
 
 @dataclass

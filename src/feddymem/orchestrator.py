@@ -16,14 +16,14 @@ import os
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
 from . import tensorio
 from .client import (
-    ClientDataset,
     ClientModelState,
     LossConfig,
     MemoryBank,
@@ -39,7 +39,7 @@ from .generator import init_generator
 from .numerics import DTYPE, Rng
 from .server import (
     AggregationConfig,
-    CommLedger,
+    ExchangeRecord,
     aggregate,
     average_banks,
     bank_nbytes,
@@ -118,57 +118,18 @@ class RoundMetrics:
 
 @dataclass
 class ConvergenceMonitor:
-    """Tracks the observable consequences of the convergence analysis:
-    bounded losses (via the running max patch norm) and the per-round mean
-    squared gradient norms whose ergodic average should shrink."""
+    """The observable consequence of the convergence analysis: every
+    client's round loss stays below twice the running maximum patch norm
+    R_hat_m. Counts the losses that do not."""
 
     r_hat_m: float = 0.0
-    loss_sum: float = 0.0
-    loss_count: int = 0
-    grad_sq_sum: float = 0.0
-    grad_sq_count: int = 0
-    round_mean_losses: list[float] = field(default_factory=list)
-    round_mean_grad_sq: list[float] = field(default_factory=list)
     bound_violations: int = 0
 
     def observe_patch_norm(self, value: float) -> None:
         self.r_hat_m = max(self.r_hat_m, float(value))
 
-    def observe_round(self, losses: list[float], grad_sqs: list[float]) -> None:
-        for v in losses:
-            self.loss_sum += v
-            self.loss_count += 1
-            if v > 2.0 * self.r_hat_m + 1e-9:
-                self.bound_violations += 1
-        for g in grad_sqs:
-            self.grad_sq_sum += g
-            self.grad_sq_count += 1
-        if losses:
-            self.round_mean_losses.append(float(np.mean(losses)))
-        if grad_sqs:
-            self.round_mean_grad_sq.append(float(np.mean(grad_sqs)))
-
-    def quartile_grad_means(self) -> tuple[float, float]:
-        """Mean per-round grad-norm average over the first and last quartile."""
-        series = self.round_mean_grad_sq
-        q = max(len(series) // 4, 1)
-        return float(np.mean(series[:q])), float(np.mean(series[-q:]))
-
-    def to_dict(self) -> dict:
-        return {
-            "r_hat_m": self.r_hat_m,
-            "loss_sum": self.loss_sum,
-            "loss_count": self.loss_count,
-            "grad_sq_sum": self.grad_sq_sum,
-            "grad_sq_count": self.grad_sq_count,
-            "round_mean_losses": self.round_mean_losses,
-            "round_mean_grad_sq": self.round_mean_grad_sq,
-            "bound_violations": self.bound_violations,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ConvergenceMonitor":
-        return cls(**doc)
+    def observe_round(self, losses: list[float]) -> None:
+        self.bound_violations += sum(v > 2.0 * self.r_hat_m + 1e-9 for v in losses)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +137,7 @@ class ConvergenceMonitor:
 # ---------------------------------------------------------------------------
 
 
-def build_client_dataset(samples, spec: ExtractorSpec) -> ClientDataset:
+def build_client_dataset(samples, spec: ExtractorSpec) -> np.ndarray:
     """Precompute frozen fused features for a list of labeled samples, each
     written into its row of one (N, H, W, Cin) stack. Every sample must
     fuse to the first sample's shape."""
@@ -190,7 +151,7 @@ def build_client_dataset(samples, spec: ExtractorSpec) -> ClientDataset:
             raise ShapeError(f"sample {s.sample_id!r} fuses to {row.shape}, "
                              f"not the first sample's {fused.shape[1:]}")
         fused[i] = row
-    return ClientDataset(fused=fused, sample_ids=[s.sample_id for s in samples])
+    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +194,7 @@ def _run_clients(tasks, threads: int):
 
 
 def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
-           cfg: FederationConfig, datasets: list[ClientDataset], ledger: CommLedger,
+           cfg: FederationConfig, datasets: list[np.ndarray], ledger: list[ExchangeRecord],
            monitor: ConvergenceMonitor, threads: int) -> tuple[MemoryBank, RoundMetrics]:
     """Round t: every client trains (from round 1 on), extracts its memories
     and reduces them into a bank; the shared baselines then upload the banks,
@@ -281,7 +242,7 @@ def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
             record_exchange(ledger, t, n, "down", nbytes)
             bytes_down += nbytes
 
-    monitor.observe_round(client_losses, client_grad_sq)
+    monitor.observe_round(client_losses)
     metrics = RoundMetrics(round_index=t, client_losses=client_losses,
                            client_grad_sq_norms=client_grad_sq,
                            bytes_up=bytes_up, bytes_down=bytes_down,
@@ -290,8 +251,8 @@ def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
     return global_bank, metrics
 
 
-def initialize(cfg: FederationConfig, datasets: list[ClientDataset],
-               ledger: CommLedger | None = None,
+def initialize(cfg: FederationConfig, datasets: list[np.ndarray],
+               ledger: list[ExchangeRecord] | None = None,
                monitor: ConvergenceMonitor | None = None,
                threads: int = 1) -> tuple[list[ClientModelState], MemoryBank, RoundMetrics]:
     """Round 0: random init, then the round without training. Afterwards every
@@ -300,7 +261,7 @@ def initialize(cfg: FederationConfig, datasets: list[ClientDataset],
     that only fills the checkpoint's global slot, which no client reads."""
     if len(datasets) != cfg.n_clients:
         raise ConfigError("need one dataset per client", key="federation.n_clients")
-    ledger = ledger if ledger is not None else CommLedger()
+    ledger = ledger if ledger is not None else []
     monitor = monitor if monitor is not None else ConvergenceMonitor()
     states = [_init_client_state(cfg, n) for n in range(cfg.n_clients)]
     zero_bank = MemoryBank(data=np.zeros(cfg.bank_shape, dtype=DTYPE))
@@ -311,7 +272,7 @@ def initialize(cfg: FederationConfig, datasets: list[ClientDataset],
 
 def run_round(states: list[ClientModelState], global_bank: MemoryBank,
               round_index: int, cfg: FederationConfig,
-              datasets: list[ClientDataset], ledger: CommLedger,
+              datasets: list[np.ndarray], ledger: list[ExchangeRecord],
               monitor: ConvergenceMonitor,
               threads: int = 1) -> tuple[MemoryBank, RoundMetrics]:
     """One synchronous communication round (train, reduce, upload, aggregate,
@@ -341,8 +302,7 @@ def save_checkpoint(out_dir: Path, round_index: int, states: list[ClientModelSta
     tmp = ckpt.with_name(f"partial_{ckpt.name}")
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir(parents=True)
-    manifest = {"round": round_index, "clients": [], "monitor": monitor.to_dict(),
-                "global_bank_round": global_bank.round_index}
+    manifest = {"round": round_index, "clients": [], "monitor": asdict(monitor)}
     for state in states:
         sections: dict[str, np.ndarray] = {}
         steps: dict[str, int] = {}
@@ -354,12 +314,7 @@ def save_checkpoint(out_dir: Path, round_index: int, states: list[ClientModelSta
         sections["bank"] = state.local_bank.data
         fname = f"client_{state.client_id}.fdmc"
         tensorio.write_container(tmp / fname, sections)
-        manifest["clients"].append({
-            "id": state.client_id,
-            "file": fname,
-            "adam_steps": steps,
-            "bank_round": state.local_bank.round_index,
-        })
+        manifest["clients"].append({"id": state.client_id, "file": fname, "adam_steps": steps})
     tensorio.write_tensor(tmp / "global_bank.fdm1", global_bank.data)
     (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     shutil.rmtree(ckpt, ignore_errors=True)
@@ -367,26 +322,45 @@ def save_checkpoint(out_dir: Path, round_index: int, states: list[ClientModelSta
     return ckpt
 
 
+def _require_shape(what: str, got: tuple, want: tuple) -> None:
+    if got != tuple(want):
+        raise ConfigError(f"checkpoint {what} has shape {got}; the config gives {tuple(want)}")
+
+
 def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
         -> tuple[int, list[ClientModelState], MemoryBank, ConvergenceMonitor]:
+    """Each client's weights, Adam moments and bank, the global bank, and
+    the monitor's `r_hat_m` and `bound_violations`. Manifest keys beyond
+    these, which older checkpoints hold, are ignored. The checkpoint must
+    hold clients 0..n_clients-1, and every section and bank must have the
+    shape the config gives it, or `ConfigError` names what differs."""
     manifest = json.loads((ckpt / "manifest.json").read_text())
     round_index = int(manifest["round"])
+    ids = sorted(entry["id"] for entry in manifest["clients"])
+    if ids != list(range(cfg.n_clients)):
+        raise ConfigError(f"checkpoint {ckpt} holds clients {ids}, not the "
+                          f"{cfg.n_clients} of the config", key="federation.n_clients")
     states = []
     for entry in sorted(manifest["clients"], key=lambda e: e["id"]):
         sections = tensorio.read_container(ckpt / entry["file"])
         state = _init_client_state(cfg, entry["id"])
+        shapes = {"bank": cfg.bank_shape}
+        for name, fresh in state.params.items():
+            shapes.update(dict.fromkeys((name, f"adam_m.{name}", f"adam_v.{name}"), fresh.shape))
+        for key, shape in shapes.items():
+            _require_shape(f"{entry['file']} section {key!r}", sections[key].shape, shape)
         for name in state.params:
             state.params[name] = sections[name]
             adam = state.adam[name]
             adam.m = sections[f"adam_m.{name}"]
             adam.v = sections[f"adam_v.{name}"]
             adam.step = int(entry["adam_steps"][name])
-        state.local_bank = MemoryBank(data=sections["bank"],
-                                      round_index=int(entry["bank_round"]))
+        state.local_bank = MemoryBank(data=sections["bank"])
         states.append(state)
-    global_bank = MemoryBank(data=tensorio.read_tensor(ckpt / "global_bank.fdm1"),
-                             round_index=int(manifest["global_bank_round"]))
-    monitor = ConvergenceMonitor.from_dict(manifest["monitor"])
+    global_bank = MemoryBank(data=tensorio.read_tensor(ckpt / "global_bank.fdm1"))
+    _require_shape("global_bank.fdm1", global_bank.data.shape, cfg.bank_shape)
+    doc = manifest["monitor"]
+    monitor = ConvergenceMonitor(float(doc["r_hat_m"]), int(doc["bound_violations"]))
     return round_index, states, global_bank, monitor
 
 
@@ -411,97 +385,69 @@ class TrainingResult:
     states: list[ClientModelState]
     global_bank: MemoryBank
     metrics: list[RoundMetrics]
-    ledger: CommLedger
     monitor: ConvergenceMonitor
     out_dir: Path
 
 
-def _truncate_jsonl(path: Path, max_round: int) -> list[str]:
-    if not path.exists():
-        return []
+def _log_round(line: str) -> int:
+    """The round of a metrics.jsonl line, or of a ledger.csv or timings.csv row."""
+    return json.loads(line)["round"] if line.startswith("{") else int(line.split(",", 1)[0])
+
+
+def _open_log(path: Path, header: str, last: int) -> TextIO:
+    """Open a log for appending the rounds after `last`. It is first cut
+    back to its header and its lines of rounds 0..last, none when last is
+    -1; every kept line keeps its own line ending."""
     kept = []
-    for line in path.read_text().splitlines():
-        if not line:
-            continue
-        if json.loads(line)["round"] <= max_round:
-            kept.append(line)
-    return kept
+    if last >= 0 and path.exists():
+        with open(path, newline="") as fh:
+            kept = [line for line in fh.readlines()[1 if header else 0:]
+                    if _log_round(line) <= last]
+    fh = open(path, "w", newline="")
+    fh.writelines([header, *kept])
+    fh.flush()
+    return fh
 
 
-def _restore_ledger(path: Path, max_round: int) -> CommLedger:
-    ledger = CommLedger()
-    if not path.exists():
-        return ledger
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if int(row["round"]) <= max_round:
-                record_exchange(ledger, int(row["round"]), int(row["client"]),
-                                row["direction"], int(row["bytes"]))
-    return ledger
-
-
-def _truncate_timings(path: Path, max_round: int) -> list[str]:
-    if not path.exists():
-        return ["round,seconds"]
-    kept = ["round,seconds"]
-    for line in path.read_text().splitlines()[1:]:
-        if line and int(line.split(",", 1)[0]) <= max_round:
-            kept.append(line)
-    return kept
-
-
-def run_training(cfg: FederationConfig, datasets: list[ClientDataset],
+def run_training(cfg: FederationConfig, datasets: list[np.ndarray],
                  out_dir: str | Path, threads: int = 1,
                  resume: bool = False) -> TrainingResult:
-    """Initialization plus T rounds, with persistence.
+    """Initialization (round 0) plus T rounds, with persistence.
 
-    Writes metrics.jsonl (deterministic bytes), timings.csv, ledger.csv and
-    periodic checkpoints under out_dir. With resume=True the latest
-    checkpoint is loaded and the run continues identically to an
-    uninterrupted one.
+    Writes metrics.jsonl (deterministic bytes), ledger.csv, timings.csv and
+    periodic checkpoints under out_dir. Each round's lines are appended and
+    flushed as the round ends, so a killed run leaves the logs at its last
+    finished round. With resume=True the latest checkpoint, of round r, is
+    loaded, the logs are cut back to rounds 0..r and the run continues
+    identically to an uninterrupted one; without a checkpoint it starts
+    afresh. `metrics` of the result holds the rounds this call ran.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.jsonl"
-    ledger_path = out_dir / "ledger.csv"
-    timings_path = out_dir / "timings.csv"
+    ckpt = latest_checkpoint(out_dir) if resume else None
+    if ckpt is None:
+        last, states, global_bank, monitor = -1, [], None, ConvergenceMonitor()
+    else:
+        last, states, global_bank, monitor = load_checkpoint(ckpt, cfg)
 
     metrics: list[RoundMetrics] = []
-    ckpt = latest_checkpoint(out_dir) if resume else None
-    if ckpt is not None:
-        start_round, states, global_bank, monitor = load_checkpoint(ckpt, cfg)
-        ledger = _restore_ledger(ledger_path, start_round)
-        metrics_lines = _truncate_jsonl(metrics_path, start_round)
-        timing_lines = _truncate_timings(timings_path, start_round)
-    else:
-        start_round = 0
-        monitor = ConvergenceMonitor()
-        ledger = CommLedger()
-        states, global_bank, init_metrics = initialize(cfg, datasets, ledger,
-                                                       monitor, threads)
-        metrics.append(init_metrics)
-        metrics_lines = [init_metrics.to_json_line()]
-        timing_lines = ["round,seconds", f"0,{init_metrics.wall_time:.6f}"]
-        if cfg.checkpoint_interval > 0:
-            save_checkpoint(out_dir, 0, states, global_bank, monitor)
-
-    # the three logs hold rounds 0..start_round before any later round runs,
-    # and each later round is appended and flushed as it ends, so a killed
-    # run leaves them at its last finished round
-    metrics_path.write_text("".join(line + "\n" for line in metrics_lines))
-    timings_path.write_text("".join(line + "\n" for line in timing_lines))
-    ledger.to_csv(ledger_path)
-    with open(metrics_path, "a") as metrics_fh, \
-            open(ledger_path, "a", newline="") as ledger_fh, \
-            open(timings_path, "a") as timings_fh:
+    # csv.writer ends the ledger rows with \r\n, so its header ends so too
+    with _open_log(out_dir / "metrics.jsonl", "", last) as metrics_fh, \
+            _open_log(out_dir / "ledger.csv", "round,client,direction,bytes\r\n",
+                      last) as ledger_fh, \
+            _open_log(out_dir / "timings.csv", "round,seconds\n", last) as timings_fh:
         ledger_writer = csv.writer(ledger_fh)
-        for t in range(start_round + 1, cfg.rounds + 1):
-            logged = len(ledger.records)
-            global_bank, round_metrics = run_round(
-                states, global_bank, t, cfg, datasets, ledger, monitor, threads)
+        for t in range(last + 1, cfg.rounds + 1):
+            exchanges: list[ExchangeRecord] = []
+            if t == 0:
+                states, global_bank, round_metrics = initialize(
+                    cfg, datasets, exchanges, monitor, threads)
+            else:
+                global_bank, round_metrics = run_round(
+                    states, global_bank, t, cfg, datasets, exchanges, monitor, threads)
             metrics.append(round_metrics)
             metrics_fh.write(round_metrics.to_json_line() + "\n")
-            ledger_writer.writerows(r.csv_row() for r in ledger.records[logged:])
+            ledger_writer.writerows(astuple(r) for r in exchanges)
             timings_fh.write(f"{t},{round_metrics.wall_time:.6f}\n")
             for fh in (metrics_fh, ledger_fh, timings_fh):
                 fh.flush()
@@ -512,4 +458,4 @@ def run_training(cfg: FederationConfig, datasets: list[ClientDataset],
     tensorio.write_tensor(out_dir / "global_bank.fdm1", global_bank.data)
 
     return TrainingResult(states=states, global_bank=global_bank, metrics=metrics,
-                          ledger=ledger, monitor=monitor, out_dir=out_dir)
+                          monitor=monitor, out_dir=out_dir)

@@ -93,7 +93,7 @@ def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],
     step = cfg.loss.batch_size
     for s in range(0, len(test_samples), step):
         block = test_samples[s:s + step]
-        fused = build_client_dataset(block, cfg.extractor).fused
+        fused = build_client_dataset(block, cfg.extractor)
         for n, (state, bank) in enumerate(zip(states, banks)):
             scored[n] += score_test_set(state, bank, block, fused, cfg)
     i_aurocs, p_aurocs, pros = [], [], []
@@ -196,17 +196,14 @@ def write_synth_dataset(cfg: RunConfig, out_dir: str | Path) -> Path:
 
 
 def bench_comm(cfg: RunConfig, out_dir: str | Path) -> Path:
-    """Per-round byte table: memory-bank exchange vs parameter exchange."""
+    """One-row table of the bytes each client uploads per round: its memory
+    bank, against the parameters a parameter-averaging protocol sends."""
     fed = cfg.federation
     state = _init_client_state(fed, 0)
     bank = MemoryBank(data=np.zeros(fed.bank_shape, dtype=DTYPE))
     bank_bytes = bank_nbytes(bank)
-    # what a parameter-averaging protocol would upload per client and round
     param_bytes = params_nbytes(state.params)
     out_path = Path(out_dir) / "comm.csv"
-    rounds = max(fed.rounds, 1)
-    with open(out_path, "w") as fh:
-        fh.write("round,bank_bytes_per_client,param_bytes_per_client\n")
-        for t in range(1, rounds + 1):
-            fh.write(f"{t},{bank_bytes},{param_bytes}\n")
+    out_path.write_text("bank_bytes_per_client,param_bytes_per_client\n"
+                        f"{bank_bytes},{param_bytes}\n")
     return out_path

@@ -9,9 +9,7 @@ is order-invariant over bank patches.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,8 +218,7 @@ def aggregate(banks: list[MemoryBank], cfg: AggregationConfig) -> MemoryBank:
     h, w, c = shape
     pooled = np.concatenate([b.patches for b in banks], axis=0)
     result = kmeans(pooled, h * w, cfg)
-    return MemoryBank(data=result.centers.reshape(h, w, c),
-                      round_index=banks[0].round_index)
+    return MemoryBank(data=result.centers.reshape(h, w, c))
 
 
 def average_banks(banks: list[MemoryBank]) -> MemoryBank:
@@ -229,8 +226,7 @@ def average_banks(banks: list[MemoryBank]) -> MemoryBank:
     if not banks:
         raise ValueError("no banks to average")
     stack = np.stack([b.data for b in banks]).astype(np.float64)
-    return MemoryBank(data=stack.mean(axis=0).astype(banks[0].data.dtype),
-                      round_index=banks[0].round_index)
+    return MemoryBank(data=stack.mean(axis=0).astype(banks[0].data.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -240,45 +236,21 @@ def average_banks(banks: list[MemoryBank]) -> MemoryBank:
 
 @dataclass
 class ExchangeRecord:
+    """One bank transfer; its fields, in order, are the columns of ledger.csv."""
+
     round_index: int
     client: int
     direction: str  # "up" | "down"
     nbytes: int
 
-    def csv_row(self) -> list:
-        return [self.round_index, self.client, self.direction, self.nbytes]
 
-
-@dataclass
-class CommLedger:
-    records: list[ExchangeRecord] = field(default_factory=list)
-
-    def totals(self) -> tuple[int, int]:
-        up = sum(r.nbytes for r in self.records if r.direction == "up")
-        down = sum(r.nbytes for r in self.records if r.direction == "down")
-        return up, down
-
-    def message_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for r in self.records:
-            counts[r.client] = counts.get(r.client, 0) + 1
-        return counts
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "client", "direction", "bytes"])
-            writer.writerows(r.csv_row() for r in self.records)
-
-
-def record_exchange(ledger: CommLedger, round_index: int, client: int,
-                    direction: str, nbytes: int) -> CommLedger:
+def record_exchange(ledger: list[ExchangeRecord], round_index: int, client: int,
+                    direction: str, nbytes: int) -> None:
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     if nbytes < 0:
         raise ValueError("nbytes must be >= 0")
-    ledger.records.append(ExchangeRecord(round_index, client, direction, nbytes))
-    return ledger
+    ledger.append(ExchangeRecord(round_index, client, direction, nbytes))
 
 
 def bank_nbytes(bank: MemoryBank) -> int:

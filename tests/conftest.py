@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from feddymem import tensorio
+from feddymem.features import FeaturePyramid
 from feddymem.numerics import Rng
 
 
@@ -20,3 +22,10 @@ def rng():
 def f64(rng: Rng, shape, scale=1.0):
     """float64 test tensor; gradient checks run the same ops in f64."""
     return rng.generator.standard_normal(shape) * scale
+
+
+def write_pyramid(path, p: FeaturePyramid) -> int:
+    """Write a pyramid in the format the file extractor reads
+    (`features.read_pyramid`): one FDMC section per level."""
+    sections = {f"level{i}": lvl for i, lvl in enumerate(p.levels)}
+    return tensorio.write_container(path, sections)

@@ -41,7 +41,6 @@ from feddymem.pipeline import eval_run, train_run
 from feddymem.privacy import AuditConfig, audit_reduction
 from feddymem.server import (
     AggregationConfig,
-    CommLedger,
     aggregate,
     bank_nbytes,
     kmeans,
@@ -225,7 +224,7 @@ def test_criterion_3_memory_reduce_algebra():
     mean_err = max_rel_err(memory_reduce(np.stack(mems), None, 0).data,
                            np.mean(np.stack(mems), axis=0))
 
-    prev = MemoryBank(data=r.child("prev").normal((4, 4, 3)), round_index=0)
+    prev = MemoryBank(data=r.child("prev").normal((4, 4, 3)))
     out1 = memory_reduce(np.stack(mems), prev, 1)
     w = np.array([np.linalg.norm((m - prev.data).reshape(-1)) for m in mems])
     mbar = np.tensordot(w, np.stack(mems), axes=1) / w.sum()
@@ -237,7 +236,7 @@ def test_criterion_3_memory_reduce_algebra():
 
     a = np.full((1, 1, 1), 1.0, dtype=np.float32)
     b = np.full((1, 1, 1), 3.0, dtype=np.float32)
-    zero_prev = MemoryBank(data=np.zeros((1, 1, 1), dtype=np.float32), round_index=0)
+    zero_prev = MemoryBank(data=np.zeros((1, 1, 1), dtype=np.float32))
     scalar = memory_reduce(np.stack([a, b]), zero_prev, 1).data.item()
 
     ok = mean_err <= 1e-6 and midpoint_err <= 1e-6 and perm_err < 1e-5 and scalar == 1.25
@@ -270,7 +269,7 @@ def _brute_force_sse(points: np.ndarray, k: int) -> float:
 
 def test_criterion_4_aggregation_correctness():
     data = Rng(21).normal((3, 4, 3))
-    banks = [MemoryBank(data=data.copy(), round_index=0) for _ in range(4)]
+    banks = [MemoryBank(data=data.copy()) for _ in range(4)]
     out = aggregate(banks, AggregationConfig(seed=2, n_init=4))
     hausdorff = 0.0
     from feddymem.numerics import pairwise_dist
@@ -313,7 +312,7 @@ def test_criterion_5_protocol_invariants():
                                    base_hw=cfg_fed.extractor.base_hw,
                                    n_clients=3, seed=11))
     datasets = [build_client_dataset(s, cfg_fed.extractor) for s in data.client_train]
-    ledger = CommLedger()
+    ledger = []
     monitor = ConvergenceMonitor()
     states, bank, _ = initialize(cfg_fed, datasets, ledger, monitor)
 

@@ -192,7 +192,7 @@ class TestCliTrainEval:
 
         # the files a second, separate scoring of client 0 writes
         _, states, bank, _ = load_checkpoint(latest_checkpoint(out), cfg.federation)
-        fused = build_client_dataset(test, cfg.federation.extractor).fused
+        fused = build_client_dataset(test, cfg.federation.extractor)
         want = {f"{s.sample_id}.fdm1": s.pixel_scores
                 for s in pipeline.score_test_set(states[0], bank, test, fused, cfg.federation)}
         written = sorted((out / "heatmaps").iterdir())
@@ -232,8 +232,9 @@ class TestCliAuditBench:
         out = tmp_path / "out"
         assert main(["bench-comm", "--config", cfg_path, "--out", str(out)]) == 0
         lines = (out / "comm.csv").read_text().splitlines()
-        assert lines[0] == "round,bank_bytes_per_client,param_bytes_per_client"
-        _, bank_b, param_b = lines[1].split(",")
+        assert lines[0] == "bank_bytes_per_client,param_bytes_per_client"
+        assert len(lines) == 2
+        bank_b, param_b = lines[1].split(",")
         assert int(bank_b) < int(param_b)
 
 
@@ -289,6 +290,43 @@ class TestCliErrors:
         err = json.loads(capsys.readouterr().out)["error"]
         assert code == 4
         assert err["type"] == "numeric"
+
+    def _checkpointed_run(self, tmp_path):
+        """A 3-client run of one round, checkpointed at rounds 0 and 1."""
+        doc = desk_doc(rounds=1)
+        doc["federation"]["n_clients"] = 3
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        return doc, out
+
+    def _rejected(self, tmp_path, capsys, command, doc, out):
+        metrics = (out / "metrics.jsonl").read_bytes()
+        code = main([*command, "--config", write_config(tmp_path, doc, "changed.json"),
+                     "--out", str(out)])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2 and err["type"] == "config"
+        assert (out / "metrics.jsonl").read_bytes() == metrics
+        return err
+
+    def test_resume_with_more_clients_than_checkpointed_exit_2(self, tmp_path, capsys):
+        doc, out = self._checkpointed_run(tmp_path)
+        doc["federation"].update(n_clients=5, rounds=2)
+        err = self._rejected(tmp_path, capsys, ["train", "--resume"], doc, out)
+        assert err["key"] == "federation.n_clients"
+
+    def test_eval_with_fewer_clients_than_checkpointed_exit_2(self, tmp_path, capsys):
+        doc, out = self._checkpointed_run(tmp_path)
+        doc["federation"]["n_clients"] = 2
+        err = self._rejected(tmp_path, capsys, ["eval"], doc, out)
+        assert err["key"] == "federation.n_clients"
+        assert not (out / "results.csv").exists()
+
+    def test_resume_with_other_memory_channels_exit_2(self, tmp_path, capsys):
+        doc, out = self._checkpointed_run(tmp_path)
+        doc["memory"]["channels"] = 8
+        doc["federation"]["rounds"] = 2
+        err = self._rejected(tmp_path, capsys, ["train", "--resume"], doc, out)
+        assert "client_0.fdmc section 'bank'" in err["message"]
 
     def test_init_command(self, tmp_path):
         cfg_path = write_config(tmp_path, desk_doc(rounds=7))

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import f64, max_rel_err
 from feddymem.client import (
-    ClientDataset,
     ClientModelState,
     LossConfig,
     MemoryBank,
@@ -24,8 +23,8 @@ from feddymem.generator import init_generator
 from feddymem.numerics import Rng, adam_step, finite_diff_grad, pairwise_dist
 
 
-def make_bank(rng, h=4, w=4, c=3, round_index=0):
-    return MemoryBank(data=rng.normal((h, w, c)).astype(np.float64), round_index=round_index)
+def make_bank(rng, h=4, w=4, c=3):
+    return MemoryBank(data=rng.normal((h, w, c)).astype(np.float64))
 
 
 def make_state(seed=0, cin=6, c=3, cfg=None):
@@ -142,8 +141,7 @@ class TestMetricLoss:
 
 def _tiny_dataset(state, n=6, seed=3):
     rng = Rng(seed)
-    fused = np.stack([rng.child(i).normal((4, 4, 6)) for i in range(n)])
-    return ClientDataset(fused=fused, sample_ids=[f"s{i}" for i in range(n)])
+    return np.stack([rng.child(i).normal((4, 4, 6)) for i in range(n)])
 
 
 class TestClientUpdate:
@@ -192,8 +190,7 @@ class TestClientUpdate:
         state = make_state(cfg=cfg)
         state.local_bank = make_bank(Rng(5), 4, 4, 3)
         with pytest.raises(ValueError):
-            client_update(state, ClientDataset(fused=np.empty((0, 4, 4, 6), np.float32)),
-                          cfg, 1, Rng(0))
+            client_update(state, np.empty((0, 4, 4, 6), np.float32), cfg, 1, Rng(0))
 
 
 def _per_sample_update(state, dataset, cfg, round_t, rng):
@@ -207,7 +204,7 @@ def _per_sample_update(state, dataset, cfg, round_t, rng):
             batch = order[start:start + cfg.batch_size]
             acc, batch_loss = {}, 0.0
             for i in batch:
-                (loss,), grads = _forward_backward(state, dataset.fused[i:i + 1],
+                (loss,), grads = _forward_backward(state, dataset[i:i + 1],
                                                    state.local_bank, cfg)
                 batch_loss += loss
                 for name, g in grads.items():
@@ -228,7 +225,7 @@ def _typed_setup(seed, n, dtype, cfg):
     state.params = {k: v.astype(dtype) for k, v in state.params.items()}
     init_adam_states(state, cfg)
     state.local_bank = MemoryBank(data=Rng(seed).child("bank").normal((4, 4, 3)).astype(dtype))
-    data = ClientDataset(fused=Rng(seed).child("data").normal((n, 4, 4, 6)).astype(dtype))
+    data = Rng(seed).child("data").normal((n, 4, 4, 6)).astype(dtype)
     return state, data
 
 
@@ -242,10 +239,10 @@ class TestBatchedStep:
     def test_batch_gradients_equal_accumulated_singles(self, b, activation, dtype, seed):
         cfg = LossConfig(activation=activation)
         state, data = _typed_setup(seed, b, dtype, cfg)
-        losses, grads = _forward_backward(state, data.fused, state.local_bank, cfg)
+        losses, grads = _forward_backward(state, data, state.local_bank, cfg)
         acc, singles = {}, []
         for i in range(b):
-            (loss,), one = _forward_backward(state, data.fused[i:i + 1], state.local_bank, cfg)
+            (loss,), one = _forward_backward(state, data[i:i + 1], state.local_bank, cfg)
             singles.append(loss)
             for name, g in one.items():
                 acc[name] = acc.get(name, 0.0) + g
@@ -290,7 +287,7 @@ class TestExtractAllMemories:
         state = make_state()
         data = _tiny_dataset(state, n=7)
         for activation in ("relu", "tanh"):
-            singles = [forward_memory(state, data.fused[i:i + 1], activation)[0]
+            singles = [forward_memory(state, data[i:i + 1], activation)[0]
                        for i in range(len(data))]
             for batch_size in (1, 2, 3, 7, 8):
                 memories = extract_all_memories(
@@ -310,7 +307,7 @@ class TestMemoryReduce:
     def test_hand_scalar_case(self):
         a = np.full((1, 1, 1), 1.0, dtype=np.float32)
         b = np.full((1, 1, 1), 3.0, dtype=np.float32)
-        prev = MemoryBank(data=np.zeros((1, 1, 1), dtype=np.float32), round_index=0)
+        prev = MemoryBank(data=np.zeros((1, 1, 1), dtype=np.float32))
         out = memory_reduce(np.stack([a, b]), prev, 1)
         # weights (1, 3) -> weighted mean 2.5; alpha=1/2 blends with prev 0
         assert out.data[0, 0, 0] == 1.25

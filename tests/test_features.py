@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import f64, max_rel_err
+from conftest import f64, max_rel_err, write_pyramid
 from feddymem.errors import ShapeError
 from feddymem.features import (
     ExtractorSpec,
@@ -14,7 +14,6 @@ from feddymem.features import (
     project_forward,
     read_pyramid,
     write_manifest,
-    write_pyramid,
     ManifestEntry,
 )
 from feddymem.numerics import Rng, bilinear_resize, conv1x1_forward, finite_diff_grad

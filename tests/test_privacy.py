@@ -102,8 +102,7 @@ class TestDynamicScalarReduce:
         vec = dynamic_scalar_reduce(y, prev_val, t=1)
         for j in range(trials):
             mems = [np.full((1, 1, 1), y[i, j], dtype=np.float32) for i in range(d)]
-            prev = MemoryBank(data=np.full((1, 1, 1), prev_val, dtype=np.float32),
-                              round_index=0)
+            prev = MemoryBank(data=np.full((1, 1, 1), prev_val, dtype=np.float32))
             expected = memory_reduce(np.stack(mems), prev, 1).data.item()
             assert vec[j] == pytest.approx(expected, rel=1e-5)
 

@@ -9,7 +9,6 @@ from feddymem.errors import ShapeError
 from feddymem.numerics import Rng, pairwise_dist
 from feddymem.server import (
     AggregationConfig,
-    CommLedger,
     _hartigan_polish,
     _plusplus_seeding,
     aggregate,
@@ -204,7 +203,7 @@ class TestKMeans:
 class TestAggregate:
     def test_single_client_distinct_patches(self):
         data = Rng(7).normal((3, 3, 2))
-        bank = MemoryBank(data=data, round_index=0)
+        bank = MemoryBank(data=data)
         out = aggregate([bank], AggregationConfig(seed=2))
         got = set(map(tuple, np.round(out.patches, 5).tolist()))
         want = set(map(tuple, np.round(bank.patches, 5).tolist()))
@@ -212,7 +211,7 @@ class TestAggregate:
 
     def test_identical_banks_hausdorff_zero(self):
         data = Rng(8).normal((2, 3, 2))
-        banks = [MemoryBank(data=data.copy(), round_index=1) for _ in range(3)]
+        banks = [MemoryBank(data=data.copy()) for _ in range(3)]
         out = aggregate(banks, AggregationConfig(seed=4))
         # exact set equality: every center recovers one duplicated point
         got = sorted(map(tuple, out.patches.tolist()))
@@ -231,7 +230,7 @@ class TestAggregate:
                 p = centers[k] + rng.child(2, n, k).normal((3,), std=0.01)
                 pts[k] = p
                 all_pts[k].append(p)
-            banks.append(MemoryBank(data=pts.reshape(h, w, 3), round_index=0))
+            banks.append(MemoryBank(data=pts.reshape(h, w, 3)))
         out = aggregate(banks, AggregationConfig(seed=3))
         blob_means = np.array([np.mean(all_pts[k], axis=0) for k in range(h * w)])
         for center in out.patches:
@@ -255,32 +254,14 @@ class TestAggregate:
 
 
 class TestLedger:
-    def test_empty_totals(self):
-        ledger = CommLedger()
-        assert ledger.totals() == (0, 0)
-
     def test_bank_byte_arithmetic(self):
         bank = MemoryBank(data=np.zeros((14, 14, 16), np.float32))
-        ledger = CommLedger()
-        for n in range(5):
-            record_exchange(ledger, 1, n, "up", bank_nbytes(bank))
         header = 4 + 1 + 3 * 4
-        assert ledger.totals()[0] == 5 * (14 * 14 * 16 * 4 + header)
-
-    def test_message_counts_and_csv(self, tmp_path):
-        ledger = CommLedger()
-        record_exchange(ledger, 0, 0, "up", 10)
-        record_exchange(ledger, 0, 0, "down", 20)
-        record_exchange(ledger, 1, 1, "up", 30)
-        assert ledger.message_counts() == {0: 2, 1: 1}
-        ledger.to_csv(tmp_path / "ledger.csv")
-        lines = (tmp_path / "ledger.csv").read_text().strip().splitlines()
-        assert lines[0] == "round,client,direction,bytes"
-        assert lines[1] == "0,0,up,10"
+        assert bank_nbytes(bank) == 14 * 14 * 16 * 4 + header
 
     def test_bad_direction(self):
         with pytest.raises(ValueError):
-            record_exchange(CommLedger(), 0, 0, "sideways", 1)
+            record_exchange([], 0, 0, "sideways", 1)
 
     def test_param_bytes_exact(self):
         from feddymem.tensorio import dump_container
