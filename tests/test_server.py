@@ -1,4 +1,7 @@
+import csv
 import itertools
+from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -258,6 +261,18 @@ class TestLedger:
         bank = MemoryBank(data=np.zeros((14, 14, 16), np.float32))
         header = 4 + 1 + 3 * 4
         assert bank_nbytes(bank) == 14 * 14 * 16 * 4 + header
+
+    def test_message_counts_and_csv(self, tmp_path):
+        ledger = []
+        record_exchange(ledger, 0, 0, "up", 10)
+        record_exchange(ledger, 0, 0, "down", 20)
+        record_exchange(ledger, 1, 1, "up", 30)
+        assert Counter(r.round_index for r in ledger) == {0: 2, 1: 1}
+        # run_training writes ledger.csv rows as the records' fields, in order
+        with open(tmp_path / "ledger.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(astuple(r) for r in ledger)
+        lines = (tmp_path / "ledger.csv").read_bytes().split(b"\r\n")
+        assert lines == [b"0,0,up,10", b"0,0,down,20", b"1,1,up,30", b""]
 
     def test_bad_direction(self):
         with pytest.raises(ValueError):
