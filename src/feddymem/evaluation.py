@@ -1,9 +1,9 @@
 """Test-time scoring, detection metrics and the synthetic benchmark.
 
 Scoring follows the nearest-neighbor convention: per-pixel anomaly score is
-the smallest distance among the K retrieved bank neighbors (the 1-NN
-distance; a mean-of-K variant is available for ablation), and the image
-score is a softmax-weighted maximum over the pixel map.
+the distance to the nearest bank patch (the 1-NN distance; the mean over
+the K nearest is available for ablation), and the image score is a
+softmax-weighted maximum over the pixel map.
 
 The synthetic dataset builds per-type smooth prototypes, adds low-magnitude
 smooth noise for normal samples, and perturbs one contiguous patch for
@@ -56,13 +56,21 @@ class AnomalyMap:
 
 def pixel_scores(m_test: np.ndarray, bank: MemoryBank, k: int,
                  mode: str = "min") -> np.ndarray:
-    """Per-pixel anomaly scores from the K nearest bank patches."""
+    """Per-pixel anomaly scores from the K nearest bank patches: the nearest
+    one's distance in `min` mode, the mean of the K distances in `mean` mode.
+
+    `min` mode looks up one neighbour only: `knn`'s column 0 is the least
+    explicit distance whatever k is, so the scores are the same, bit for
+    bit, as the first column of a K-neighbour lookup.
+    """
     if mode not in ("min", "mean"):
         raise ValueError(f"unknown score mode {mode!r}")
     h, w, c = m_test.shape
     if c != bank.data.shape[2]:
         raise ShapeError(f"memory channels {c} != bank channels {bank.data.shape[2]}")
-    _, dist = knn_lookup(m_test.reshape(h * w, c), bank, k)
+    if not 1 <= k <= bank.size:
+        raise ValueError(f"k={k} must be in [1, {bank.size}] for a bank of that size")
+    _, dist = knn_lookup(m_test.reshape(h * w, c), bank, 1 if mode == "min" else k)
     scores = dist[:, 0] if mode == "min" else dist.mean(axis=1)
     return scores.reshape(h, w)
 
@@ -101,8 +109,8 @@ def postprocess_heatmap(a: np.ndarray, image_hw: tuple[int, int],
 # ---------------------------------------------------------------------------
 
 
-# Rows of the (curve points, regions) hit-count matrix built at a time in
-# `pro`, so its memory stays bounded however many points the curve has.
+# Curve points whose (points, regions) hit counts `pro` builds at a time, so
+# its memory stays bounded however many points the curve has.
 PRO_HITS_CHUNK = 512
 
 
@@ -143,46 +151,58 @@ def auroc(scores, labels) -> float:
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def pro(heatmaps: list[np.ndarray], masks: list[np.ndarray],
+def label_regions(masks: list[np.ndarray]) -> list[np.ndarray]:
+    """One integer region map per mask, for `pro`: the 4-connected regions
+    of the mask's nonzero pixels, numbered 1..R across the whole list in
+    mask order (so every id is unique to one region of one mask), and 0 for
+    normal pixels. A test set's masks are labelled once for every list of
+    heatmaps scored against them."""
+    out = []
+    offset = 0
+    for mask in masks:
+        labeled, n_regions = ndimage.label(mask > 0)
+        ids = labeled.astype(np.int64)
+        ids[ids > 0] += offset
+        out.append(ids)
+        offset += n_regions
+    return out
+
+
+def pro(heatmaps: list[np.ndarray], regions: list[np.ndarray],
         fpr_budget: float = 0.3) -> float:
     """Per-region overlap averaged over thresholds up to the FPR budget.
 
-    Ground-truth regions use 4-connectivity. The (FPR, PRO) curve is swept
-    over the distinct score values from the highest down, and stops at the
-    first one whose FPR reaches the budget; it is integrated as a step
-    function from FPR 0 to the budget, normalized by the budget.
+    `regions` holds one region map per heatmap, as `label_regions` returns
+    for the ground-truth masks; it is only read. The (FPR, PRO) curve is
+    swept over the distinct score values from the highest down, and stops
+    at the first one whose FPR reaches the budget; it is integrated as a
+    step function from FPR 0 to the budget, normalized by the budget.
 
     The cost is one sort of all pixel scores plus cumulative counts: the
     false positives at each threshold are a running sum over the sorted
     pixels, and a region's hits are the number of its pixels sorted at or
     before the threshold. Only the last threshold of each run of equal FPR
-    is evaluated, since the step function reads no other, and the hit
-    counts are built `PRO_HITS_CHUNK` thresholds at a time, so memory
-    stays bounded by the chunk, not by the length of the curve.
+    is evaluated, since the step function reads no other. Per chunk of
+    `PRO_HITS_CHUNK` thresholds, one `bincount` counts the region pixels
+    between each threshold and the one before it, and a running sum down
+    the chunk turns these into hits, so memory stays bounded by the chunk,
+    not by the length of the curve.
     """
     if not 0 < fpr_budget <= 1:
         raise ValueError("fpr_budget must be in (0, 1]")
-    if len(heatmaps) != len(masks):
-        raise ShapeError("need one mask per heatmap")
-
-    region_ids = []
-    offset = 0
-    for hm, mask in zip(heatmaps, masks):
-        if hm.shape != mask.shape:
-            raise ShapeError(f"heatmap {hm.shape} and mask {mask.shape} differ")
-        labeled, n_regions = ndimage.label(mask > 0)
-        ids = labeled.reshape(-1).astype(np.int64)
-        ids[ids > 0] += offset
-        region_ids.append(ids)
-        offset += n_regions
-    n_regions_total = offset
-    if n_regions_total == 0:
-        raise ValueError("pro undefined: no anomalous regions in masks")
+    if len(heatmaps) != len(regions):
+        raise ShapeError("need one region map per heatmap")
+    for hm, ids in zip(heatmaps, regions):
+        if hm.shape != ids.shape:
+            raise ShapeError(f"heatmap {hm.shape} and region map {ids.shape} differ")
 
     scores = _finite_scores(
         np.concatenate([hm.reshape(-1).astype(np.float64) for hm in heatmaps]))
-    regions = np.concatenate(region_ids)
-    is_neg = regions == 0
+    ids = np.concatenate([r.reshape(-1) for r in regions])
+    n_regions = int(ids.max(initial=0))
+    if n_regions == 0:
+        raise ValueError("pro undefined: no anomalous regions in masks")
+    is_neg = ids == 0
     total_neg = int(is_neg.sum())
     if total_neg == 0:
         raise ValueError("pro undefined: no normal pixels for the FPR axis")
@@ -190,7 +210,6 @@ def pro(heatmaps: list[np.ndarray], masks: list[np.ndarray],
     # thresholds are the ends of the tie groups in descending score order;
     # the last pixel is a negative at FPR exactly 1 >= budget, so `stop`
     # always exists
-    n = len(scores)
     order = np.argsort(-scores, kind="stable")
     ends = _tie_ends(scores[order])
     fpr = np.cumsum(is_neg[order])[ends] / total_neg
@@ -198,28 +217,31 @@ def pro(heatmaps: list[np.ndarray], masks: list[np.ndarray],
     keep = np.flatnonzero(fpr[:stop] != fpr[1:stop + 1])
     points = ends[keep]
 
-    # hits of region r at position e: its pixels keyed r * n + sorted
-    # position, counted up to r * n + e, less the keys of regions before r
-    sizes = np.bincount(regions, minlength=n_regions_total + 1)[1:]
-    sorted_regions = regions[order]
-    positions = np.flatnonzero(sorted_regions)
-    keys = np.sort((sorted_regions[positions] - 1) * n + positions)
-    before = np.cumsum(sizes) - sizes
-    region_base = np.arange(n_regions_total, dtype=np.int64) * n
-    pros = []
+    # hits of region r at point e: its pixels at sorted positions <= e
+    sizes = np.bincount(ids, minlength=n_regions + 1)[1:]
+    sorted_ids = ids[order]
+    positions = np.flatnonzero(sorted_ids)
+    hits = np.zeros(n_regions, dtype=np.int64)
+    counted = 0  # region pixels, in sorted order, already in `hits`
+    pros = [np.zeros(1)]  # the curve starts at PRO 0
     for c in range(0, len(points), PRO_HITS_CHUNK):
-        queries = points[c:c + PRO_HITS_CHUNK, None] + region_base
-        hits = np.searchsorted(keys, queries, side="right") - before
-        pros.extend((hits / sizes).mean(axis=1).tolist())
+        chunk = points[c:c + PRO_HITS_CHUNK]
+        upto = int(np.searchsorted(positions, chunk[-1], side="right"))
+        pos = positions[counted:upto]
+        counted = upto
+        # segment i holds the pixels after chunk[i - 1] up to chunk[i]
+        segment = np.searchsorted(chunk, pos)
+        counts = np.bincount(segment * n_regions + (sorted_ids[pos] - 1),
+                             minlength=len(chunk) * n_regions)
+        chunk_hits = np.cumsum(counts.reshape(len(chunk), n_regions), axis=0) + hits
+        hits = chunk_hits[-1]
+        pros.append((chunk_hits / sizes).mean(axis=1))
 
     # step integral over [0, budget]; PRO holds its value until the next
-    # achieved FPR, starting from (0, 0)
-    integral = 0.0
-    prev_f, prev_p = 0.0, 0.0
-    for f, p in zip(fpr[keep].tolist(), pros):
-        integral += prev_p * (f - prev_f)
-        prev_f, prev_p = f, p
-    integral += prev_p * (fpr_budget - prev_f)
+    # achieved FPR, starting from (0, 0). cumsum adds the terms one at a
+    # time in curve order, as a running sum from 0.0 does
+    steps = np.diff(np.concatenate(([0.0], fpr[keep], [fpr_budget])))
+    integral = np.cumsum(np.concatenate(pros) * steps)[-1]
     return float(integral / fpr_budget)
 
 

@@ -294,15 +294,19 @@ def _checkpoint_dir(out_dir: Path, round_index: int) -> Path:
 
 
 def save_checkpoint(out_dir: Path, round_index: int, states: list[ClientModelState],
-                    global_bank: MemoryBank, monitor: ConvergenceMonitor) -> Path:
+                    global_bank: MemoryBank, monitor: ConvergenceMonitor,
+                    cfg: FederationConfig) -> Path:
     """Write the round's checkpoint into a temporary sibling directory, then
     rename it to `round_NNNNN`, so a save that stops part way never leaves a
-    `round_*` directory behind. Whatever that round left before is replaced."""
+    `round_*` directory behind. Whatever that round left before is replaced.
+    The manifest records the run's seed and baseline, which the weights and
+    banks do not show."""
     ckpt = _checkpoint_dir(out_dir, round_index)
     tmp = ckpt.with_name(f"partial_{ckpt.name}")
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir(parents=True)
-    manifest = {"round": round_index, "clients": [], "monitor": asdict(monitor)}
+    manifest = {"round": round_index, "seed": cfg.seed, "baseline": cfg.baseline,
+                "clients": [], "monitor": asdict(monitor)}
     for state in states:
         sections: dict[str, np.ndarray] = {}
         steps: dict[str, int] = {}
@@ -332,10 +336,16 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
     """Each client's weights, Adam moments and bank, the global bank, and
     the monitor's `r_hat_m` and `bound_violations`. Manifest keys beyond
     these, which older checkpoints hold, are ignored. The checkpoint must
-    hold clients 0..n_clients-1, and every section and bank must have the
-    shape the config gives it, or `ConfigError` names what differs."""
+    be of the config's seed and baseline, hold clients 0..n_clients-1, and
+    every section and bank must have the shape the config gives it, or
+    `ConfigError` names what differs. A manifest written before the seed
+    and baseline were recorded is not checked for them."""
     manifest = json.loads((ckpt / "manifest.json").read_text())
     round_index = int(manifest["round"])
+    for name, key in (("seed", "seed"), ("baseline", "federation.baseline")):
+        if name in manifest and manifest[name] != getattr(cfg, name):
+            raise ConfigError(f"checkpoint {ckpt} is of {name} {manifest[name]!r}; the "
+                              f"config gives {getattr(cfg, name)!r}", key=key)
     ids = sorted(entry["id"] for entry in manifest["clients"])
     if ids != list(range(cfg.n_clients)):
         raise ConfigError(f"checkpoint {ckpt} holds clients {ids}, not the "
@@ -453,7 +463,7 @@ def run_training(cfg: FederationConfig, datasets: list[np.ndarray],
                 fh.flush()
             if cfg.checkpoint_interval > 0 and (
                     t % cfg.checkpoint_interval == 0 or t == cfg.rounds):
-                save_checkpoint(out_dir, t, states, global_bank, monitor)
+                save_checkpoint(out_dir, t, states, global_bank, monitor, cfg)
 
     tensorio.write_tensor(out_dir / "global_bank.fdm1", global_bank.data)
 

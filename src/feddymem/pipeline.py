@@ -20,6 +20,7 @@ from .evaluation import (
     LabeledSample,
     anomaly_map,
     auroc,
+    label_regions,
     postprocess_heatmap,
     pro,
     write_results_csv,
@@ -56,10 +57,8 @@ def train_run(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
 @dataclass
 class ScoredSample:
     sample_id: str
-    label: int
     image_score: float
     pixel_scores: np.ndarray
-    mask: np.ndarray
 
 
 def score_test_set(state: ClientModelState, bank: MemoryBank,
@@ -72,10 +71,8 @@ def score_test_set(state: ClientModelState, bank: MemoryBank,
     out = []
     for sample, m in zip(test_samples, memories):
         amap = anomaly_map(m, bank, cfg.loss.knn_k, cfg.score_mode)
-        out.append(ScoredSample(sample_id=sample.sample_id, label=sample.label,
-                                image_score=amap.image_score,
-                                pixel_scores=amap.pixel_scores,
-                                mask=sample.mask_or_zeros()))
+        out.append(ScoredSample(sample_id=sample.sample_id, image_score=amap.image_score,
+                                pixel_scores=amap.pixel_scores))
     return out
 
 
@@ -87,7 +84,9 @@ def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],
 
     The test features are built one block of `cfg.loss.batch_size` samples
     at a time, and every client scores a block before the next is built,
-    so the features of the whole test set are never held at once.
+    so the features of the whole test set are never held at once. The
+    image labels, the pixel labels and the masks' regions are the test
+    set's, the same for every client, so they are built once.
     """
     scored: list[list[ScoredSample]] = [[] for _ in states]
     step = cfg.loss.batch_size
@@ -96,15 +95,16 @@ def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],
         fused = build_client_dataset(block, cfg.extractor)
         for n, (state, bank) in enumerate(zip(states, banks)):
             scored[n] += score_test_set(state, bank, block, fused, cfg)
+    labels = np.array([s.label for s in test_samples])
+    masks = [s.mask_or_zeros() for s in test_samples]
+    pixel_labels = (np.concatenate([m.reshape(-1) for m in masks]) > 0).astype(int)
+    regions = label_regions(masks)
     i_aurocs, p_aurocs, pros = [], [], []
     for client in scored:
-        labels = np.array([s.label for s in client])
-        image_scores = np.array([s.image_score for s in client])
-        i_aurocs.append(auroc(image_scores, labels))
-        pixel_scores = np.concatenate([s.pixel_scores.reshape(-1) for s in client])
-        pixel_labels = np.concatenate([s.mask.reshape(-1) for s in client])
-        p_aurocs.append(auroc(pixel_scores, (pixel_labels > 0).astype(int)))
-        pros.append(pro([s.pixel_scores for s in client], [s.mask for s in client]))
+        i_aurocs.append(auroc(np.array([s.image_score for s in client]), labels))
+        maps = [s.pixel_scores for s in client]
+        p_aurocs.append(auroc(np.concatenate([a.reshape(-1) for a in maps]), pixel_labels))
+        pros.append(pro(maps, regions))
     return EvalMetrics(i_auroc_per_client=i_aurocs, p_auroc_per_client=p_aurocs,
                        pro_per_client=pros), scored[0]
 

@@ -17,7 +17,7 @@ import pytest
 from conftest import max_rel_err
 from feddymem.client import LossConfig, MemoryBank, memory_reduce, metric_loss
 from feddymem.config import load_run_config
-from feddymem.evaluation import SynthSpec, auroc, pro, synth_dataset
+from feddymem.evaluation import SynthSpec, auroc, label_regions, pro, synth_dataset
 from feddymem.features import (
     FeaturePyramid,
     fuse_pyramid,
@@ -448,10 +448,10 @@ def test_criterion_9_metric_correctness():
     heat[2, 0] = 0.5
     budget = 0.3
     expected_pro = (0.05 * 0.5 + (budget - 0.05) * 0.75) / budget
-    pro_err = abs(pro([heat], [mask], fpr_budget=budget) - expected_pro)
+    pro_err = abs(pro([heat], label_regions([mask]), fpr_budget=budget) - expected_pro)
 
-    perfect_err = abs(pro([mask.astype(np.float64)], [mask]) - 1.0)
-    zero_err = abs(pro([np.zeros_like(heat)], [mask]) - 0.0)
+    perfect_err = abs(pro([mask.astype(np.float64)], label_regions([mask])) - 1.0)
+    zero_err = abs(pro([np.zeros_like(heat)], label_regions([mask])) - 0.0)
 
     ok = auroc_exact and pro_err <= 1e-6 and perfect_err <= 1e-6 and zero_err <= 1e-6
     _report(9, f"metric correctness (auroc exact {auroc_exact}, pro err {pro_err:.1e})", ok)

@@ -328,6 +328,25 @@ class TestCliErrors:
         err = self._rejected(tmp_path, capsys, ["train", "--resume"], doc, out)
         assert "client_0.fdmc section 'bank'" in err["message"]
 
+    def test_resume_with_other_baseline_exit_2(self, tmp_path, capsys):
+        doc, out = self._checkpointed_run(tmp_path)
+        doc["federation"]["rounds"] = 2
+        err = self._rejected(tmp_path, capsys, ["train", "--resume", "--baseline", "local_only"],
+                             doc, out)
+        assert err["key"] == "federation.baseline"
+
+    def test_resume_with_other_seed_exit_2(self, tmp_path, capsys):
+        doc, out = self._checkpointed_run(tmp_path)
+        doc["federation"]["rounds"] = 2
+        err = self._rejected(tmp_path, capsys, ["train", "--resume", "--seed", "9"], doc, out)
+        assert err["key"] == "seed"
+
+    def test_eval_with_other_seed_exit_2(self, tmp_path, capsys):
+        doc, out = self._checkpointed_run(tmp_path)
+        err = self._rejected(tmp_path, capsys, ["eval", "--seed", "9"], doc, out)
+        assert err["key"] == "seed"
+        assert not (out / "results.csv").exists()
+
     def test_init_command(self, tmp_path):
         cfg_path = write_config(tmp_path, desk_doc(rounds=7))
         out = tmp_path / "out"

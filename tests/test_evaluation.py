@@ -12,12 +12,13 @@ from feddymem.evaluation import (
     auroc,
     dirichlet_partition,
     image_score,
+    label_regions,
     pixel_scores,
     postprocess_heatmap,
     pro,
     synth_dataset,
 )
-from feddymem.numerics import Rng, pairwise_dist
+from feddymem.numerics import Rng, knn, pairwise_dist
 
 
 # Reference loops: the sweep-per-score implementations that `auroc` and `pro`
@@ -160,6 +161,25 @@ class TestPixelScores:
         shuffled = MemoryBank(data=bank.patches[perm].reshape(4, 4, 4))
         assert np.allclose(pixel_scores(m, bank, 3), pixel_scores(m, shuffled, 3))
 
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 12), st.integers(1, 4),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=60, deadline=None)
+    def test_min_mode_equals_first_knn_column_for_every_k(self, seed, q, c, dtype):
+        # coarse values and duplicated bank rows tie the nearest distances
+        gen = Rng(seed).generator
+        rows = gen.integers(-2, 3, (q, c)) / 2.0
+        dup = gen.uniform(0, 1, q) < 0.3
+        rows = np.where(dup[:, None], rows[gen.integers(0, q, q)], rows)
+        rows[-1] = rows[0]
+        bank = MemoryBank(data=rows.reshape(1, q, c).astype(dtype))
+        m = (gen.integers(-2, 3, (3, 4, c)) / 2.0
+             + 0.25 * (gen.uniform(0, 1, (3, 4, 1)) < 0.5)).astype(dtype)
+        for k in range(1, q + 1):
+            want = knn(m.reshape(12, c), bank.patches, k)[1][:, 0]
+            assert np.array_equal(pixel_scores(m, bank, k).reshape(-1), want)
+        with pytest.raises(ValueError):
+            pixel_scores(m, bank, q + 1)
+
 
 class TestImageScore:
     def test_single_patch_identity(self):
@@ -296,12 +316,12 @@ class TestPro:
     def test_heatmap_equals_mask_scores_one(self):
         mask = np.zeros((8, 8), dtype=np.uint8)
         mask[2:4, 2:4] = 1
-        assert pro([mask.astype(np.float64)], [mask]) == pytest.approx(1.0)
+        assert pro([mask.astype(np.float64)], label_regions([mask])) == pytest.approx(1.0)
 
     def test_all_zero_heatmap_scores_zero(self):
         mask = np.zeros((8, 8), dtype=np.uint8)
         mask[2:4, 2:4] = 1
-        assert pro([np.zeros((8, 8))], [mask]) == 0.0
+        assert pro([np.zeros((8, 8))], label_regions([mask])) == 0.0
 
     def test_two_region_case_matches_hand_sweep(self):
         # region A (2x2) found at high score, region B (1x2) found at a lower
@@ -320,7 +340,7 @@ class TestPro:
         budget = 0.3
         # step integral: [0, 0.05) at 0.5; [0.05, 0.3) at 0.75
         expected = (0.05 * 0.5 + (budget - 0.05) * 0.75) / budget
-        got = pro([heat], [mask], fpr_budget=budget)
+        got = pro([heat], label_regions([mask]), fpr_budget=budget)
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_multiple_images(self):
@@ -330,11 +350,11 @@ class TestPro:
         heat1[1, 1] = 1.0
         heat2 = np.zeros((4, 4))
         mask2 = np.zeros((4, 4), dtype=np.uint8)  # normal image contributes FPR pixels
-        assert pro([heat1, heat2], [mask1, mask2]) == pytest.approx(1.0)
+        assert pro([heat1, heat2], label_regions([mask1, mask2])) == pytest.approx(1.0)
 
     def test_no_regions_rejected(self):
         with pytest.raises(ValueError):
-            pro([np.zeros((4, 4))], [np.zeros((4, 4), dtype=np.uint8)])
+            pro([np.zeros((4, 4))], label_regions([np.zeros((4, 4), dtype=np.uint8)]))
 
     def test_uses_4_connectivity(self):
         mask = np.zeros((4, 4), dtype=np.uint8)
@@ -342,7 +362,7 @@ class TestPro:
         mask[1, 1] = 1  # diagonal: two separate regions under 4-connectivity
         heat = np.zeros((4, 4))
         heat[0, 0] = 1.0
-        got = pro([heat], [mask], fpr_budget=0.99)
+        got = pro([heat], label_regions([mask]), fpr_budget=0.99)
         # only one of the two regions is ever found until threshold 0
         assert got < 0.75
 
@@ -353,7 +373,7 @@ class TestPro:
             heat = np.zeros((4, 4))
             heat[2, 3] = bad
             with pytest.raises(NumericError):
-                pro([heat], [mask])
+                pro([heat], label_regions([mask]))
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(2, 9),
            st.integers(1, 9), levels, st.floats(0.05, 0.6), st.floats(0.0, 0.6),
@@ -363,7 +383,23 @@ class TestPro:
                                    clean_share, budget):
         heatmaps, masks = random_maps(seed, n_maps, (h, w), levels, density,
                                       clean_share)
-        assert pro(heatmaps, masks, budget) == loop_pro(heatmaps, masks, budget)
+        assert pro(heatmaps, label_regions(masks), budget) == loop_pro(heatmaps, masks, budget)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 4), levels, budgets)
+    @settings(max_examples=40, deadline=None)
+    def test_one_labelling_serves_many_score_lists(self, seed, n_maps, levels, budget):
+        _, masks = random_maps(seed, n_maps, (6, 7), levels, 0.3, 0.3)
+        regions = label_regions(masks)
+        labelled = [r.copy() for r in regions]
+        n_regions = sum(ndimage.label(m)[1] for m in masks)
+        ids = np.concatenate([r.reshape(-1) for r in regions])
+        assert np.array_equal(np.unique(ids[ids > 0]), np.arange(1, n_regions + 1))
+        assert np.array_equal(ids > 0, np.concatenate([m.reshape(-1) > 0 for m in masks]))
+        for j in range(3):
+            gen = Rng(seed).child("scores", j).generator
+            heatmaps = [quantized(gen, m.shape, levels) + 0.5 * m for m in masks]
+            assert pro(heatmaps, regions, budget) == loop_pro(heatmaps, masks, budget)
+        assert all(np.array_equal(a, b) for a, b in zip(regions, labelled))
 
     def test_all_equal_scores_equal_loop_reference(self):
         mask = np.zeros((5, 5), dtype=np.uint8)
@@ -371,7 +407,7 @@ class TestPro:
         mask[4, 4] = 1
         for budget in (0.3, 1.0):
             heat = np.full((5, 5), 0.7)
-            assert pro([heat], [mask], budget) == loop_pro([heat], [mask], budget)
+            assert pro([heat], label_regions([mask]), budget) == loop_pro([heat], [mask], budget)
 
     def test_tie_plateau_straddling_budget_equals_loop_reference(self):
         # one tied group takes the FPR from 2/20 straight to 12/20, past
@@ -386,7 +422,7 @@ class TestPro:
         heat[1, 2:6] = 0.5
         heat[2, :] = 0.5
         for budget in (0.1, 0.3, 0.6, 1.0):
-            assert pro([heat], [mask], budget) == loop_pro([heat], [mask], budget)
+            assert pro([heat], label_regions([mask]), budget) == loop_pro([heat], [mask], budget)
 
     def test_diagonal_regions_equal_loop_reference(self):
         mask = (np.indices((6, 6)).sum(axis=0) % 2 == 0).astype(np.uint8)
@@ -396,7 +432,7 @@ class TestPro:
         masks = [mask, np.zeros((6, 6), dtype=np.uint8)]
         assert ndimage.label(mask)[1] == 15
         for budget in (0.3, 1.0):
-            assert pro(heatmaps, masks, budget) == loop_pro(heatmaps, masks, budget)
+            assert pro(heatmaps, label_regions(masks), budget) == loop_pro(heatmaps, masks, budget)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_long_curve_spans_chunks_equals_loop_reference(self, seed):
@@ -406,7 +442,7 @@ class TestPro:
             # every score is distinct, so the curve has one point per
             # negative pixel below the budget
             assert budget * n_neg > 2 * PRO_HITS_CHUNK
-            assert pro(heatmaps, masks, budget) == loop_pro(heatmaps, masks, budget)
+            assert pro(heatmaps, label_regions(masks), budget) == loop_pro(heatmaps, masks, budget)
 
 
 class TestDirichletPartition:

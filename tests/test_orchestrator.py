@@ -237,7 +237,8 @@ def _sha256_files(root: Path, pattern: str) -> dict[str, str]:
 
 class TestBlasThreads:
     def test_two_desk_rounds_identical_under_one_and_two_blas_threads(self, tmp_path):
-        # batched GEMMs are tall enough for OpenBLAS to split them over threads
+        # batched GEMMs are tall enough for OpenBLAS to split them over threads;
+        # the evaluation's forward passes and kNN scoring run under each too
         from test_acceptance import DESK_CONFIG
         doc = json.loads(json.dumps(DESK_CONFIG))
         doc["federation"].update(rounds=2, checkpoint_interval=1)
@@ -248,12 +249,14 @@ class TestBlasThreads:
             out = tmp_path / f"blas{threads}"
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-            subprocess.run([sys.executable, "-m", "feddymem.cli", "train", "--config",
-                            str(config), "--out", str(out)], env=env, check=True,
-                           capture_output=True, timeout=600)
+            for command in ("train", "eval"):
+                subprocess.run([sys.executable, "-m", "feddymem.cli", command, "--config",
+                                str(config), "--out", str(out)], env=env, check=True,
+                               capture_output=True, timeout=600)
             files = {**_sha256_files(out, "global_bank.fdm1"), **_sha256_files(out, "metrics.jsonl"),
+                     **_sha256_files(out, "results.csv"),
                      **_sha256_files(out, "checkpoints/*/client_*.fdmc")}
-            assert len(files) == 2 + 3 * doc["federation"]["n_clients"]
+            assert len(files) == 3 + 3 * doc["federation"]["n_clients"]
             digests.append(files)
         assert digests[0] == digests[1]
 
@@ -403,7 +406,7 @@ class TestRunTraining:
         run_training(cfg, desk_datasets(cfg), tmp_path / "run")
         ckpt = latest_checkpoint(tmp_path / "run")
         round_index, states, bank, monitor = load_checkpoint(ckpt, cfg)
-        again = save_checkpoint(tmp_path / "again", round_index, states, bank, monitor)
+        again = save_checkpoint(tmp_path / "again", round_index, states, bank, monitor, cfg)
         files = sorted(f.name for f in ckpt.iterdir())
         assert files == sorted(f.name for f in again.iterdir())
         assert "manifest.json" in files and "global_bank.fdm1" in files
@@ -426,13 +429,15 @@ class TestRunTraining:
 
     def test_checkpoint_with_removed_keys_resumes_identically(self, tmp_path):
         # checkpoints written before the monitor kept only two fields, and
-        # before banks lost their round tags, hold the keys added below
+        # before banks lost their round tags, hold the keys added below;
+        # those written before the seed and baseline were recorded lack them
         cfg = desk_config(rounds=4, ckpt=2)
         full = run_training(cfg, desk_datasets(cfg), tmp_path / "full")
         run_training(desk_config(rounds=2, ckpt=2), desk_datasets(cfg), tmp_path / "old")
         path = tmp_path / "old/checkpoints/round_00002/manifest.json"
         manifest = json.loads(path.read_text())
         assert sorted(manifest["monitor"]) == ["bound_violations", "r_hat_m"]
+        assert (manifest.pop("seed"), manifest.pop("baseline")) == (cfg.seed, cfg.baseline)
         manifest["monitor"].update(loss_sum=1.5, loss_count=6, grad_sq_sum=0.25,
                                    grad_sq_count=6, round_mean_losses=[0.75, 0.75],
                                    round_mean_grad_sq=[0.125, 0.125], bound_violations=7)
@@ -450,6 +455,7 @@ class TestRunTraining:
         last = json.loads((tmp_path / "old/checkpoints/round_00004/manifest.json").read_text())
         assert last["monitor"] == {"bound_violations": 7, "r_hat_m": full.monitor.r_hat_m}
         assert "bank_round" not in last["clients"][0] and "global_bank_round" not in last
+        assert (last["seed"], last["baseline"]) == (cfg.seed, cfg.baseline)
 
     def test_loss_bound_and_quartile_trend(self, tmp_path):
         cfg = desk_config(rounds=8, ckpt=8)
