@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .config import load_run_config
 from .errors import ConfigError, NumericError
+from .orchestrator import BASELINES
 from .pipeline import bench_comm, eval_run, train_run, write_synth_dataset
 from .privacy import audit_reduction
 
@@ -36,8 +37,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="artifact output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--threads", type=int, default=1, help="max concurrent client workers")
-    parser.add_argument("--baseline", default=None,
-                        choices=["feddymem", "local_only", "plain_average"],
+    parser.add_argument("--baseline", default=None, choices=BASELINES,
                         help="override the configured baseline")
 
 

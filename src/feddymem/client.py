@@ -77,6 +77,8 @@ class LossConfig:
             raise ValueError("learning_rate must be > 0")
         if self.local_epochs < 0:
             raise ValueError("local_epochs must be >= 0")
+        if self.activation not in ("relu", "tanh"):
+            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass

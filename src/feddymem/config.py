@@ -1,32 +1,32 @@
 """Run configuration: one JSON document validated strictly against the
-documented schema (unknown keys are rejected by name).
+dataclasses it fills. Unknown keys are rejected by name.
 
-Sections and defaults:
+A section's keys, defaults and value types are the fields of its dataclass:
 
-    seed            u64 master seed (default 0)
-    federation      n_clients, rounds, baseline, checkpoint_interval, score_mode
-    loss            hinge_margin, knn_k, batch_size, learning_rate,
-                    local_epochs, weight_decay, beta1, beta2, adam_eps,
-                    activation
-    memory          channels, grid_height, grid_width, phi_hidden
-    extractor       kind ("synthetic"|"file"), seed, levels, base_height,
-                    base_width, level_channels, manifest_path
-    aggregation     max_iterations, tolerance, n_init
-    dataset         kind ("synthetic"|"manifest"); synthetic: n_types,
-                    samples_per_type, test_normals_per_type,
-                    test_anomalies_per_type, anomaly_magnitude,
-                    anomaly_extent, noise_scale, dirichlet_alpha,
-                    prototype_cells, noise_cells, type_spread; manifest:
-                    train_manifests, test_manifest
-    audit           mc_samples, dataset_sizes, rho, sigma_x, sigma_y,
-                    lemma_configs, lemma_mc_samples, seed
+    seed         FederationConfig.seed, the u64 master seed
+    federation   FederationConfig, less the fields that other sections set
+    loss         LossConfig
+    memory       FederationConfig.memory_channels as channels, grid_hw as
+                 grid_height and grid_width, phi_hidden
+    extractor    ExtractorSpec, base_hw as base_height and base_width
+    aggregation  AggregationConfig, less seed
+    dataset      kind "synthetic" (the default): SynthSpec, less base_hw,
+                 n_clients and seed; kind "manifest":
+                 RunConfig.train_manifests and test_manifest
+    audit        AuditConfig
+
+The extractor and audit seeds default to the run's seed. An int is a JSON
+integer or an integral number (60.0), a float any number, a tuple or list
+a list of its element type, and `X | None` also takes null. A bool is not
+a number. Any other value raises ConfigError naming `section.key`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,26 +37,7 @@ from .evaluation import LabeledSample, SynthSpec, synth_dataset, synth_test_set
 from .features import ExtractorSpec, load_manifest
 from .orchestrator import FederationConfig
 from .privacy import AuditConfig
-
-_SECTION_KEYS = {
-    "": {"seed", "federation", "loss", "memory", "extractor", "aggregation",
-         "dataset", "audit"},
-    "federation": {"n_clients", "rounds", "baseline", "checkpoint_interval",
-                   "score_mode"},
-    "loss": {"hinge_margin", "knn_k", "batch_size", "learning_rate",
-             "local_epochs", "weight_decay", "beta1", "beta2", "adam_eps",
-             "activation"},
-    "memory": {"channels", "grid_height", "grid_width", "phi_hidden"},
-    "extractor": {"kind", "seed", "levels", "base_height", "base_width",
-                  "level_channels", "manifest_path"},
-    "aggregation": {"max_iterations", "tolerance", "n_init"},
-    "dataset": {"kind", "n_types", "samples_per_type", "test_normals_per_type",
-                "test_anomalies_per_type", "anomaly_magnitude", "anomaly_extent",
-                "noise_scale", "dirichlet_alpha", "prototype_cells",
-                "noise_cells", "type_spread", "train_manifests", "test_manifest"},
-    "audit": {"mc_samples", "dataset_sizes", "rho", "sigma_x", "sigma_y",
-              "lemma_configs", "lemma_mc_samples", "seed"},
-}
+from .server import AggregationConfig
 
 
 @dataclass
@@ -68,18 +49,91 @@ class RunConfig:
     audit: AuditConfig
 
 
-def _check_keys(section: str, doc: dict) -> None:
-    allowed = _SECTION_KEYS[section]
-    for key in doc:
-        if key not in allowed:
-            dotted = f"{section}.{key}" if section else key
-            raise ConfigError(f"unknown config key {dotted!r}", key=dotted)
+def _schema(cls, exclude=(), **renames):
+    """(cls, document key -> (field, index, type)) for a section that sets
+    the fields of `cls` outside `exclude` under their own names, plus
+    `renames`: key=(field, None) sets a field under another name, and
+    key=(field, i) sets element i of a (height, width) field."""
+    hints = get_type_hints(cls)
+    keys = {f.name: (f.name, None) for f in fields(cls) if f.name not in exclude}
+    keys.update(renames)
+    return cls, {key: (name, i, hints[name] if i is None else get_args(hints[name])[i])
+                 for key, (name, i) in keys.items()}
 
 
-def _expect_mapping(section: str, value) -> dict:
+_SECTIONS = {
+    "federation": _schema(FederationConfig, exclude=("seed", "loss", "extractor", "aggregation",
+                                                     "memory_channels", "grid_hw", "phi_hidden")),
+    "loss": _schema(LossConfig),
+    "memory": _schema(FederationConfig, exclude=[f.name for f in fields(FederationConfig)],
+                      channels=("memory_channels", None), grid_height=("grid_hw", 0),
+                      grid_width=("grid_hw", 1), phi_hidden=("phi_hidden", None)),
+    "extractor": _schema(ExtractorSpec, exclude=("base_hw",), base_height=("base_hw", 0),
+                         base_width=("base_hw", 1)),
+    "aggregation": _schema(AggregationConfig, exclude=("seed",)),
+    "audit": _schema(AuditConfig),
+}
+_DATASETS = {  # the first kind is the default
+    "synthetic": _schema(SynthSpec, exclude=("base_hw", "n_clients", "seed")),
+    "manifest": _schema(RunConfig, exclude=("federation", "synth", "audit")),
+}
+_SEED_TYPE = get_type_hints(FederationConfig)["seed"]
+
+
+def _convert(key: str, value, tp):
+    """`value` as type `tp`, by the rules of the module docstring."""
+    args = get_args(tp)
+    if isinstance(value, bool):
+        pass  # a subclass of int, but never a number here
+    elif type(None) in args:
+        return None if value is None else _convert(key, value, args[0])
+    elif tp is int and (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    elif tp is float and isinstance(value, (int, float)) or tp is str and isinstance(value, str):
+        return tp(value)
+    elif get_origin(tp) in (tuple, list) and isinstance(value, (list, tuple)):
+        return get_origin(tp)(_convert(key, v, args[0]) for v in value)
+    name = tp.__name__ if isinstance(tp, type) else str(tp)
+    raise ConfigError(f"config key {key!r} must be {name}, got {value!r}", key=key)
+
+
+def _mapping(doc: dict, section: str) -> dict:
+    value = doc.get(section, {})
     if not isinstance(value, dict):
         raise ConfigError(f"section {section!r} must be an object", key=section)
     return value
+
+
+def _fields(section: str, values: dict, schema=None) -> dict:
+    """A section's values, converted to the types of the fields they set and
+    keyed by those fields."""
+    cls, keys = schema or _SECTIONS[section]
+    out = {}
+    for key, value in values.items():
+        dotted = f"{section}.{key}"
+        if key not in keys:
+            raise ConfigError(f"unknown config key {dotted!r}", key=dotted)
+        name, i, tp = keys[key]
+        value = _convert(dotted, value, tp)
+        if i is not None:
+            pair = list(out.get(name, getattr(cls, name)))
+            pair[i] = value
+            value = tuple(pair)
+        out[name] = value
+    return out
+
+
+def _build(section: str, cls, **kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=section) from exc
+
+
+def _load(doc: dict, section: str, **defaults):
+    """The section's dataclass; `defaults` replace the dataclass's own."""
+    values = _fields(section, _mapping(doc, section))
+    return _build(section, _SECTIONS[section][0], **{**defaults, **values})
 
 
 def load_run_config(source, seed_override: int | None = None,
@@ -95,129 +149,39 @@ def load_run_config(source, seed_override: int | None = None,
         raise ConfigError(f"config file not found: {source}", key="config")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object", key="config")
-    _check_keys("", doc)
+    for key in doc:
+        if key not in ("seed", "dataset", *_SECTIONS):
+            raise ConfigError(f"unknown config key {key!r}", key=key)
+    seed = (_convert("seed", doc.get("seed", FederationConfig.seed), _SEED_TYPE)
+            if seed_override is None else int(seed_override))
 
-    seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
-
-    fed = _expect_mapping("federation", doc.get("federation", {}))
-    _check_keys("federation", fed)
-    loss_doc = _expect_mapping("loss", doc.get("loss", {}))
-    _check_keys("loss", loss_doc)
-    mem = _expect_mapping("memory", doc.get("memory", {}))
-    _check_keys("memory", mem)
-    ext = _expect_mapping("extractor", doc.get("extractor", {}))
-    _check_keys("extractor", ext)
-    agg = _expect_mapping("aggregation", doc.get("aggregation", {}))
-    _check_keys("aggregation", agg)
-    ds = _expect_mapping("dataset", doc.get("dataset", {}))
-    _check_keys("dataset", ds)
-    audit_doc = _expect_mapping("audit", doc.get("audit", {}))
-    _check_keys("audit", audit_doc)
-
-    try:
-        loss = LossConfig(
-            hinge_margin=float(loss_doc.get("hinge_margin", 0.01)),
-            knn_k=int(loss_doc.get("knn_k", 3)),
-            batch_size=int(loss_doc.get("batch_size", 10)),
-            learning_rate=float(loss_doc.get("learning_rate", 1e-3)),
-            local_epochs=int(loss_doc.get("local_epochs", 1)),
-            weight_decay=float(loss_doc.get("weight_decay", 5e-4)),
-            beta1=float(loss_doc.get("beta1", 0.9)),
-            beta2=float(loss_doc.get("beta2", 0.999)),
-            adam_eps=float(loss_doc.get("adam_eps", 1e-8)),
-            activation=str(loss_doc.get("activation", "relu")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="loss") from exc
-
-    kind = str(ext.get("kind", "synthetic"))
-    try:
-        extractor = ExtractorSpec(
-            kind=kind,
-            seed=int(ext.get("seed", seed)),
-            levels=int(ext.get("levels", 3)),
-            base_hw=(int(ext.get("base_height", 16)), int(ext.get("base_width", 16))),
-            level_channels=tuple(int(c) for c in ext.get("level_channels", (32, 64, 128))),
-            manifest_path=ext.get("manifest_path"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="extractor") from exc
-
-    baseline = str(fed.get("baseline", "feddymem"))
+    fed = _fields("federation", _mapping(doc, "federation"))
     if baseline_override is not None:
-        baseline = baseline_override
-    grid_hw = (int(mem.get("grid_height", 8)), int(mem.get("grid_width", 8)))
-    phi_hidden = mem.get("phi_hidden")
+        fed["baseline"] = baseline_override
     federation = FederationConfig(
-        seed=seed,
-        n_clients=int(fed.get("n_clients", 5)),
-        rounds=int(fed.get("rounds", 200)),
-        baseline=baseline,
-        loss=loss,
-        extractor=extractor,
-        memory_channels=int(mem.get("channels", 16)),
-        grid_hw=grid_hw,
-        phi_hidden=None if phi_hidden is None else int(phi_hidden),
-        checkpoint_interval=int(fed.get("checkpoint_interval", 10)),
-        kmeans_max_iterations=int(agg.get("max_iterations", 100)),
-        kmeans_tolerance=float(agg.get("tolerance", 1e-6)),
-        kmeans_n_init=int(agg.get("n_init", 1)),
-        score_mode=str(fed.get("score_mode", "min")),
-    )
+        seed=seed, loss=_load(doc, "loss"), extractor=_load(doc, "extractor", seed=seed),
+        aggregation=_load(doc, "aggregation"),
+        **_fields("memory", _mapping(doc, "memory")), **fed)
 
-    ds_kind = str(ds.get("kind", "synthetic"))
+    ds = dict(_mapping(doc, "dataset"))
+    kind = _convert("dataset.kind", ds.pop("kind", next(iter(_DATASETS))), str)
+    if kind not in _DATASETS:
+        raise ConfigError(f"unknown dataset kind {kind!r}", key="dataset.kind")
+    data = _fields("dataset", ds, _DATASETS[kind])
     synth = None
-    train_manifests = None
-    test_manifest = None
-    if ds_kind == "synthetic":
-        try:
-            synth = SynthSpec(
-                n_types=int(ds.get("n_types", 3)),
-                samples_per_type=int(ds.get("samples_per_type", 40)),
-                test_normals_per_type=int(ds.get("test_normals_per_type", 12)),
-                test_anomalies_per_type=int(ds.get("test_anomalies_per_type", 12)),
-                base_hw=extractor.base_hw,
-                anomaly_magnitude=float(ds.get("anomaly_magnitude", 1.5)),
-                anomaly_extent=int(ds.get("anomaly_extent", 5)),
-                noise_scale=float(ds.get("noise_scale", 0.1)),
-                dirichlet_alpha=float(ds.get("dirichlet_alpha", 0.1)),
-                n_clients=federation.n_clients,
-                seed=seed,
-                prototype_cells=int(ds.get("prototype_cells", 4)),
-                noise_cells=int(ds.get("noise_cells", 8)),
-                type_spread=float(ds.get("type_spread", 0.75)),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), key="dataset") from exc
-    elif ds_kind == "manifest":
-        train_manifests = [str(p) for p in ds.get("train_manifests", [])]
-        if len(train_manifests) != federation.n_clients:
-            raise ConfigError("need one train manifest per client",
-                              key="dataset.train_manifests")
-        if "test_manifest" not in ds:
-            raise ConfigError("manifest dataset requires test_manifest",
-                              key="dataset.test_manifest")
-        test_manifest = str(ds["test_manifest"])
-    else:
-        raise ConfigError(f"unknown dataset kind {ds_kind!r}", key="dataset.kind")
-
-    try:
-        audit = AuditConfig(
-            mc_samples=int(audit_doc.get("mc_samples", 100_000)),
-            dataset_sizes=tuple(int(d) for d in audit_doc.get("dataset_sizes", (10, 100, 1000))),
-            seed=int(audit_doc.get("seed", seed)),
-            rho=float(audit_doc.get("rho", 0.8)),
-            sigma_x=float(audit_doc.get("sigma_x", 1.0)),
-            sigma_y=float(audit_doc.get("sigma_y", 1.0)),
-            lemma_configs=int(audit_doc.get("lemma_configs", 100)),
-            lemma_mc_samples=int(audit_doc.get("lemma_mc_samples", 10_000)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="audit") from exc
+    if kind == "synthetic":
+        synth = _build("dataset", SynthSpec, base_hw=federation.extractor.base_hw,
+                       n_clients=federation.n_clients, seed=seed, **data)
+    elif len(data.get("train_manifests") or ()) != federation.n_clients:
+        raise ConfigError("need one train manifest per client", key="dataset.train_manifests")
+    elif data.get("test_manifest") is None:
+        raise ConfigError("manifest dataset requires test_manifest",
+                          key="dataset.test_manifest")
 
     return RunConfig(federation=federation, synth=synth,
-                     train_manifests=train_manifests, test_manifest=test_manifest,
-                     audit=audit)
+                     train_manifests=data.get("train_manifests"),
+                     test_manifest=data.get("test_manifest"),
+                     audit=_load(doc, "audit", seed=seed))
 
 
 def _load_manifest_samples(manifest_path: str) -> list[LabeledSample]:

@@ -310,7 +310,6 @@ class SynthSpec:
 class SynthDataset:
     client_train: list[list[LabeledSample]]
     test: list[LabeledSample]
-    assignment: list[list[int]]
     # per-client indices into `test`: each client's local test slice follows
     # its own training distribution (same Dirichlet proportions per type)
     test_assignment: list[list[int]] = field(default_factory=list)
@@ -364,9 +363,8 @@ def synth_dataset(spec: SynthSpec) -> SynthDataset:
             assignment[c].append(assignment[donor].pop())
     client_train = [[train_samples[i] for i in idxs] for idxs in assignment]
 
-    test_assignment = _assign_test_slices(spec)
     return SynthDataset(client_train=client_train, test=_test_set(rng, prototypes, spec),
-                        assignment=assignment, test_assignment=test_assignment)
+                        test_assignment=_assign_test_slices(spec))
 
 
 def synth_test_set(spec: SynthSpec) -> list[LabeledSample]:

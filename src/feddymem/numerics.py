@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -456,30 +455,3 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
     m_hat = state.m / (1.0 - state.beta1 ** state.step)
     v_hat = state.v / (1.0 - state.beta2 ** state.step)
     return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-# ---------------------------------------------------------------------------
-# Finite differences (gradient-check oracle)
-# ---------------------------------------------------------------------------
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     eps: float = 1e-3) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    grad = np.zeros_like(x, dtype=np.float64)
-    flat = grad.reshape(-1)
-    xw = x.copy()
-    xf = xw.reshape(-1)
-    for i in range(xf.size):
-        orig = xf[i]
-        xf[i] = orig + eps
-        fp = float(f(xw))
-        xf[i] = orig - eps
-        fm = float(f(xw))
-        xf[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError("non-finite function value in finite_diff_grad")
-        flat[i] = (fp - fm) / (2.0 * eps)
-    return grad.astype(x.dtype)

@@ -16,7 +16,7 @@ import os
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import TextIO
 
@@ -63,9 +63,7 @@ class FederationConfig:
     grid_hw: tuple[int, int] = (8, 8)
     phi_hidden: int | None = None
     checkpoint_interval: int = 10
-    kmeans_max_iterations: int = 100
-    kmeans_tolerance: float = 1e-6
-    kmeans_n_init: int = 1
+    aggregation: AggregationConfig = field(default_factory=AggregationConfig)
     score_mode: str = "min"
 
     def __post_init__(self):
@@ -89,9 +87,7 @@ class FederationConfig:
 
     def aggregation_config(self, round_index: int) -> AggregationConfig:
         seed = Rng(self.seed).child("aggregate", round_index).integers(0, 2**31 - 1)
-        return AggregationConfig(max_iterations=self.kmeans_max_iterations,
-                                 tolerance=self.kmeans_tolerance, seed=seed,
-                                 n_init=self.kmeans_n_init)
+        return replace(self.aggregation, seed=seed)
 
 
 @dataclass

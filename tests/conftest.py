@@ -1,7 +1,10 @@
+from typing import Callable
+
 import numpy as np
 import pytest
 
 from feddymem import tensorio
+from feddymem.errors import NumericError
 from feddymem.features import FeaturePyramid
 from feddymem.numerics import Rng
 
@@ -29,3 +32,26 @@ def write_pyramid(path, p: FeaturePyramid) -> int:
     (`features.read_pyramid`): one FDMC section per level."""
     sections = {f"level{i}": lvl for i, lvl in enumerate(p.levels)}
     return tensorio.write_container(path, sections)
+
+
+def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
+                     eps: float = 1e-3) -> np.ndarray:
+    """Central-difference gradient of a scalar function, one coordinate at a
+    time: the oracle that every hand-written backward pass is checked against."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    grad = np.zeros_like(x, dtype=np.float64)
+    flat = grad.reshape(-1)
+    xw = x.copy()
+    xf = xw.reshape(-1)
+    for i in range(xf.size):
+        orig = xf[i]
+        xf[i] = orig + eps
+        fp = float(f(xw))
+        xf[i] = orig - eps
+        fm = float(f(xw))
+        xf[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericError("non-finite function value in finite_diff_grad")
+        flat[i] = (fp - fm) / (2.0 * eps)
+    return grad.astype(x.dtype)

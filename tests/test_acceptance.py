@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import max_rel_err
+from conftest import finite_diff_grad, max_rel_err
 from feddymem.client import LossConfig, MemoryBank, memory_reduce, metric_loss
 from feddymem.config import load_run_config
 from feddymem.evaluation import SynthSpec, auroc, label_regions, pro, synth_dataset
@@ -30,7 +30,7 @@ from feddymem.generator import (
     grid_sample,
     init_generator,
 )
-from feddymem.numerics import Rng, finite_diff_grad, xavier_uniform
+from feddymem.numerics import Rng, xavier_uniform
 from feddymem.orchestrator import (
     ConvergenceMonitor,
     build_client_dataset,

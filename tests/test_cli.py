@@ -6,8 +6,14 @@ import pytest
 from feddymem import config, tensorio
 from feddymem.cli import main
 from feddymem.config import load_run_config, load_federated_data, load_test_set
+from feddymem.client import LossConfig
 from feddymem.errors import ConfigError
+from feddymem.evaluation import SynthSpec
+from feddymem.features import ExtractorSpec
+from feddymem.orchestrator import FederationConfig
 from feddymem.pipeline import write_synth_dataset
+from feddymem.privacy import AuditConfig
+from feddymem.server import AggregationConfig
 
 
 def desk_doc(seed=3, rounds=2, baseline="feddymem"):
@@ -42,6 +48,67 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+# The keys the loader accepted when they were listed by hand, kept as the
+# reference that the dataclass fields must reproduce.
+SECTION_KEYS = {
+    "": {"seed", "federation", "loss", "memory", "extractor", "aggregation",
+         "dataset", "audit"},
+    "federation": {"n_clients", "rounds", "baseline", "checkpoint_interval",
+                   "score_mode"},
+    "loss": {"hinge_margin", "knn_k", "batch_size", "learning_rate",
+             "local_epochs", "weight_decay", "beta1", "beta2", "adam_eps",
+             "activation"},
+    "memory": {"channels", "grid_height", "grid_width", "phi_hidden"},
+    "extractor": {"kind", "seed", "levels", "base_height", "base_width",
+                  "level_channels", "manifest_path"},
+    "aggregation": {"max_iterations", "tolerance", "n_init"},
+    "dataset": {"kind", "n_types", "samples_per_type", "test_normals_per_type",
+                "test_anomalies_per_type", "anomaly_magnitude", "anomaly_extent",
+                "noise_scale", "dirichlet_alpha", "prototype_cells",
+                "noise_cells", "type_spread", "train_manifests", "test_manifest"},
+    "audit": {"mc_samples", "dataset_sizes", "rho", "sigma_x", "sigma_y",
+              "lemma_configs", "lemma_mc_samples", "seed"},
+}
+
+# Every key of SECTION_KEYS at a legal value other than its default; the
+# dataset section is the synthetic kind, MANIFEST_DATASET the other.
+EVERY_KEY = {
+    "seed": 7,
+    "federation": {"n_clients": 4, "rounds": 9, "baseline": "plain_average",
+                   "checkpoint_interval": 3, "score_mode": "mean"},
+    "loss": {"hinge_margin": 0.2, "knn_k": 5, "batch_size": 7, "learning_rate": 0.01,
+             "local_epochs": 2, "weight_decay": 0.001, "beta1": 0.8, "beta2": 0.99,
+             "adam_eps": 1e-7, "activation": "tanh"},
+    "memory": {"channels": 12, "grid_height": 6, "grid_width": 5, "phi_hidden": 9},
+    "extractor": {"kind": "file", "seed": 4, "levels": 2, "base_height": 12,
+                  "base_width": 20, "level_channels": [3, 5], "manifest_path": "p.json"},
+    "aggregation": {"max_iterations": 50, "tolerance": 1e-4, "n_init": 3},
+    "dataset": {"kind": "synthetic", "n_types": 4, "samples_per_type": 9,
+                "test_normals_per_type": 2, "test_anomalies_per_type": 3,
+                "anomaly_magnitude": 2.0, "anomaly_extent": 3, "noise_scale": 0.2,
+                "dirichlet_alpha": 0.5, "prototype_cells": 3, "noise_cells": 5,
+                "type_spread": 0.5},
+    "audit": {"mc_samples": 20000, "dataset_sizes": [3, 30], "rho": 0.5, "sigma_x": 2.0,
+              "sigma_y": 3.0, "lemma_configs": 7, "lemma_mc_samples": 20000, "seed": 8},
+}
+MANIFEST_DATASET = {"kind": "manifest", "train_manifests": ["a", "b", "c", "d"],
+                    "test_manifest": "t"}
+
+# Where each section's keys land, and the keys stored under another name:
+# (field, None) or element i of a (height, width) field.
+TARGETS = {
+    "federation": lambda c: c.federation, "loss": lambda c: c.federation.loss,
+    "memory": lambda c: c.federation, "extractor": lambda c: c.federation.extractor,
+    "aggregation": lambda c: c.federation.aggregation_config(0), "dataset": lambda c: c.synth,
+    "audit": lambda c: c.audit,
+}
+RENAMED = {
+    "memory.channels": ("memory_channels", None), "memory.grid_height": ("grid_hw", 0),
+    "memory.grid_width": ("grid_hw", 1), "extractor.base_height": ("base_hw", 0),
+    "extractor.base_width": ("base_hw", 1),
+}
+
+
 class TestConfig:
     def test_defaults_load(self):
         cfg = load_run_config({})
@@ -54,6 +121,55 @@ class TestConfig:
         assert cfg.federation.n_clients == 5
         assert cfg.federation.grid_hw == (8, 8)
         assert cfg.synth.dirichlet_alpha == 0.1
+        # field by field the dataclass defaults, with the extractor and
+        # audit seeds following the run seed
+        for seed in (0, 5):
+            cfg = load_run_config({"seed": seed})
+            assert cfg.federation == FederationConfig(seed=seed,
+                                                      extractor=ExtractorSpec(seed=seed))
+            assert cfg.federation.aggregation == AggregationConfig()
+            assert cfg.federation.loss == LossConfig()
+            assert cfg.synth == SynthSpec(seed=seed)
+            assert cfg.audit == AuditConfig(seed=seed)
+            assert cfg.train_manifests is None and cfg.test_manifest is None
+
+    def test_schema_is_the_documented_key_set(self):
+        assert {"seed", "dataset", *config._SECTIONS} == SECTION_KEYS[""]
+        for section, (_, keys) in config._SECTIONS.items():
+            assert set(keys) == SECTION_KEYS[section], section
+        dataset = {"kind"}.union(*(keys for _, keys in config._DATASETS.values()))
+        assert dataset == SECTION_KEYS["dataset"]
+
+    def test_every_key_lands_in_its_field(self):
+        cfg = load_run_config(EVERY_KEY)
+        assert cfg.federation.seed == 7
+        for section, keys in SECTION_KEYS.items():
+            if not section:
+                continue
+            target = TARGETS[section](cfg)
+            for key in sorted(keys - set(MANIFEST_DATASET) if section == "dataset" else keys):
+                want = EVERY_KEY[section][key]
+                field, i = RENAMED.get(f"{section}.{key}", (key, None))
+                got = getattr(target, field)
+                default = getattr(type(target)(), field)
+                if i is not None:
+                    got, default = got[i], default[i]
+                want = tuple(want) if isinstance(want, list) else want
+                assert got == want and type(got) is type(want), (section, key)
+                assert got != default, (section, key)
+
+        cfg = load_run_config({**EVERY_KEY, "dataset": MANIFEST_DATASET})
+        assert cfg.synth is None
+        assert cfg.train_manifests == MANIFEST_DATASET["train_manifests"]
+        assert cfg.test_manifest == MANIFEST_DATASET["test_manifest"]
+
+    def test_integral_numbers_load_as_ints(self):
+        cfg = load_run_config({"federation": {"rounds": 60.0}, "audit": {"mc_samples": 1e5},
+                               "loss": {"learning_rate": 1}})
+        assert cfg.federation.rounds == 60 and type(cfg.federation.rounds) is int
+        assert cfg.audit.mc_samples == 100_000 and type(cfg.audit.mc_samples) is int
+        assert cfg.federation.loss.learning_rate == 1.0
+        assert type(cfg.federation.loss.learning_rate) is float
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError) as err:
@@ -248,6 +364,39 @@ class TestCliErrors:
             err = json.loads(capsys.readouterr().out)
             assert err["error"]["type"] == "config"
             assert err["error"]["key"] == f"federation.{key}"
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"federation": {"rounds": "ten"}}, "federation.rounds"),
+        ({"federation": {"rounds": [3]}}, "federation.rounds"),
+        ({"memory": {"channels": "x"}}, "memory.channels"),
+        ({"aggregation": {"n_init": "two"}}, "aggregation.n_init"),
+        ({"extractor": {"level_channels": 5}}, "extractor.level_channels"),
+        ({"federation": {"rounds": 2.7}}, "federation.rounds"),
+        ({"loss": {"knn_k": "x"}}, "loss.knn_k"),
+        ({"dataset": {"n_types": "x"}}, "dataset.n_types"),
+        ({"loss": {"batch_size": "4"}}, "loss.batch_size"),
+        ({"federation": {"n_clients": True}}, "federation.n_clients"),
+        ({"loss": {"learning_rate": False}}, "loss.learning_rate"),
+        ({"dataset": {"test_manifest": "t.json"}}, "dataset.test_manifest"),
+        ({"dataset": {"kind": "manifest", "n_types": 3}}, "dataset.n_types"),
+    ])
+    def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, doc, key):
+        out = tmp_path / "o"
+        code = main(["bench-comm", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2 and err["type"] == "config"
+        assert err["key"] == key
+        assert not out.exists()
+
+    def test_unknown_activation_exit_2_before_any_run_file(self, tmp_path, capsys):
+        doc = desk_doc(rounds=1)
+        doc["loss"]["activation"] = "sigmoid"
+        out = tmp_path / "o"
+        code = main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2 and err["type"] == "config"
+        assert err["key"] == "loss"
+        assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.json"),

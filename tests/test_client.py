@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import f64, max_rel_err
+from conftest import f64, finite_diff_grad, max_rel_err
 from feddymem.client import (
     ClientModelState,
     LossConfig,
@@ -20,7 +20,7 @@ from feddymem.client import (
 from feddymem.errors import ShapeError
 from feddymem.features import init_projection
 from feddymem.generator import init_generator
-from feddymem.numerics import Rng, adam_step, finite_diff_grad, pairwise_dist
+from feddymem.numerics import Rng, adam_step, pairwise_dist
 
 
 def make_bank(rng, h=4, w=4, c=3):

@@ -529,7 +529,8 @@ class TestSynthDataset:
         spec = SynthSpec(n_types=2, samples_per_type=3, n_clients=2, seed=1)
         a = synth_dataset(spec)
         b = synth_dataset(spec)
-        assert a.assignment == b.assignment
+        assert [[s.sample_id for s in c] for c in a.client_train] == \
+            [[s.sample_id for s in c] for c in b.client_train]
         for sa, sb in zip(a.test, b.test):
             assert np.array_equal(sa.features, sb.features)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import f64, max_rel_err, write_pyramid
+from conftest import f64, finite_diff_grad, max_rel_err, write_pyramid
 from feddymem.errors import ShapeError
 from feddymem.features import (
     ExtractorSpec,
@@ -16,7 +16,7 @@ from feddymem.features import (
     write_manifest,
     ManifestEntry,
 )
-from feddymem.numerics import Rng, bilinear_resize, conv1x1_forward, finite_diff_grad
+from feddymem.numerics import Rng, bilinear_resize, conv1x1_forward
 
 SPEC = ExtractorSpec(kind="synthetic", seed=11, levels=3, base_hw=(32, 32),
                      level_channels=(4, 8, 16))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import f64, max_rel_err
+from conftest import f64, finite_diff_grad, max_rel_err
 from feddymem.errors import ShapeError
 from feddymem.generator import (
     generator_backward,
@@ -12,7 +12,7 @@ from feddymem.generator import (
     init_generator,
     normalize_coords,
 )
-from feddymem.numerics import Rng, conv1x1_forward, finite_diff_grad
+from feddymem.numerics import Rng, conv1x1_forward
 
 
 def make_params(seed=0, c=4, grid_hw=(8, 8), dtype=np.float64) -> dict[str, np.ndarray]:

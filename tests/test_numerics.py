@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import f64, max_rel_err
+from conftest import f64, finite_diff_grad, max_rel_err
 from feddymem.errors import NumericError, ShapeError
 from feddymem.numerics import (
     AdamState,
@@ -14,7 +14,6 @@ from feddymem.numerics import (
     bilinear_resize,
     conv1x1_backward,
     conv1x1_forward,
-    finite_diff_grad,
     knn,
     pairwise_dist,
 )
@@ -524,18 +523,3 @@ class TestAdam:
         st_ = AdamState.init_like(p)
         with pytest.raises(NumericError):
             adam_step(p, np.array([np.nan, 0.0], dtype=np.float32), st_)
-
-
-class TestFiniteDiff:
-    def test_sum_gives_ones(self):
-        g = finite_diff_grad(lambda x: float(x.sum()), np.zeros((2, 3)), 1e-3)
-        assert np.allclose(g, 1.0)
-
-    def test_quadratic(self, rng):
-        x = f64(rng, (4,))
-        g = finite_diff_grad(lambda v: float((v * v).sum()), x, 1e-4)
-        assert max_rel_err(g, 2 * x) < 1e-6
-
-    def test_nonfinite_rejected(self):
-        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            finite_diff_grad(lambda x: float(np.log(x.sum())), np.zeros(2), 1e-3)
