@@ -13,17 +13,19 @@ current bank, all kept local (only banks are exchanged). The weights are one
 mapping of name to array. Its keys, in this order, are the projection's
 `proj_w`, `proj_b` (`features.init_projection`) and the generator's
 `coord_w`, `coord_b`, `phi1_w`, `phi1_b`, `phi2_w`, `phi2_b`, `out_w`,
-`out_b`, `grid` (`generator.init_generator`). Gradients, Adam states and
-checkpoint sections use the same keys in the same order.
+`out_b`, `grid` (`generator.init_generator`). Gradients, the two Adam
+moments and checkpoint sections use the same keys in the same order. The
+moments start at zero with one shared step count, and every training batch
+updates all of them once with the settings of the client's `LossConfig`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .features import project_backward, project_forward
 from .generator import generator_backward, generator_forward
 from .numerics import DTYPE, AdamState, Rng, adam_step, knn
@@ -75,6 +77,9 @@ class LossConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1)", key=f"loss.{key}")
         if self.local_epochs < 0:
             raise ValueError("local_epochs must be >= 0")
         if self.activation not in ("relu", "tanh"):
@@ -85,17 +90,12 @@ class LossConfig:
 class ClientModelState:
     client_id: int
     params: dict[str, np.ndarray]
-    adam: dict[str, AdamState]
     local_bank: MemoryBank | None = None
+    adam: AdamState = field(init=False)
 
-
-def init_adam_states(state: ClientModelState, cfg: LossConfig) -> None:
-    state.adam = {
-        name: AdamState.init_like(param, lr=cfg.learning_rate, beta1=cfg.beta1,
-                                  beta2=cfg.beta2, eps=cfg.adam_eps,
-                                  weight_decay=cfg.weight_decay)
-        for name, param in state.params.items()
-    }
+    def __post_init__(self):
+        self.adam = AdamState(m={k: np.zeros_like(p) for k, p in self.params.items()},
+                              v={k: np.zeros_like(p) for k, p in self.params.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +195,11 @@ def client_update(state: ClientModelState, dataset: np.ndarray, cfg: LossConfig,
                 batch_loss += loss
             scale = 1.0 / len(batch)
             batch_loss *= scale
+            grads = {name: grads[name] * scale for name in state.params}
             grad_sq = 0.0
-            for name, param in state.params.items():
-                g = grads[name] * scale
+            for g in grads.values():
                 grad_sq += float((g.astype(np.float64) ** 2).sum())
-                state.params[name] = adam_step(param, g, state.adam[name])
+            adam_step(state.params, grads, state.adam, cfg)
             loss_trace.append(batch_loss)
             grad_sq_trace.append(grad_sq)
     return loss_trace, grad_sq_trace

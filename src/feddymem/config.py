@@ -124,8 +124,11 @@ def _fields(section: str, values: dict, schema=None) -> dict:
 
 
 def _build(section: str, cls, **kwargs):
+    """cls(**kwargs); a ValueError that names no key is keyed by the section."""
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc), key=section) from exc
 

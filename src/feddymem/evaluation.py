@@ -1,9 +1,8 @@
 """Test-time scoring, detection metrics and the synthetic benchmark.
 
 Scoring follows the nearest-neighbor convention: per-pixel anomaly score is
-the distance to the nearest bank patch (the 1-NN distance; the mean over
-the K nearest is available for ablation), and the image score is a
-softmax-weighted maximum over the pixel map.
+the distance to the nearest bank patch (the 1-NN distance), and the image
+score is a softmax-weighted maximum over the pixel map.
 
 The synthetic dataset builds per-type smooth prototypes, adds low-magnitude
 smooth noise for normal samples, and perturbs one contiguous patch for
@@ -21,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .client import MemoryBank, knn_lookup
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .numerics import DTYPE, Rng, bilinear_resize
 
 
@@ -54,27 +53,6 @@ class AnomalyMap:
 # ---------------------------------------------------------------------------
 
 
-def pixel_scores(m_test: np.ndarray, bank: MemoryBank, k: int,
-                 mode: str = "min") -> np.ndarray:
-    """Per-pixel anomaly scores from the K nearest bank patches: the nearest
-    one's distance in `min` mode, the mean of the K distances in `mean` mode.
-
-    `min` mode looks up one neighbour only: `knn`'s column 0 is the least
-    explicit distance whatever k is, so the scores are the same, bit for
-    bit, as the first column of a K-neighbour lookup.
-    """
-    if mode not in ("min", "mean"):
-        raise ValueError(f"unknown score mode {mode!r}")
-    h, w, c = m_test.shape
-    if c != bank.data.shape[2]:
-        raise ShapeError(f"memory channels {c} != bank channels {bank.data.shape[2]}")
-    if not 1 <= k <= bank.size:
-        raise ValueError(f"k={k} must be in [1, {bank.size}] for a bank of that size")
-    _, dist = knn_lookup(m_test.reshape(h * w, c), bank, 1 if mode == "min" else k)
-    scores = dist[:, 0] if mode == "min" else dist.mean(axis=1)
-    return scores.reshape(h, w)
-
-
 def image_score(a: np.ndarray) -> float:
     """Softmax-weighted maximum of the pixel score map (stable form)."""
     flat = a.reshape(-1).astype(np.float64)
@@ -82,9 +60,14 @@ def image_score(a: np.ndarray) -> float:
     return float((flat * (e / e.sum())).max())
 
 
-def anomaly_map(m_test: np.ndarray, bank: MemoryBank, k: int,
-                mode: str = "min") -> AnomalyMap:
-    scores = pixel_scores(m_test, bank, k, mode)
+def anomaly_map(m_test: np.ndarray, bank: MemoryBank) -> AnomalyMap:
+    """Scores of one (H, W, C) memory feature: each patch's distance to its
+    nearest bank patch, and their `image_score`."""
+    h, w, c = m_test.shape
+    if c != bank.data.shape[2]:
+        raise ShapeError(f"memory channels {c} != bank channels {bank.data.shape[2]}")
+    _, dist = knn_lookup(m_test.reshape(h * w, c), bank, 1)
+    scores = dist[:, 0].reshape(h, w)
     return AnomalyMap(pixel_scores=scores, image_score=image_score(scores))
 
 
@@ -300,6 +283,14 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_types < 1:
             raise ValueError("n_types must be >= 1")
+        if self.n_types * self.samples_per_type < self.n_clients:
+            raise ConfigError("every client needs a training sample: n_types * samples_per_type"
+                              f" must be >= n_clients ({self.n_clients})",
+                              key="dataset.samples_per_type")
+        for key in ("test_normals_per_type", "test_anomalies_per_type", "prototype_cells",
+                    "noise_cells"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1", key=f"dataset.{key}")
         if self.dirichlet_alpha <= 0:
             raise ValueError("dirichlet_alpha must be > 0")
         if not (1 <= self.anomaly_extent <= min(self.base_hw)):

@@ -419,39 +419,31 @@ def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """Per-tensor Adam buffers; mutated only by its owning client."""
+    """One client's Adam moments, keyed like its parameters, and the one
+    timestep they share; mutated only by `adam_step`."""
 
-    m: np.ndarray
-    v: np.ndarray
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     step: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 5e-4
-
-    @classmethod
-    def init_like(cls, param: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8,
-                  weight_decay: float = 5e-4) -> "AdamState":
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        zeros = np.zeros_like(param)
-        return cls(m=zeros.copy(), v=zeros.copy(), step=0, lr=lr, beta1=beta1,
-                   beta2=beta2, eps=eps, weight_decay=weight_decay)
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
-    """One classic Adam update with bias correction; L2 weight decay is folded
-    into the gradient. Returns the new parameter array; state is mutated."""
-    if grad.shape != param.shape:
-        raise ShapeError(f"grad shape {grad.shape} != param shape {param.shape}")
-    if not np.isfinite(grad).all():
-        raise NumericError("non-finite gradient passed to adam_step")
-    g = grad + state.weight_decay * param if state.weight_decay else grad
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+              state: AdamState, cfg) -> None:
+    """One classic Adam update with bias correction of every tensor of
+    `params`, in place; L2 weight decay is folded into the gradient. The
+    learning rate, betas, eps and decay are those of cfg, a
+    `client.LossConfig`. Every gradient is checked before any tensor moves."""
+    for name, param in params.items():
+        if grads[name].shape != param.shape:
+            raise ShapeError(f"grad shape {grads[name].shape} != param shape {param.shape}")
+        if not np.isfinite(grads[name]).all():
+            raise NumericError("non-finite gradient passed to adam_step")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2 = cfg.beta1, cfg.beta2
+    for name, param in params.items():
+        g = grads[name] + cfg.weight_decay * param if cfg.weight_decay else grads[name]
+        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+        m_hat = state.m[name] / (1.0 - b1 ** state.step)
+        v_hat = state.v[name] / (1.0 - b2 ** state.step)
+        params[name] = param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)

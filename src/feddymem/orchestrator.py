@@ -29,14 +29,13 @@ from .client import (
     MemoryBank,
     client_update,
     extract_all_memories,
-    init_adam_states,
     max_patch_norm,
     memory_reduce,
 )
 from .errors import ConfigError, ShapeError
 from .features import ExtractorSpec, extract_pyramid, fuse_pyramid, init_projection
 from .generator import init_generator
-from .numerics import DTYPE, Rng
+from .numerics import DTYPE, AdamState, Rng
 from .server import (
     AggregationConfig,
     ExchangeRecord,
@@ -64,7 +63,6 @@ class FederationConfig:
     phi_hidden: int | None = None
     checkpoint_interval: int = 10
     aggregation: AggregationConfig = field(default_factory=AggregationConfig)
-    score_mode: str = "min"
 
     def __post_init__(self):
         if self.n_clients < 1:
@@ -76,9 +74,15 @@ class FederationConfig:
                               key="federation.baseline")
         if self.memory_channels < 1:
             raise ConfigError("memory_channels must be >= 1", key="memory.channels")
-        if self.score_mode not in ("min", "mean"):
-            raise ConfigError("score_mode must be 'min' or 'mean'",
-                              key="federation.score_mode")
+        for extent, key in zip(self.grid_hw, ("memory.grid_height", "memory.grid_width")):
+            if extent < 2:
+                raise ConfigError("grid extents must be >= 2", key=key)
+        if self.phi_hidden is not None and self.phi_hidden < 1:
+            raise ConfigError("phi_hidden must be >= 1", key="memory.phi_hidden")
+        h, w, _ = self.bank_shape
+        if self.loss.knn_k > h * w:
+            raise ConfigError(f"knn_k must be at most the bank's {h * w} patches",
+                              key="loss.knn_k")
 
     @property
     def bank_shape(self) -> tuple[int, int, int]:
@@ -160,15 +164,12 @@ def _init_client_state(cfg: FederationConfig, n: int) -> ClientModelState:
     # parameters, so there is no channel to distribute a shared one
     rng = Rng(cfg.seed).child("client", n)
     cin = cfg.extractor.fused_channels
-    state = ClientModelState(
+    return ClientModelState(
         client_id=n,
         params={**init_projection(rng.child("proj"), cin, cfg.memory_channels),
                 **init_generator(rng.child("gen"), cfg.memory_channels,
                                  cfg.grid_hw, cfg.phi_hidden)},
-        adam={},
     )
-    init_adam_states(state, cfg.loss)
-    return state
 
 
 def _aggregate_banks(banks: list[MemoryBank], cfg: FederationConfig,
@@ -305,16 +306,15 @@ def save_checkpoint(out_dir: Path, round_index: int, states: list[ClientModelSta
                 "clients": [], "monitor": asdict(monitor)}
     for state in states:
         sections: dict[str, np.ndarray] = {}
-        steps: dict[str, int] = {}
         for name, param in state.params.items():
             sections[name] = param
-            sections[f"adam_m.{name}"] = state.adam[name].m
-            sections[f"adam_v.{name}"] = state.adam[name].v
-            steps[name] = state.adam[name].step
+            sections[f"adam_m.{name}"] = state.adam.m[name]
+            sections[f"adam_v.{name}"] = state.adam.v[name]
         sections["bank"] = state.local_bank.data
         fname = f"client_{state.client_id}.fdmc"
         tensorio.write_container(tmp / fname, sections)
-        manifest["clients"].append({"id": state.client_id, "file": fname, "adam_steps": steps})
+        manifest["clients"].append({"id": state.client_id, "file": fname,
+                                    "adam_step": state.adam.step})
     tensorio.write_tensor(tmp / "global_bank.fdm1", global_bank.data)
     (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     shutil.rmtree(ckpt, ignore_errors=True)
@@ -330,12 +330,14 @@ def _require_shape(what: str, got: tuple, want: tuple) -> None:
 def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
         -> tuple[int, list[ClientModelState], MemoryBank, ConvergenceMonitor]:
     """Each client's weights, Adam moments and bank, the global bank, and
-    the monitor's `r_hat_m` and `bound_violations`. Manifest keys beyond
-    these, which older checkpoints hold, are ignored. The checkpoint must
-    be of the config's seed and baseline, hold clients 0..n_clients-1, and
-    every section and bank must have the shape the config gives it, or
-    `ConfigError` names what differs. A manifest written before the seed
-    and baseline were recorded is not checked for them."""
+    the monitor's `r_hat_m` and `bound_violations`. The manifest holds the
+    `round`, `seed`, `baseline` and `monitor`, and per client its `id`,
+    container `file` and one `adam_step`; other keys are ignored. A client
+    without `adam_step` (older checkpoints kept an `adam_steps` count per
+    tensor) raises `ConfigError`, and so does a checkpoint of another seed
+    or baseline, of clients other than 0..n_clients-1, or with a section or
+    bank of another shape than the config gives it. A manifest without the
+    seed and baseline is not checked for them."""
     manifest = json.loads((ckpt / "manifest.json").read_text())
     round_index = int(manifest["round"])
     for name, key in (("seed", "seed"), ("baseline", "federation.baseline")):
@@ -348,6 +350,9 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
                           f"{cfg.n_clients} of the config", key="federation.n_clients")
     states = []
     for entry in sorted(manifest["clients"], key=lambda e: e["id"]):
+        if "adam_step" not in entry:
+            raise ConfigError(f"checkpoint {ckpt} records no adam_step for client "
+                              f"{entry['id']}; it is of an older format")
         sections = tensorio.read_container(ckpt / entry["file"])
         state = _init_client_state(cfg, entry["id"])
         shapes = {"bank": cfg.bank_shape}
@@ -355,12 +360,10 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
             shapes.update(dict.fromkeys((name, f"adam_m.{name}", f"adam_v.{name}"), fresh.shape))
         for key, shape in shapes.items():
             _require_shape(f"{entry['file']} section {key!r}", sections[key].shape, shape)
-        for name in state.params:
-            state.params[name] = sections[name]
-            adam = state.adam[name]
-            adam.m = sections[f"adam_m.{name}"]
-            adam.v = sections[f"adam_v.{name}"]
-            adam.step = int(entry["adam_steps"][name])
+        state.params = {name: sections[name] for name in state.params}
+        state.adam = AdamState(m={name: sections[f"adam_m.{name}"] for name in state.params},
+                               v={name: sections[f"adam_v.{name}"] for name in state.params},
+                               step=int(entry["adam_step"]))
         state.local_bank = MemoryBank(data=sections["bank"])
         states.append(state)
     global_bank = MemoryBank(data=tensorio.read_tensor(ckpt / "global_bank.fdm1"))

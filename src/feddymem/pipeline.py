@@ -6,7 +6,6 @@ wrapper over these functions; tests call them directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ from .client import ClientModelState, MemoryBank, forward_memory
 from .config import RunConfig, load_federated_data, load_test_set
 from .errors import ConfigError
 from .evaluation import (
+    AnomalyMap,
     EvalMetrics,
     LabeledSample,
     anomaly_map,
@@ -54,55 +54,34 @@ def train_run(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScoredSample:
-    sample_id: str
-    image_score: float
-    pixel_scores: np.ndarray
-
-
-def score_test_set(state: ClientModelState, bank: MemoryBank,
-                   test_samples: list[LabeledSample], test_fused: np.ndarray,
-                   cfg: FederationConfig) -> list[ScoredSample]:
-    """Score a block of test samples, their fused features stacked as
-    (N, H, W, Cin), against the bank: one forward pass for the whole block,
-    then one anomaly map per sample."""
-    memories = forward_memory(state, test_fused, cfg.loss.activation)
-    out = []
-    for sample, m in zip(test_samples, memories):
-        amap = anomaly_map(m, bank, cfg.loss.knn_k, cfg.score_mode)
-        out.append(ScoredSample(sample_id=sample.sample_id, image_score=amap.image_score,
-                                pixel_scores=amap.pixel_scores))
-    return out
-
-
 def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],
                     test_samples: list[LabeledSample], cfg: FederationConfig
-                    ) -> tuple[EvalMetrics, list[ScoredSample]]:
+                    ) -> tuple[EvalMetrics, list[AnomalyMap]]:
     """Per-client detection metrics over the whole test set, banks[n] being
-    what client n queries, and client 0's scored samples.
+    what client n queries, and client 0's anomaly maps in test order.
 
     The test features are built one block of `cfg.loss.batch_size` samples
-    at a time, and every client scores a block before the next is built,
-    so the features of the whole test set are never held at once. The
-    image labels, the pixel labels and the masks' regions are the test
-    set's, the same for every client, so they are built once.
+    at a time, and every client scores a block, one forward pass and then
+    one `anomaly_map` per sample, before the next is built, so the features
+    of the whole test set are never held at once. The image labels, the
+    pixel labels and the masks' regions are the test set's, the same for
+    every client, so they are built once.
     """
-    scored: list[list[ScoredSample]] = [[] for _ in states]
+    scored: list[list[AnomalyMap]] = [[] for _ in states]
     step = cfg.loss.batch_size
     for s in range(0, len(test_samples), step):
-        block = test_samples[s:s + step]
-        fused = build_client_dataset(block, cfg.extractor)
+        fused = build_client_dataset(test_samples[s:s + step], cfg.extractor)
         for n, (state, bank) in enumerate(zip(states, banks)):
-            scored[n] += score_test_set(state, bank, block, fused, cfg)
+            scored[n] += [anomaly_map(m, bank)
+                          for m in forward_memory(state, fused, cfg.loss.activation)]
     labels = np.array([s.label for s in test_samples])
     masks = [s.mask_or_zeros() for s in test_samples]
     pixel_labels = (np.concatenate([m.reshape(-1) for m in masks]) > 0).astype(int)
     regions = label_regions(masks)
     i_aurocs, p_aurocs, pros = [], [], []
     for client in scored:
-        i_aurocs.append(auroc(np.array([s.image_score for s in client]), labels))
-        maps = [s.pixel_scores for s in client]
+        i_aurocs.append(auroc(np.array([a.image_score for a in client]), labels))
+        maps = [a.pixel_scores for a in client]
         p_aurocs.append(auroc(np.concatenate([a.reshape(-1) for a in maps]), pixel_labels))
         pros.append(pro(maps, regions))
     return EvalMetrics(i_auroc_per_client=i_aurocs, p_auroc_per_client=p_aurocs,
@@ -132,7 +111,7 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
         banks = [s.local_bank for s in states]
     else:
         banks = [global_bank] * len(states)
-    metrics, first_scored = evaluate_states(states, banks, test_samples, cfg.federation)
+    metrics, first_maps = evaluate_states(states, banks, test_samples, cfg.federation)
 
     run_id = f"seed{cfg.federation.seed}_round{loaded_round}"
     write_results_csv(out_dir / "results.csv",
@@ -142,9 +121,9 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
     if export_heatmaps:
         heat_dir = out_dir / "heatmaps"
         heat_dir.mkdir(exist_ok=True)
-        for s in first_scored:
-            hm = postprocess_heatmap(s.pixel_scores, s.pixel_scores.shape)
-            tensorio.write_tensor(heat_dir / f"{s.sample_id}.fdm1", hm)
+        for sample, amap in zip(test_samples, first_maps):
+            hm = postprocess_heatmap(amap.pixel_scores, amap.pixel_scores.shape)
+            tensorio.write_tensor(heat_dir / f"{sample.sample_id}.fdm1", hm)
     return metrics
 
 

@@ -43,15 +43,15 @@ def dump_tensor(arr: np.ndarray) -> bytes:
     return header + payload.tobytes()
 
 
-def load_tensor(buf: bytes | memoryview, check_finite: bool = True) -> np.ndarray:
+def load_tensor(buf: bytes | memoryview) -> np.ndarray:
     buf = memoryview(buf)
-    arr, consumed = _read_tensor_at(buf, 0, check_finite)
+    arr, consumed = _read_tensor_at(buf, 0)
     if consumed != len(buf):
         raise ShapeError(f"trailing bytes after tensor payload ({len(buf) - consumed})")
     return arr
 
 
-def _read_tensor_at(buf: memoryview, offset: int, check_finite: bool) -> tuple[np.ndarray, int]:
+def _read_tensor_at(buf: memoryview, offset: int) -> tuple[np.ndarray, int]:
     if bytes(buf[offset:offset + 4]) != MAGIC:
         raise ShapeError("bad magic: not an FDM1 tensor")
     offset += 4
@@ -68,7 +68,7 @@ def _read_tensor_at(buf: memoryview, offset: int, check_finite: bool) -> tuple[n
     if end > len(buf):
         raise ShapeError("truncated tensor payload")
     arr = np.frombuffer(buf[offset:end], dtype="<f4").reshape(shape).copy()
-    if check_finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NumericError("tensor payload contains non-finite values")
     return arr, end
 
@@ -80,8 +80,8 @@ def write_tensor(path: str | Path, arr: np.ndarray) -> int:
     return len(data)
 
 
-def read_tensor(path: str | Path, check_finite: bool = True) -> np.ndarray:
-    return load_tensor(Path(path).read_bytes(), check_finite=check_finite)
+def read_tensor(path: str | Path) -> np.ndarray:
+    return load_tensor(Path(path).read_bytes())
 
 
 def dump_container(sections: dict[str, np.ndarray]) -> bytes:
@@ -98,7 +98,7 @@ def dump_container(sections: dict[str, np.ndarray]) -> bytes:
     return out.getvalue()
 
 
-def load_container(buf: bytes, check_finite: bool = True) -> dict[str, np.ndarray]:
+def load_container(buf: bytes) -> dict[str, np.ndarray]:
     view = memoryview(buf)
     if bytes(view[:4]) != CONTAINER_MAGIC:
         raise ShapeError("bad magic: not an FDMC container")
@@ -110,7 +110,7 @@ def load_container(buf: bytes, check_finite: bool = True) -> dict[str, np.ndarra
         offset += 2
         name = bytes(view[offset:offset + name_len]).decode("utf-8")
         offset += name_len
-        arr, offset = _read_tensor_at(view, offset, check_finite)
+        arr, offset = _read_tensor_at(view, offset)
         sections[name] = arr
     if offset != len(view):
         raise ShapeError(f"trailing bytes after container payload ({len(view) - offset})")
@@ -123,5 +123,5 @@ def write_container(path: str | Path, sections: dict[str, np.ndarray]) -> int:
     return len(data)
 
 
-def read_container(path: str | Path, check_finite: bool = True) -> dict[str, np.ndarray]:
-    return load_container(Path(path).read_bytes(), check_finite=check_finite)
+def read_container(path: str | Path) -> dict[str, np.ndarray]:
+    return load_container(Path(path).read_bytes())

@@ -6,7 +6,7 @@ import pytest
 from feddymem import config, tensorio
 from feddymem.cli import main
 from feddymem.config import load_run_config, load_federated_data, load_test_set
-from feddymem.client import LossConfig
+from feddymem.client import LossConfig, forward_memory
 from feddymem.errors import ConfigError
 from feddymem.evaluation import SynthSpec
 from feddymem.features import ExtractorSpec
@@ -53,8 +53,7 @@ def write_config(tmp_path, doc, name="cfg.json"):
 SECTION_KEYS = {
     "": {"seed", "federation", "loss", "memory", "extractor", "aggregation",
          "dataset", "audit"},
-    "federation": {"n_clients", "rounds", "baseline", "checkpoint_interval",
-                   "score_mode"},
+    "federation": {"n_clients", "rounds", "baseline", "checkpoint_interval"},
     "loss": {"hinge_margin", "knn_k", "batch_size", "learning_rate",
              "local_epochs", "weight_decay", "beta1", "beta2", "adam_eps",
              "activation"},
@@ -75,7 +74,7 @@ SECTION_KEYS = {
 EVERY_KEY = {
     "seed": 7,
     "federation": {"n_clients": 4, "rounds": 9, "baseline": "plain_average",
-                   "checkpoint_interval": 3, "score_mode": "mean"},
+                   "checkpoint_interval": 3},
     "loss": {"hinge_margin": 0.2, "knn_k": 5, "batch_size": 7, "learning_rate": 0.01,
              "local_epochs": 2, "weight_decay": 0.001, "beta1": 0.8, "beta2": 0.99,
              "adam_eps": 1e-7, "activation": "tanh"},
@@ -309,8 +308,9 @@ class TestCliTrainEval:
         # the files a second, separate scoring of client 0 writes
         _, states, bank, _ = load_checkpoint(latest_checkpoint(out), cfg.federation)
         fused = build_client_dataset(test, cfg.federation.extractor)
-        want = {f"{s.sample_id}.fdm1": s.pixel_scores
-                for s in pipeline.score_test_set(states[0], bank, test, fused, cfg.federation)}
+        memories = forward_memory(states[0], fused, cfg.federation.loss.activation)
+        want = {f"{s.sample_id}.fdm1": score(m, bank).pixel_scores
+                for s, m in zip(test, memories)}
         written = sorted((out / "heatmaps").iterdir())
         assert [path.name for path in written] == sorted(want)
         for path in written:
@@ -356,8 +356,9 @@ class TestCliAuditBench:
 
 class TestCliErrors:
     def test_unknown_key_exit_2_with_json(self, tmp_path, capsys):
-        # common_init is a removed option; a config that still sets it must fail
-        for key in ("n_clientz", "common_init"):
+        # common_init and score_mode are removed options; a config that
+        # still sets one must fail
+        for key in ("n_clientz", "common_init", "score_mode"):
             cfg_path = write_config(tmp_path, {"federation": {key: 1}})
             code = main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")])
             assert code == 2
@@ -379,6 +380,21 @@ class TestCliErrors:
         ({"loss": {"learning_rate": False}}, "loss.learning_rate"),
         ({"dataset": {"test_manifest": "t.json"}}, "dataset.test_manifest"),
         ({"dataset": {"kind": "manifest", "n_types": 3}}, "dataset.n_types"),
+        # values that load but would fail part way through a run
+        ({"memory": {"grid_height": 1}}, "memory.grid_height"),
+        ({"memory": {"grid_width": 0}}, "memory.grid_width"),
+        ({"memory": {"phi_hidden": 0}}, "memory.phi_hidden"),
+        ({"extractor": {"base_height": 4, "base_width": 4}, "loss": {"knn_k": 17}},
+         "loss.knn_k"),
+        ({"dataset": {"samples_per_type": 0}}, "dataset.samples_per_type"),
+        ({"dataset": {"test_normals_per_type": 0}}, "dataset.test_normals_per_type"),
+        ({"dataset": {"test_anomalies_per_type": 0}}, "dataset.test_anomalies_per_type"),
+        ({"dataset": {"prototype_cells": 0}}, "dataset.prototype_cells"),
+        ({"dataset": {"noise_cells": 0}}, "dataset.noise_cells"),
+        ({"federation": {"n_clients": 5}, "dataset": {"n_types": 1, "samples_per_type": 2}},
+         "dataset.samples_per_type"),
+        ({"loss": {"beta1": 1.0}}, "loss.beta1"),
+        ({"loss": {"beta2": 1.5}}, "loss.beta2"),
     ])
     def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, doc, key):
         out = tmp_path / "o"
@@ -495,6 +511,19 @@ class TestCliErrors:
         err = self._rejected(tmp_path, capsys, ["eval", "--seed", "9"], doc, out)
         assert err["key"] == "seed"
         assert not (out / "results.csv").exists()
+
+    def test_resume_from_per_tensor_adam_steps_exit_2(self, tmp_path, capsys):
+        # the manifest format that kept one Adam step count per tensor
+        doc, out = self._checkpointed_run(tmp_path)
+        path = out / "checkpoints/round_00001/manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["clients"]:
+            step = entry.pop("adam_step")
+            entry["adam_steps"] = {name: step for name in ("proj_w", "proj_b", "grid")}
+        path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        doc["federation"]["rounds"] = 2
+        err = self._rejected(tmp_path, capsys, ["train", "--resume"], doc, out)
+        assert "adam_step" in err["message"]
 
     def test_init_command(self, tmp_path):
         cfg_path = write_config(tmp_path, desk_doc(rounds=7))

@@ -10,7 +10,6 @@ from feddymem.client import (
     client_update,
     extract_all_memories,
     forward_memory,
-    init_adam_states,
     knn_lookup,
     max_patch_norm,
     memory_reduce,
@@ -27,16 +26,11 @@ def make_bank(rng, h=4, w=4, c=3):
     return MemoryBank(data=rng.normal((h, w, c)).astype(np.float64))
 
 
-def make_state(seed=0, cin=6, c=3, cfg=None):
+def make_state(seed=0, cin=6, c=3, dtype=np.float32):
     rng = Rng(seed)
-    state = ClientModelState(
-        client_id=0,
-        params={**init_projection(rng.child("p"), cin, c),
-                **init_generator(rng.child("g"), c, (4, 4))},
-        adam={},
-    )
-    init_adam_states(state, cfg or LossConfig())
-    return state
+    params = {**init_projection(rng.child("p"), cin, c),
+              **init_generator(rng.child("g"), c, (4, 4))}
+    return ClientModelState(client_id=0, params={k: v.astype(dtype) for k, v in params.items()})
 
 
 class TestKnn:
@@ -147,7 +141,7 @@ def _tiny_dataset(state, n=6, seed=3):
 class TestClientUpdate:
     def test_zero_epochs_is_identity(self):
         cfg = LossConfig(local_epochs=0)
-        state = make_state(cfg=cfg)
+        state = make_state()
         state.local_bank = make_bank(Rng(5), 4, 4, 3)
         before = {k: v.copy() for k, v in state.params.items()}
         losses, grads = client_update(state, _tiny_dataset(state), cfg, 1, Rng(0))
@@ -157,7 +151,7 @@ class TestClientUpdate:
 
     def test_training_reduces_loss(self):
         cfg = LossConfig(batch_size=3, learning_rate=5e-3)
-        state = make_state(cfg=cfg)
+        state = make_state()
         state.local_bank = make_bank(Rng(5), 4, 4, 3)
         data = _tiny_dataset(state, n=8)
         first = None
@@ -171,7 +165,7 @@ class TestClientUpdate:
         cfg = LossConfig(batch_size=2)
         results = []
         for _ in range(2):
-            state = make_state(cfg=cfg)
+            state = make_state()
             state.local_bank = make_bank(Rng(5), 4, 4, 3)
             client_update(state, _tiny_dataset(state), cfg, 1, Rng(7).child("x"))
             results.append({k: v.copy() for k, v in state.params.items()})
@@ -180,14 +174,18 @@ class TestClientUpdate:
 
     def test_trace_length(self):
         cfg = LossConfig(batch_size=4, local_epochs=2)
-        state = make_state(cfg=cfg)
+        state = make_state()
         state.local_bank = make_bank(Rng(5), 4, 4, 3)
         losses, grads = client_update(state, _tiny_dataset(state, n=6), cfg, 1, Rng(0))
         assert len(losses) == len(grads) == 2 * 2  # 2 epochs x ceil(6/4)
+        # one Adam step per batch moves every tensor's moments
+        assert state.adam.step == 2 * 2
+        assert list(state.adam.m) == list(state.adam.v) == list(state.params)
+        assert all(v.any() for v in state.adam.v.values())
 
     def test_empty_dataset_rejected(self):
         cfg = LossConfig()
-        state = make_state(cfg=cfg)
+        state = make_state()
         state.local_bank = make_bank(Rng(5), 4, 4, 3)
         with pytest.raises(ValueError):
             client_update(state, np.empty((0, 4, 4, 6), np.float32), cfg, 1, Rng(0))
@@ -211,19 +209,18 @@ def _per_sample_update(state, dataset, cfg, round_t, rng):
                     acc[name] = acc.get(name, 0.0) + g
             scale = 1.0 / len(batch)
             grad_sq = 0.0
-            for name, param in state.params.items():
-                g = acc[name] * scale
-                grad_sq += float((g.astype(np.float64) ** 2).sum())
-                state.params[name] = adam_step(param, g, state.adam[name])
+            scaled = {}
+            for name in state.params:
+                scaled[name] = acc[name] * scale
+                grad_sq += float((scaled[name].astype(np.float64) ** 2).sum())
+            adam_step(state.params, scaled, state.adam, cfg)
             loss_trace.append(batch_loss * scale)
             grad_sq_trace.append(grad_sq)
     return loss_trace, grad_sq_trace
 
 
-def _typed_setup(seed, n, dtype, cfg):
-    state = make_state(seed % 97, cfg=cfg)
-    state.params = {k: v.astype(dtype) for k, v in state.params.items()}
-    init_adam_states(state, cfg)
+def _typed_setup(seed, n, dtype):
+    state = make_state(seed % 97, dtype=dtype)
     state.local_bank = MemoryBank(data=Rng(seed).child("bank").normal((4, 4, 3)).astype(dtype))
     data = Rng(seed).child("data").normal((n, 4, 4, 6)).astype(dtype)
     return state, data
@@ -238,7 +235,7 @@ class TestBatchedStep:
     @settings(max_examples=30, deadline=None)
     def test_batch_gradients_equal_accumulated_singles(self, b, activation, dtype, seed):
         cfg = LossConfig(activation=activation)
-        state, data = _typed_setup(seed, b, dtype, cfg)
+        state, data = _typed_setup(seed, b, dtype)
         losses, grads = _forward_backward(state, data, state.local_bank, cfg)
         acc, singles = {}, []
         for i in range(b):
@@ -261,7 +258,7 @@ class TestBatchedStep:
                          local_epochs=2)
         runs = []
         for update in (client_update, _per_sample_update):
-            state, data = _typed_setup(seed, n, dtype, cfg)
+            state, data = _typed_setup(seed, n, dtype)
             runs.append((update(state, data, cfg, 1, Rng(seed).child("u")), state.params))
         (traces, params), (oracle_traces, oracle_params) = runs
         assert traces == oracle_traces

@@ -9,11 +9,11 @@ from feddymem.errors import NumericError, ShapeError
 from feddymem.evaluation import (
     PRO_HITS_CHUNK,
     SynthSpec,
+    anomaly_map,
     auroc,
     dirichlet_partition,
     image_score,
     label_regions,
-    pixel_scores,
     postprocess_heatmap,
     pro,
     synth_dataset,
@@ -129,42 +129,45 @@ levels = st.sampled_from([1, 2, 3, 8, None])
 
 
 class TestPixelScores:
+    """The pixel scores, and the image score, of `anomaly_map`."""
+
     def test_exact_match_scores_zero(self, rng):
         bank = MemoryBank(data=rng.normal((3, 3, 4)))
         m = np.broadcast_to(bank.data[0, 0], (2, 2, 4)).copy()
-        scores = pixel_scores(m, bank, 1)
-        assert np.all(scores == 0.0)
+        amap = anomaly_map(m, bank)
+        assert np.all(amap.pixel_scores == 0.0) and amap.image_score == 0.0
 
     def test_hand_distance(self):
         bank = MemoryBank(data=np.array([0.0, 10.0], dtype=np.float32).reshape(1, 2, 1))
-        scores = pixel_scores(np.full((1, 1, 1), 4.0, np.float32), bank, 2)
-        assert scores[0, 0] == 4.0
+        amap = anomaly_map(np.full((1, 1, 1), 4.0, np.float32), bank)
+        assert amap.pixel_scores[0, 0] == 4.0
+        assert amap.image_score == image_score(amap.pixel_scores)
 
     def test_matches_min_oracle(self, rng):
         m = f64(rng.child(1), (3, 3, 4))
         bank = MemoryBank(data=f64(rng.child(2), (4, 4, 4)))
-        scores = pixel_scores(m, bank, 3)
+        scores = anomaly_map(m, bank).pixel_scores
         d = pairwise_dist(m.reshape(9, 4), bank.patches)
+        assert scores.shape == (3, 3)
         assert max_rel_err(scores.reshape(-1), d.min(axis=1)) < 1e-12
-
-    def test_mean_mode(self, rng):
-        m = f64(rng.child(1), (2, 2, 3))
-        bank = MemoryBank(data=f64(rng.child(2), (3, 3, 3)))
-        scores = pixel_scores(m, bank, 2, mode="mean")
-        d = np.sort(pairwise_dist(m.reshape(4, 3), bank.patches), axis=1)
-        assert max_rel_err(scores.reshape(-1), d[:, :2].mean(axis=1)) < 1e-12
 
     def test_invariant_under_bank_permutation(self, rng):
         m = f64(rng.child(1), (3, 3, 4))
         bank = MemoryBank(data=f64(rng.child(2), (4, 4, 4)))
         perm = Rng(3).permutation(16)
         shuffled = MemoryBank(data=bank.patches[perm].reshape(4, 4, 4))
-        assert np.allclose(pixel_scores(m, bank, 3), pixel_scores(m, shuffled, 3))
+        assert np.allclose(anomaly_map(m, bank).pixel_scores,
+                           anomaly_map(m, shuffled).pixel_scores)
+
+    def test_channel_mismatch_rejected(self, rng):
+        bank = MemoryBank(data=rng.normal((3, 3, 4)))
+        with pytest.raises(ShapeError):
+            anomaly_map(rng.normal((2, 2, 3)), bank)
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 12), st.integers(1, 4),
            st.sampled_from([np.float32, np.float64]))
     @settings(max_examples=60, deadline=None)
-    def test_min_mode_equals_first_knn_column_for_every_k(self, seed, q, c, dtype):
+    def test_scores_equal_first_knn_column_for_every_k(self, seed, q, c, dtype):
         # coarse values and duplicated bank rows tie the nearest distances
         gen = Rng(seed).generator
         rows = gen.integers(-2, 3, (q, c)) / 2.0
@@ -174,11 +177,9 @@ class TestPixelScores:
         bank = MemoryBank(data=rows.reshape(1, q, c).astype(dtype))
         m = (gen.integers(-2, 3, (3, 4, c)) / 2.0
              + 0.25 * (gen.uniform(0, 1, (3, 4, 1)) < 0.5)).astype(dtype)
+        scores = anomaly_map(m, bank).pixel_scores.reshape(-1)
         for k in range(1, q + 1):
-            want = knn(m.reshape(12, c), bank.patches, k)[1][:, 0]
-            assert np.array_equal(pixel_scores(m, bank, k).reshape(-1), want)
-        with pytest.raises(ValueError):
-            pixel_scores(m, bank, q + 1)
+            assert np.array_equal(scores, knn(m.reshape(12, c), bank.patches, k)[1][:, 0])
 
 
 class TestImageScore:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import f64, finite_diff_grad, max_rel_err
+from feddymem.client import LossConfig
 from feddymem.errors import NumericError, ShapeError
 from feddymem.numerics import (
     AdamState,
@@ -477,49 +478,67 @@ class TestGramFloor:
         assert sorted(zip(rows, cols)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def zero_adam(params):
+    """Zero moments keyed like params, as a fresh client holds them."""
+    return AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
+                     v={k: np.zeros_like(p) for k, p in params.items()})
+
+
 class TestAdam:
     def test_zero_grad_no_decay_keeps_params(self):
         p = np.array([1.0, -2.0], dtype=np.float32)
-        st_ = AdamState.init_like(p, weight_decay=0.0)
-        out = adam_step(p, np.zeros_like(p), st_)
-        assert np.array_equal(out, p)
+        params = {"p": p}
+        state = zero_adam(params)
+        adam_step(params, {"p": np.zeros_like(p)}, state, LossConfig(weight_decay=0.0))
+        assert np.array_equal(params["p"], p)
+        assert state.step == 1
 
     def test_first_step_is_signed_lr(self):
-        p = np.zeros(3, dtype=np.float64)
-        g = np.array([0.5, -2.0, 1e-3])
-        st_ = AdamState.init_like(p, lr=0.01, weight_decay=0.0)
-        out = adam_step(p, g, st_)
-        expected = -0.01 * g / (np.abs(g) + 1e-8)
-        assert max_rel_err(out, expected) < 1e-6
+        # every tensor moves in the one step, whatever its shape
+        g = {"a": np.array([0.5, -2.0, 1e-3]), "b": np.array([[4.0], [-0.25]])}
+        params = {k: np.zeros_like(v) for k, v in g.items()}
+        state = zero_adam(params)
+        adam_step(params, g, state, LossConfig(learning_rate=0.01, weight_decay=0.0))
+        for k in g:
+            assert max_rel_err(params[k], -0.01 * g[k] / (np.abs(g[k]) + 1e-8)) < 1e-6
+        assert state.step == 1
 
     def test_two_steps_match_hand_unrolled(self):
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        g = np.array([0.3])
-        p = np.array([1.0])
-        st_ = AdamState.init_like(p, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
-        p1 = adam_step(p, g, st_)
-        p2 = adam_step(p1, g, st_)
+        lr, b1, b2, eps = 0.01, 0.8, 0.99, 1e-7
+        cfg = LossConfig(learning_rate=lr, beta1=b1, beta2=b2, adam_eps=eps, weight_decay=0.0)
+        g = {"a": np.array([0.3]), "b": np.array([-1.5])}
+        params = {"a": np.array([1.0]), "b": np.array([0.5])}
+        start = {k: float(v[0]) for k, v in params.items()}
+        state = zero_adam(params)
+        adam_step(params, g, state, cfg)
+        adam_step(params, g, state, cfg)
+        assert state.step == 2
 
-        m = v = 0.0
-        pref = 1.0
-        for step in (1, 2):
-            m = b1 * m + (1 - b1) * g[0]
-            v = b2 * v + (1 - b2) * g[0] ** 2
-            mh = m / (1 - b1 ** step)
-            vh = v / (1 - b2 ** step)
-            pref = pref - lr * mh / (np.sqrt(vh) + eps)
-        assert abs(p2[0] - pref) < 1e-12
-        assert st_.step == 2
+        for k in params:
+            m = v = 0.0
+            pref = start[k]
+            for step in (1, 2):
+                m = b1 * m + (1 - b1) * g[k][0]
+                v = b2 * v + (1 - b2) * g[k][0] ** 2
+                mh = m / (1 - b1 ** step)
+                vh = v / (1 - b2 ** step)
+                pref = pref - lr * mh / (np.sqrt(vh) + eps)
+            assert abs(params[k][0] - pref) < 1e-12, k
 
     def test_weight_decay_as_l2(self):
-        p = np.array([2.0])
-        st_ = AdamState.init_like(p, lr=0.1, weight_decay=0.5)
-        out = adam_step(p, np.zeros(1), st_)
+        params = {"p": np.array([2.0])}
+        adam_step(params, {"p": np.zeros(1)}, zero_adam(params),
+                  LossConfig(learning_rate=0.1, weight_decay=0.5))
         # grad becomes wd*p = 1.0; first step moves by ~lr
-        assert out[0] < p[0]
+        assert params["p"][0] < 2.0
 
     def test_nonfinite_grad_rejected(self):
-        p = np.zeros(2, dtype=np.float32)
-        st_ = AdamState.init_like(p)
+        params = {"a": np.ones(2, dtype=np.float32), "b": np.zeros(2, dtype=np.float32)}
+        state = zero_adam(params)
+        grads = {"a": np.ones(2, dtype=np.float32),
+                 "b": np.array([np.nan, 0.0], dtype=np.float32)}
         with pytest.raises(NumericError):
-            adam_step(p, np.array([np.nan, 0.0], dtype=np.float32), st_)
+            adam_step(params, grads, state, LossConfig())
+        # the finite gradient of "a" moved nothing either
+        assert np.array_equal(params["a"], np.ones(2)) and state.step == 0
+        assert not state.m["a"].any()

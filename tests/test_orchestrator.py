@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import write_pyramid
-from feddymem.client import LossConfig, client_update, extract_all_memories
+from feddymem.client import LossConfig, client_update, extract_all_memories, forward_memory
 from feddymem.errors import ConfigError, ShapeError
-from feddymem.evaluation import LabeledSample, SynthSpec, synth_dataset
+from feddymem.evaluation import LabeledSample, SynthSpec, anomaly_map, synth_dataset
 from feddymem.features import ExtractorSpec, FeaturePyramid, ManifestEntry, write_manifest
 from feddymem.numerics import Rng
 from feddymem.orchestrator import (
@@ -26,7 +26,7 @@ from feddymem.orchestrator import (
     run_training,
     save_checkpoint,
 )
-from feddymem.pipeline import evaluate_states, score_test_set
+from feddymem.pipeline import evaluate_states
 from feddymem.server import bank_nbytes, params_nbytes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -212,21 +212,23 @@ class TestBlockedScoring:
         bank, _ = run_round(states, bank, 1, cfg, datasets, [], ConvergenceMonitor())
         test = data.test
         fused = build_client_dataset(test, cfg.extractor)
-        singles = [score_test_set(states[1], bank, [s], fused[i:i + 1], cfg)[0]
-                   for i, s in enumerate(test)]
-        pairs = [zip(score_test_set(states[1], bank, test, fused, cfg), singles)]
+        act = cfg.loss.activation
+        # client 0's maps, in test order, each scored alone
+        singles = [anomaly_map(forward_memory(states[0], fused[i:i + 1], act)[0], bank)
+                   for i in range(len(test))]
         results = []
         for batch_size in (1, 3, len(test)):
             fed = replace(cfg, loss=replace(cfg.loss, batch_size=batch_size))
             results.append(evaluate_states(states, [bank] * cfg.n_clients, test, fed))
         (one_metrics, one_first), *blocked = results
-        assert [s.sample_id for s in one_first] == [s.sample_id for s in test]
+        assert len(one_first) == len(test)
+        pairs = [zip(one_first, singles)]
         for metrics, first in blocked:
             assert metrics == one_metrics
             pairs.append(zip(first, one_first))
         for pair in pairs:
             for a, b in pair:
-                assert a.sample_id == b.sample_id and a.image_score == b.image_score
+                assert a.image_score == b.image_score
                 assert np.array_equal(a.pixel_scores, b.pixel_scores)
 
 
@@ -331,7 +333,10 @@ class TestRunTraining:
         for a, b in zip(full.states, resumed.states):
             assert np.array_equal(a.params["proj_w"], b.params["proj_w"])
             assert np.array_equal(a.params["grid"], b.params["grid"])
-            assert a.adam["grid"].step == b.adam["grid"].step
+            assert a.adam.step == b.adam.step
+            for name in a.params:
+                assert np.array_equal(a.adam.m[name], b.adam.m[name])
+                assert np.array_equal(a.adam.v[name], b.adam.v[name])
         assert (tmp_path / "full/ledger.csv").read_bytes() == \
             (tmp_path / "resumed/ledger.csv").read_bytes()
 
@@ -413,6 +418,21 @@ class TestRunTraining:
         assert sum(f.startswith("client_") for f in files) == cfg.n_clients
         for name in files:
             assert (ckpt / name).read_bytes() == (again / name).read_bytes(), name
+
+    def test_manifest_records_one_adam_step_per_client(self, tmp_path):
+        cfg = desk_config(rounds=2, ckpt=1)
+        datasets = desk_datasets(cfg)
+        result = run_training(cfg, datasets, tmp_path / "run")
+        for t in range(cfg.rounds + 1):
+            manifest = json.loads(
+                (tmp_path / f"run/checkpoints/round_{t:05d}/manifest.json").read_text())
+            for entry, data in zip(manifest["clients"], datasets):
+                # one step per batch: E * ceil(N / B) per round of training
+                batches = -(-len(data) // cfg.loss.batch_size)
+                assert entry["adam_step"] == t * cfg.loss.local_epochs * batches
+                assert "adam_steps" not in entry
+        assert [s.adam.step for s in result.states] == \
+            [entry["adam_step"] for entry in manifest["clients"]]
 
     def test_checkpoint_roundtrip(self, tmp_path):
         cfg = desk_config(rounds=2, ckpt=1)

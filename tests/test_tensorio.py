@@ -49,7 +49,6 @@ def test_nonfinite_rejected_on_read():
     raw = b"FDM1" + struct.pack("<B", 1) + struct.pack("<I", 2) + arr.tobytes()
     with pytest.raises(NumericError):
         tensorio.load_tensor(raw)
-    assert np.isinf(tensorio.load_tensor(raw, check_finite=False)[1])
 
 
 def test_zero_extent_rejected():
