@@ -70,20 +70,19 @@ class LossConfig:
 
     def __post_init__(self):
         if self.hinge_margin < 0:
-            raise ValueError("hinge_margin must be >= 0")
-        if self.knn_k < 1:
-            raise ValueError("knn_k must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("hinge_margin must be >= 0", key="loss.hinge_margin")
+        for key in ("knn_k", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1", key=f"loss.{key}")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+            raise ConfigError("learning_rate must be > 0", key="loss.learning_rate")
         for key in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must be in [0, 1)", key=f"loss.{key}")
         if self.local_epochs < 0:
-            raise ValueError("local_epochs must be >= 0")
+            raise ConfigError("local_epochs must be >= 0", key="loss.local_epochs")
         if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {self.activation!r}", key="loss.activation")
 
 
 @dataclass

@@ -8,6 +8,10 @@ The synthetic dataset builds per-type smooth prototypes, adds low-magnitude
 smooth noise for normal samples, and perturbs one contiguous patch for
 anomalies. Types are spread across clients with a Dirichlet split, which at
 small alpha concentrates most of a type on a single client.
+
+Region labelling (`label_regions`) and the heatmap blur (`_gaussian_blur`)
+are numpy implementations, equal to scipy.ndimage's `label` and
+`gaussian_filter`, so a run needs numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .client import MemoryBank, knn_lookup
 from .errors import ConfigError, NumericError, ShapeError
@@ -71,16 +74,43 @@ def anomaly_map(m_test: np.ndarray, bank: MemoryBank) -> AnomalyMap:
     return AnomalyMap(pixel_scores=scores, image_score=image_score(scores))
 
 
+def _gaussian_blur(a: np.ndarray, sigma: float, truncate: float) -> np.ndarray:
+    """Separable Gaussian blur of a float64 (H, W) map, equal bit for bit to
+    `scipy.ndimage.gaussian_filter(a, sigma, truncate=truncate,
+    mode="reflect")`.
+
+    The kernel is exp(-0.5 / sigma^2 * x^2) over x in [-r, r], r =
+    int(truncate * sigma + 0.5), divided by its sum. Each axis, 0 then 1, is
+    padded by edge-inclusive reflection (numpy's "symmetric", which repeats
+    for maps shorter than r) and filtered in scipy's order of accumulation:
+    y = x * w[0], then y += (x[+j] + x[-j]) * w[j] for j from r down to 1.
+    """
+    r = int(truncate * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    w = (w / w.sum())[r:]
+    for axis in (0, 1):
+        x = np.moveaxis(a, axis, 0)
+        padded = np.pad(x, ((r, r), (0, 0)), mode="symmetric")
+        n = len(x)
+        out = x * w[0]
+        for j in range(r, 0, -1):
+            out += (padded[r + j:r + j + n] + padded[r - j:r - j + n]) * w[j]
+        a = np.moveaxis(out, 0, axis)
+    return a
+
+
 def postprocess_heatmap(a: np.ndarray, image_hw: tuple[int, int],
                         sigma: float = 4.0, truncate: float = 4.0) -> np.ndarray:
-    """Upsample to image dims, Gaussian-blur, min-max normalize.
+    """Upsample to image dims, Gaussian-blur (`_gaussian_blur`), min-max
+    normalize.
 
     A constant map normalizes to all zeros (no anomaly signal anywhere).
     """
     if image_hw[0] < a.shape[0] or image_hw[1] < a.shape[1]:
         raise ShapeError(f"target dims {image_hw} smaller than map {a.shape}")
     up = bilinear_resize(a[..., None].astype(np.float64), image_hw)[..., 0]
-    blurred = ndimage.gaussian_filter(up, sigma=sigma, truncate=truncate, mode="reflect")
+    blurred = _gaussian_blur(up, sigma, truncate)
     lo, hi = float(blurred.min()), float(blurred.max())
     if hi - lo <= 1e-9 * max(abs(hi), abs(lo), 1.0):
         return np.zeros(image_hw, dtype=DTYPE)
@@ -135,20 +165,54 @@ def auroc(scores, labels) -> float:
 
 
 def label_regions(masks: list[np.ndarray]) -> list[np.ndarray]:
-    """One integer region map per mask, for `pro`: the 4-connected regions
-    of the mask's nonzero pixels, numbered 1..R across the whole list in
-    mask order (so every id is unique to one region of one mask), and 0 for
-    normal pixels. A test set's masks are labelled once for every list of
-    heatmaps scored against them."""
-    out = []
-    offset = 0
-    for mask in masks:
-        labeled, n_regions = ndimage.label(mask > 0)
-        ids = labeled.astype(np.int64)
-        ids[ids > 0] += offset
-        out.append(ids)
-        offset += n_regions
-    return out
+    """One integer region map per (H, W) mask, for `pro`: the 4-connected
+    regions of the mask's nonzero pixels, numbered 1..R across the whole
+    list, and 0 for normal pixels. Ids go by each region's first pixel in
+    raster order, masks taken in list order, so every id is unique to one
+    region of one mask and the maps equal `scipy.ndimage.label`'s with each
+    mask's ids offset by the regions of the masks before it. A test set's
+    masks are labelled once for every list of heatmaps scored against them.
+
+    All masks are labelled at once, as one raster of zero-padded masks, by
+    union-find over the pairs of neighbouring foreground pixels: each round
+    hooks the larger of a pair's two roots onto the smaller, then points
+    every pixel at its root by pointer jumping. A root is thus the first
+    pixel of its region. Pairs already in one tree drop out of later rounds.
+    """
+    if not masks:
+        return []
+    h = max(m.shape[0] for m in masks)
+    w = max(m.shape[1] for m in masks)
+    # a zero row and column after each mask keep the masks apart, so the
+    # raster neighbours of pixel p are p + 1 and p + w + 1
+    fg = np.zeros((len(masks), h + 1, w + 1), dtype=bool)
+    for i, m in enumerate(masks):
+        fg[i, :m.shape[0], :m.shape[1]] = m > 0
+    flat = fg.reshape(-1)
+    right = np.flatnonzero(flat[:-1] & flat[1:])
+    down = np.flatnonzero(flat[:-w - 1] & flat[w + 1:])
+    # foreground pixels are numbered 0.. in raster order
+    rank = np.cumsum(flat) - 1
+    u = rank[np.concatenate([right, down])]
+    v = rank[np.concatenate([right + 1, down + w + 1])]
+    parent = np.arange(int(rank[-1]) + 1)
+    while True:
+        pu, pv = parent[u], parent[v]
+        split = pu != pv
+        if not split.any():
+            break
+        u, v, pu, pv = u[split], v[split], pu[split], pv[split]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    roots = parent == np.arange(len(parent))
+    ids = np.zeros(flat.shape, dtype=np.int64)
+    ids[flat] = np.cumsum(roots)[parent]
+    ids = ids.reshape(fg.shape)
+    return [ids[i, :m.shape[0], :m.shape[1]] for i, m in enumerate(masks)]
 
 
 def pro(heatmaps: list[np.ndarray], regions: list[np.ndarray],
@@ -282,7 +346,7 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n_types < 1:
-            raise ValueError("n_types must be >= 1")
+            raise ConfigError("n_types must be >= 1", key="dataset.n_types")
         if self.n_types * self.samples_per_type < self.n_clients:
             raise ConfigError("every client needs a training sample: n_types * samples_per_type"
                               f" must be >= n_clients ({self.n_clients})",
@@ -292,9 +356,10 @@ class SynthSpec:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1", key=f"dataset.{key}")
         if self.dirichlet_alpha <= 0:
-            raise ValueError("dirichlet_alpha must be > 0")
+            raise ConfigError("dirichlet_alpha must be > 0", key="dataset.dirichlet_alpha")
         if not (1 <= self.anomaly_extent <= min(self.base_hw)):
-            raise ValueError("anomaly_extent must fit inside the sample")
+            raise ConfigError("anomaly_extent must fit inside the sample",
+                              key="dataset.anomaly_extent")
 
 
 @dataclass

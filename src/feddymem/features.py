@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorio
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .numerics import (DTYPE, Rng, bilinear_resize, conv1x1_forward, conv1x1_param_grads,
                        require_finite, xavier_uniform)
 
@@ -36,19 +36,24 @@ class ExtractorSpec:
 
     def __post_init__(self):
         if self.kind not in ("synthetic", "file"):
-            raise ValueError(f"unknown extractor kind {self.kind!r}")
+            raise ConfigError(f"unknown extractor kind {self.kind!r}", key="extractor.kind")
         if self.kind == "synthetic":
             if self.levels < 1:
-                raise ValueError("levels must be >= 1")
+                raise ConfigError("levels must be >= 1", key="extractor.levels")
             if len(self.level_channels) != self.levels:
-                raise ValueError("level_channels must have one entry per level")
+                raise ConfigError("level_channels must have one entry per level",
+                                  key="extractor.level_channels")
             if any(c < 1 for c in self.level_channels):
-                raise ValueError("level channel counts must be >= 1")
+                raise ConfigError("level channel counts must be >= 1",
+                                  key="extractor.level_channels")
             div = 2 ** (self.levels - 1)
-            if self.base_hw[0] % div or self.base_hw[1] % div:
-                raise ValueError(f"base dims {self.base_hw} must be divisible by {div}")
+            for extent, key in zip(self.base_hw, ("base_height", "base_width")):
+                if extent % div:
+                    raise ConfigError(f"base dims {self.base_hw} must be divisible by {div}",
+                                      key=f"extractor.{key}")
         elif self.manifest_path is None:
-            raise ValueError("file extractor requires manifest_path")
+            raise ConfigError("file extractor requires manifest_path",
+                              key="extractor.manifest_path")
 
     @property
     def fused_channels(self) -> int:

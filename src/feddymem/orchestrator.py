@@ -79,6 +79,9 @@ class FederationConfig:
                 raise ConfigError("grid extents must be >= 2", key=key)
         if self.phi_hidden is not None and self.phi_hidden < 1:
             raise ConfigError("phi_hidden must be >= 1", key="memory.phi_hidden")
+        if self.checkpoint_interval < 0:
+            raise ConfigError("checkpoint_interval must be >= 0",
+                              key="federation.checkpoint_interval")
         h, w, _ = self.bank_shape
         if self.loss.knn_k > h * w:
             raise ConfigError(f"knn_k must be at most the bank's {h * w} patches",

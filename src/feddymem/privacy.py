@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .client import memory_reduce
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .numerics import Rng
 
 
@@ -90,12 +90,14 @@ class AuditConfig:
     lemma_mc_samples: int = 10_000
 
     def __post_init__(self):
-        if self.mc_samples < 10_000 or self.lemma_mc_samples < 10_000:
-            raise ValueError("bound checks need at least 1e4 Monte Carlo samples")
+        for key in ("mc_samples", "lemma_mc_samples"):
+            if getattr(self, key) < 10_000:
+                raise ConfigError("bound checks need at least 1e4 Monte Carlo samples",
+                                  key=f"audit.{key}")
         if not 0 < abs(self.rho) < 1:
-            raise ValueError("rho must be in (0, 1)")
+            raise ConfigError("rho must be in (0, 1)", key="audit.rho")
         if min(self.dataset_sizes) < 1:
-            raise ValueError("dataset sizes must be >= 1")
+            raise ConfigError("dataset sizes must be >= 1", key="audit.dataset_sizes")
 
 
 @dataclass

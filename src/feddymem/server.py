@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .client import MemoryBank
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .numerics import GramFloor, Rng, knn
 from .tensorio import tensor_nbytes
 
@@ -27,12 +27,11 @@ class AggregationConfig:
     n_init: int = 1  # independent seeded restarts; best objective wins
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for key in ("max_iterations", "n_init"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1", key=f"aggregation.{key}")
         if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-        if self.n_init < 1:
-            raise ValueError("n_init must be >= 1")
+            raise ConfigError("tolerance must be > 0", key="aggregation.tolerance")
 
 
 @dataclass

@@ -395,6 +395,17 @@ class TestCliErrors:
          "dataset.samples_per_type"),
         ({"loss": {"beta1": 1.0}}, "loss.beta1"),
         ({"loss": {"beta2": 1.5}}, "loss.beta2"),
+        ({"federation": {"checkpoint_interval": -1}}, "federation.checkpoint_interval"),
+        # range checks of the section dataclasses name their own key
+        ({"loss": {"batch_size": 0}}, "loss.batch_size"),
+        ({"loss": {"hinge_margin": -1}}, "loss.hinge_margin"),
+        ({"aggregation": {"n_init": 0}}, "aggregation.n_init"),
+        ({"aggregation": {"tolerance": 0}}, "aggregation.tolerance"),
+        ({"extractor": {"levels": 0}}, "extractor.levels"),
+        ({"dataset": {"n_types": 0}}, "dataset.n_types"),
+        ({"dataset": {"dirichlet_alpha": 0}}, "dataset.dirichlet_alpha"),
+        ({"audit": {"lemma_mc_samples": 10}}, "audit.lemma_mc_samples"),
+        ({"audit": {"rho": 1.5}}, "audit.rho"),
     ])
     def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, doc, key):
         out = tmp_path / "o"
@@ -411,7 +422,7 @@ class TestCliErrors:
         code = main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)])
         err = json.loads(capsys.readouterr().out)["error"]
         assert code == 2 and err["type"] == "config"
-        assert err["key"] == "loss"
+        assert err["key"] == "loss.activation"
         assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):

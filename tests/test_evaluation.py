@@ -18,7 +18,7 @@ from feddymem.evaluation import (
     pro,
     synth_dataset,
 )
-from feddymem.numerics import Rng, knn, pairwise_dist
+from feddymem.numerics import Rng, bilinear_resize, knn, pairwise_dist
 
 
 # Reference loops: the sweep-per-score implementations that `auroc` and `pro`
@@ -42,25 +42,28 @@ def loop_auroc(scores, labels):
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def loop_pro(heatmaps, masks, fpr_budget=0.3):
-    region_ids = []
-    region_sizes = []
-    offset = 0
+def offset_scipy_labels(masks):
+    """`scipy.ndimage.label` of each mask, ids offset by the regions of the
+    masks before it, and the total region count."""
+    out, offset = [], 0
     for mask in masks:
         labeled, n_regions = ndimage.label(mask > 0)
-        ids = labeled.reshape(-1).astype(np.int64)
+        ids = labeled.astype(np.int64)
         ids[ids > 0] += offset
-        region_ids.append(ids)
-        for r in range(1, n_regions + 1):
-            region_sizes.append(int((labeled == r).sum()))
+        out.append(ids)
         offset += n_regions
+    return out, offset
+
+
+def loop_pro(heatmaps, masks, fpr_budget=0.3):
+    labels, n_regions = offset_scipy_labels(masks)
+    regions = np.concatenate([ids.reshape(-1) for ids in labels])
     scores = np.concatenate([hm.reshape(-1).astype(np.float64) for hm in heatmaps])
-    regions = np.concatenate(region_ids)
     is_neg = regions == 0
     total_neg = int(is_neg.sum())
     order = np.argsort(-scores, kind="stable")
-    sizes = np.asarray(region_sizes, dtype=np.float64)
-    hits = np.zeros(offset, dtype=np.float64)
+    sizes = np.array([(regions == r).sum() for r in range(1, n_regions + 1)], dtype=np.float64)
+    hits = np.zeros(n_regions, dtype=np.float64)
     fp = 0
     curve = []
     i = 0
@@ -246,6 +249,115 @@ class TestPostprocessHeatmap:
     def test_smaller_target_rejected(self):
         with pytest.raises(ShapeError):
             postprocess_heatmap(np.zeros((4, 4)), (2, 8))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 20), st.integers(1, 20),
+           st.integers(0, 12), st.integers(0, 12), st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+           st.sampled_from([2.0, 4.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scipy_gaussian_filter(self, seed, h, w, dh, dw, sigma, truncate):
+        # maps and targets below the radius int(truncate * sigma + 0.5),
+        # 16 at the defaults, reflect more than once
+        gen = Rng(seed).generator
+        a = gen.standard_normal((h, w)) * 10.0 ** gen.uniform(-3, 3)
+        hw = (h + dh, w + dw)
+        up = bilinear_resize(a[..., None].astype(np.float64), hw)[..., 0]
+        blurred = ndimage.gaussian_filter(up, sigma=sigma, truncate=truncate, mode="reflect")
+        lo, hi = float(blurred.min()), float(blurred.max())
+        if hi - lo <= 1e-9 * max(abs(hi), abs(lo), 1.0):
+            expected = np.zeros(hw, dtype=np.float32)
+        else:
+            expected = ((blurred - lo) / (hi - lo)).astype(np.float32)
+        out = postprocess_heatmap(a, hw, sigma=sigma, truncate=truncate)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert np.array_equal(out, expected)
+
+
+def spiral(n):
+    """One 4-connected path spiralling from the top-left corner inward."""
+    mask = np.zeros((n, n), dtype=np.uint8)
+    top, left, bottom, right = 0, 0, n - 1, n - 1
+    while top <= bottom and left <= right:
+        mask[top, left:right + 1] = 1
+        mask[top:bottom + 1, right] = 1
+        mask[bottom, left:right + 1] = 1
+        mask[top + 2:bottom + 1, left] = 1
+        if top + 2 <= bottom:
+            mask[top + 2, left:right - 1] = 1
+        top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
+    return mask
+
+
+def maze(n, seed):
+    """A random depth-first spanning tree of an n x n cell grid, carved into
+    (2n - 1) x (2n - 1) pixels: one winding region with many dead ends."""
+    gen = Rng(seed).generator
+    mask = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.uint8)
+    seen = np.zeros((n, n), dtype=bool)
+    seen[0, 0] = mask[0, 0] = 1
+    stack = [(0, 0)]
+    while stack:
+        r, c = stack[-1]
+        free = [(r + dr, c + dc) for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                if 0 <= r + dr < n and 0 <= c + dc < n and not seen[r + dr, c + dc]]
+        if not free:
+            stack.pop()
+            continue
+        rr, cc = free[int(gen.integers(len(free)))]
+        seen[rr, cc] = True
+        mask[2 * rr, 2 * cc] = mask[r + rr, c + cc] = 1
+        stack.append((rr, cc))
+    return mask
+
+
+@st.composite
+def mask_lists(draw):
+    """1-6 masks, all of one shape or of mixed shapes (1 x N among them),
+    each all zero, all one or random at some density."""
+    n_masks = draw(st.integers(1, 6))
+    dims = st.tuples(st.integers(1, 10), st.integers(1, 10))
+    shared = draw(st.booleans())
+    shape = draw(dims)
+    gen = Rng(draw(st.integers(0, 2**31 - 1))).generator
+    masks = []
+    for _ in range(n_masks):
+        hw = shape if shared else draw(dims)
+        fill = draw(st.sampled_from(["zeros", "ones", "random"]))
+        if fill == "random":
+            mask = gen.uniform(0, 1, hw) < draw(st.floats(0.1, 0.9))
+        else:
+            mask = np.full(hw, fill == "ones")
+        masks.append(mask.astype(draw(st.sampled_from([np.uint8, np.int64, bool]))))
+    return masks
+
+
+class TestLabelRegions:
+    """`label_regions` against `scipy.ndimage.label` with running offsets."""
+
+    @given(mask_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_offset_scipy_label(self, masks):
+        expected, n_regions = offset_scipy_labels(masks)
+        regions = label_regions(masks)
+        assert len(regions) == len(masks)
+        for got, want in zip(regions, expected):
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert max(int(r.max()) for r in regions) == n_regions
+
+    @pytest.mark.parametrize("masks", [
+        [spiral(31)],
+        [spiral(15), maze(20, 0).T, np.ones((1, 9), dtype=np.uint8)],
+        [maze(32, seed) for seed in range(3)],
+    ], ids=["spiral", "mixed", "mazes"])
+    def test_winding_regions_equal_offset_scipy_label(self, masks):
+        # one region per mask, whose pixels reach its first pixel through
+        # long winding paths; the mazes take five union rounds
+        expected, n_regions = offset_scipy_labels(masks)
+        assert n_regions == len(masks)
+        assert all(np.array_equal(g, w) for g, w in zip(label_regions(masks), expected))
+
+    def test_empty_list(self):
+        assert label_regions([]) == []
 
 
 class TestAuroc:

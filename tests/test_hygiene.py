@@ -1,13 +1,24 @@
-"""Source hygiene that no linter in the test environment checks.
+"""Source and process hygiene that no linter in the test environment checks.
 
 Every name a module imports must be read somewhere in that module. An
 import kept on purpose, for its side effect or to re-export a name,
 carries a `# noqa` comment on its line. Every function and class a
 package module defines at top level must be used by the package itself,
 so that no helper exists only for tests to call.
+
+A run needs numpy alone: training and evaluation, heatmap export included,
+load no scipy module. And on glibc a repeated kNN call reuses the pages
+its parent freed instead of faulting them in afresh (the allocation policy
+of `feddymem.numerics`). Both are checked in a fresh interpreter, since
+this one has imported scipy and allocated freely.
 """
 
 import ast
+import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +76,56 @@ def test_scan_finds_an_unreferenced_definition():
     sources = {"a.py": "def used():\n    pass\n\ndef oracle():\n    pass\n",
                "b.py": "import a\n\na.used()\n"}
     assert unreferenced_definitions(sources) == ["a.py: oracle"]
+
+
+def run_fresh(tmp_path, script: str) -> str:
+    """Standard output of `script` run in a new interpreter that imports
+    feddymem from the source tree, from within tmp_path."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_train_and_eval_load_no_scipy(tmp_path):
+    doc = {
+        "seed": 5,
+        "federation": {"n_clients": 2, "rounds": 1, "checkpoint_interval": 1},
+        "loss": {"batch_size": 4},
+        "memory": {"channels": 6, "grid_height": 4, "grid_width": 4},
+        "extractor": {"levels": 2, "base_height": 8, "base_width": 8,
+                      "level_channels": [6, 12]},
+        "dataset": {"n_types": 2, "samples_per_type": 4, "test_normals_per_type": 2,
+                    "test_anomalies_per_type": 2},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    out = run_fresh(tmp_path, """
+import sys
+from feddymem.cli import main
+assert main(["train", "--config", "cfg.json", "--out", "run"]) == 0
+assert main(["eval", "--config", "cfg.json", "--out", "run", "--export-heatmaps"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+    assert list((tmp_path / "run" / "heatmaps").glob("*.fdm1"))
+    assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set on glibc only")
+def test_repeated_knn_calls_take_no_page_faults(tmp_path):
+    # each call's 256 x 256 float64 bound block is 512 KiB, 128 pages;
+    # handed back to the kernel on free, it faults in afresh on every call
+    out = run_fresh(tmp_path, """
+import resource
+import numpy as np
+from feddymem import numerics
+gen = np.random.default_rng(0)
+a = gen.standard_normal((256, 16)).astype(np.float32)
+b = gen.standard_normal((256, 16)).astype(np.float32)
+numerics.knn(a, b, 3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    numerics.knn(a, b, 3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+    assert int(out.splitlines()[-1]) < 100

@@ -356,10 +356,12 @@ class TestKnnKernel:
     @settings(max_examples=40, deadline=None)
     def test_equidistant_columns_are_near_ties(self, seed, k, c):
         # the 2c columns at +-0.5 e_i lie exactly 0.5 from the origin, so
-        # more than k floors sit under the seed bound of the origin's row
+        # more than k floors sit under the seed bound of the origin's row;
+        # every coordinate of the far columns is at least 3, so none of
+        # them is nearer the origin than the ring
         r = Rng(seed)
         ring = 0.5 * np.concatenate([np.eye(c), -np.eye(c)]).astype(np.float32)
-        far = r.child(1).normal((20, c)) + 3.0
+        far = np.abs(r.child(1).normal((20, c))) + 3.0
         b = np.concatenate([far, ring])[r.child(2).permutation(20 + 2 * c)]
         a = np.concatenate([np.zeros((1, c), np.float32), r.child(3).normal((5, c))])
         k = min(k, 2 * c - 1)
