@@ -464,7 +464,11 @@ def _test_set(rng: Rng, prototypes: list[np.ndarray], spec: SynthSpec) -> list[L
 def _assign_test_slices(spec: SynthSpec) -> list[list[int]]:
     """Per-client test indices drawn with the same per-type proportions as
     the train split (the partition reuses the same seeded Dirichlet draws).
-    Every client ends up with at least one normal and one anomalous sample.
+    Every client ends up with at least one normal and one anomalous sample:
+    a client short of a kind takes one from the client that holds the most,
+    and copies it instead when that client holds only one. Slices share
+    samples only in that case, when a kind has fewer samples than there are
+    clients.
     """
     tn, ta = spec.test_normals_per_type, spec.test_anomalies_per_type
     stride = tn + ta
@@ -479,8 +483,8 @@ def _assign_test_slices(spec: SynthSpec) -> list[list[int]]:
     for group in (normals, anomalies):
         for c in range(spec.n_clients):
             while not group[c]:
-                donor = max(range(spec.n_clients), key=lambda d: len(group[d]))
-                group[c].append(group[donor].pop())
+                donor = group[max(range(spec.n_clients), key=lambda d: len(group[d]))]
+                group[c].append(donor[-1] if len(donor) == 1 else donor.pop())
     return [sorted(normals[c] + anomalies[c]) for c in range(spec.n_clients)]
 
 

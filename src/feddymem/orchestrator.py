@@ -16,7 +16,7 @@ import os
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TextIO
 
@@ -36,14 +36,7 @@ from .errors import ConfigError, ShapeError
 from .features import ExtractorSpec, extract_pyramid, fuse_pyramid, init_projection
 from .generator import init_generator
 from .numerics import DTYPE, AdamState, Rng
-from .server import (
-    AggregationConfig,
-    ExchangeRecord,
-    aggregate,
-    average_banks,
-    bank_nbytes,
-    record_exchange,
-)
+from .server import AggregationConfig, aggregate, average_banks, bank_nbytes
 
 # feddymem and plain_average share one aggregated bank every round;
 # local_only exchanges no bytes in any round, round 0 included.
@@ -99,21 +92,26 @@ class FederationConfig:
 
 @dataclass
 class RoundMetrics:
+    """What round t reports, all of it deterministic: each client's
+    mean loss and squared gradient norm (empty at round 0), the bytes each
+    client uploaded and downloaded, in client order (both empty when nothing
+    is exchanged), and the monitor's running R_hat_m. metrics.jsonl and
+    ledger.csv are written from it; the round's wall time is not in it."""
+
     round_index: int
     client_losses: list[float]
     client_grad_sq_norms: list[float]
-    bytes_up: int
-    bytes_down: int
+    uploads: list[int]
+    downloads: list[int]
     r_hat_m: float
-    wall_time: float = 0.0  # informational; excluded from the metrics stream
 
     def to_json_line(self) -> str:
         doc = {
             "round": self.round_index,
             "client_losses": [float(v) for v in self.client_losses],
             "client_grad_sq_norms": [float(v) for v in self.client_grad_sq_norms],
-            "bytes_up": int(self.bytes_up),
-            "bytes_down": int(self.bytes_down),
+            "bytes_up": sum(self.uploads),
+            "bytes_down": sum(self.downloads),
             "r_hat_m": float(self.r_hat_m),
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -184,8 +182,8 @@ def _aggregate_banks(banks: list[MemoryBank], cfg: FederationConfig,
 
 def _run_clients(tasks, threads: int):
     """Run one task per client; tasks touch only their own client's state,
-    and shared state (the monitor, the ledger) is updated from the returned
-    results on the calling thread, in client order."""
+    and shared state (the monitor) is updated from the returned results on
+    the calling thread, in client order."""
     if threads <= 1:
         return [task() for task in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -194,13 +192,13 @@ def _run_clients(tasks, threads: int):
 
 
 def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
-           cfg: FederationConfig, datasets: list[np.ndarray], ledger: list[ExchangeRecord],
+           cfg: FederationConfig, datasets: list[np.ndarray],
            monitor: ConvergenceMonitor, threads: int) -> tuple[MemoryBank, RoundMetrics]:
     """Round t: every client trains (from round 1 on), extracts its memories
     and reduces them into a bank; the shared baselines then upload the banks,
     aggregate them and download the result. A local_only client keeps its own
-    bank, nothing is exchanged and `global_bank` is returned unchanged."""
-    t0 = time.perf_counter()
+    bank, nothing is exchanged and `global_bank` is returned unchanged. The
+    returned metrics hold every client's uploaded and downloaded bytes."""
     rng = Rng(cfg.seed)
 
     def make_task(n: int):
@@ -225,34 +223,28 @@ def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
         client_losses = [float(np.mean(r[0])) if r[0] else 0.0 for r in results]
         client_grad_sq = [float(np.mean(r[1])) if r[1] else 0.0 for r in results]
 
-    bytes_up = bytes_down = 0
+    uploads: list[int] = []
+    downloads: list[int] = []
     if cfg.baseline == "local_only":
         for state, bank in zip(states, banks):
             state.local_bank = bank
     else:
-        for n, bank in enumerate(banks):
-            nbytes = bank_nbytes(bank)
-            record_exchange(ledger, t, n, "up", nbytes)
-            bytes_up += nbytes
+        uploads = [bank_nbytes(bank) for bank in banks]
         global_bank = _aggregate_banks(banks, cfg, t)
         monitor.observe_patch_norm(max_patch_norm(global_bank.data))
-        for n, state in enumerate(states):
+        for state in states:
             state.local_bank = global_bank.copy()
-            nbytes = bank_nbytes(global_bank)
-            record_exchange(ledger, t, n, "down", nbytes)
-            bytes_down += nbytes
+        downloads = [bank_nbytes(global_bank)] * len(states)
 
     monitor.observe_round(client_losses)
     metrics = RoundMetrics(round_index=t, client_losses=client_losses,
                            client_grad_sq_norms=client_grad_sq,
-                           bytes_up=bytes_up, bytes_down=bytes_down,
-                           r_hat_m=monitor.r_hat_m,
-                           wall_time=time.perf_counter() - t0)
+                           uploads=uploads, downloads=downloads,
+                           r_hat_m=monitor.r_hat_m)
     return global_bank, metrics
 
 
 def initialize(cfg: FederationConfig, datasets: list[np.ndarray],
-               ledger: list[ExchangeRecord] | None = None,
                monitor: ConvergenceMonitor | None = None,
                threads: int = 1) -> tuple[list[ClientModelState], MemoryBank, RoundMetrics]:
     """Round 0: random init, then the round without training. Afterwards every
@@ -261,25 +253,22 @@ def initialize(cfg: FederationConfig, datasets: list[np.ndarray],
     that only fills the checkpoint's global slot, which no client reads."""
     if len(datasets) != cfg.n_clients:
         raise ConfigError("need one dataset per client", key="federation.n_clients")
-    ledger = ledger if ledger is not None else []
     monitor = monitor if monitor is not None else ConvergenceMonitor()
     states = [_init_client_state(cfg, n) for n in range(cfg.n_clients)]
     zero_bank = MemoryBank(data=np.zeros(cfg.bank_shape, dtype=DTYPE))
-    global_bank, metrics = _round(states, zero_bank, 0, cfg, datasets, ledger, monitor,
-                                  threads)
+    global_bank, metrics = _round(states, zero_bank, 0, cfg, datasets, monitor, threads)
     return states, global_bank, metrics
 
 
 def run_round(states: list[ClientModelState], global_bank: MemoryBank,
               round_index: int, cfg: FederationConfig,
-              datasets: list[np.ndarray], ledger: list[ExchangeRecord],
-              monitor: ConvergenceMonitor,
+              datasets: list[np.ndarray], monitor: ConvergenceMonitor,
               threads: int = 1) -> tuple[MemoryBank, RoundMetrics]:
     """One synchronous communication round (train, reduce, upload, aggregate,
     distribute)."""
     if round_index < 1:
         raise ValueError("run_round is for rounds >= 1; use initialize for round 0")
-    return _round(states, global_bank, round_index, cfg, datasets, ledger, monitor, threads)
+    return _round(states, global_bank, round_index, cfg, datasets, monitor, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +415,19 @@ def run_training(cfg: FederationConfig, datasets: list[np.ndarray],
                  resume: bool = False) -> TrainingResult:
     """Initialization (round 0) plus T rounds, with persistence.
 
-    Writes metrics.jsonl (deterministic bytes), ledger.csv, timings.csv and
-    periodic checkpoints under out_dir. Each round's lines are appended and
-    flushed as the round ends, so a killed run leaves the logs at its last
-    finished round. With resume=True the latest checkpoint, of round r, is
-    loaded, the logs are cut back to rounds 0..r and the run continues
-    identically to an uninterrupted one; without a checkpoint it starts
-    afresh. `metrics` of the result holds the rounds this call ran.
+    Writes metrics.jsonl, ledger.csv, timings.csv and periodic checkpoints
+    under out_dir. metrics.jsonl and ledger.csv are written from each
+    round's RoundMetrics and are deterministic bytes: ledger.csv has one
+    `up` row per client, then one `down` row per client, for every round
+    that exchanged banks. timings.csv holds the wall time of each
+    initialize or run_round call, measured here. Each round's lines are
+    appended and flushed as the round ends, so a killed run leaves the logs
+    at its last finished round. With resume=True the latest checkpoint, of
+    round r, is loaded, the logs are cut back to rounds 0..r and the run
+    continues identically to an uninterrupted one; without a checkpoint it
+    starts afresh. A checkpoint past `cfg.rounds` raises ConfigError and
+    leaves out_dir as it was. `metrics` of the result holds the rounds this
+    call ran.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -441,6 +436,9 @@ def run_training(cfg: FederationConfig, datasets: list[np.ndarray],
         last, states, global_bank, monitor = -1, [], None, ConvergenceMonitor()
     else:
         last, states, global_bank, monitor = load_checkpoint(ckpt, cfg)
+        if last > cfg.rounds:
+            raise ConfigError(f"{ckpt} is of round {last}, past the config's {cfg.rounds} "
+                              "rounds", key="federation.rounds")
 
     metrics: list[RoundMetrics] = []
     # csv.writer ends the ledger rows with \r\n, so its header ends so too
@@ -450,17 +448,20 @@ def run_training(cfg: FederationConfig, datasets: list[np.ndarray],
             _open_log(out_dir / "timings.csv", "round,seconds\n", last) as timings_fh:
         ledger_writer = csv.writer(ledger_fh)
         for t in range(last + 1, cfg.rounds + 1):
-            exchanges: list[ExchangeRecord] = []
+            t0 = time.perf_counter()
             if t == 0:
-                states, global_bank, round_metrics = initialize(
-                    cfg, datasets, exchanges, monitor, threads)
+                states, global_bank, round_metrics = initialize(cfg, datasets, monitor,
+                                                                threads)
             else:
-                global_bank, round_metrics = run_round(
-                    states, global_bank, t, cfg, datasets, exchanges, monitor, threads)
+                global_bank, round_metrics = run_round(states, global_bank, t, cfg,
+                                                       datasets, monitor, threads)
+            seconds = time.perf_counter() - t0
             metrics.append(round_metrics)
             metrics_fh.write(round_metrics.to_json_line() + "\n")
-            ledger_writer.writerows(astuple(r) for r in exchanges)
-            timings_fh.write(f"{t},{round_metrics.wall_time:.6f}\n")
+            for direction, sizes in (("up", round_metrics.uploads),
+                                     ("down", round_metrics.downloads)):
+                ledger_writer.writerows((t, n, direction, b) for n, b in enumerate(sizes))
+            timings_fh.write(f"{t},{seconds:.6f}\n")
             for fh in (metrics_fh, ledger_fh, timings_fh):
                 fh.flush()
             if cfg.checkpoint_interval > 0 and (

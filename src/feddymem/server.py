@@ -3,8 +3,10 @@
 Aggregation pools the N * H * W uploaded patches, clusters them with
 K = H * W (k-means++ seeding, Lloyd iterations), and reshapes the centers
 row-major into the shared (H, W, C) bank that is redistributed to every
-client. Center order within the bank is arbitrary; every downstream consumer
-is order-invariant over bank patches.
+client. Center order within the bank is arbitrary. Scoring and the kNN loss
+read the bank as a set of patches, but memory-reduce does not: it blends a
+client's new memories into the previous bank position by position, so the
+order the centers come out in changes the next round's banks.
 """
 
 from __future__ import annotations
@@ -231,25 +233,6 @@ def average_banks(banks: list[MemoryBank]) -> MemoryBank:
 # ---------------------------------------------------------------------------
 # Communication accounting
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExchangeRecord:
-    """One bank transfer; its fields, in order, are the columns of ledger.csv."""
-
-    round_index: int
-    client: int
-    direction: str  # "up" | "down"
-    nbytes: int
-
-
-def record_exchange(ledger: list[ExchangeRecord], round_index: int, client: int,
-                    direction: str, nbytes: int) -> None:
-    if direction not in ("up", "down"):
-        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    if nbytes < 0:
-        raise ValueError("nbytes must be >= 0")
-    ledger.append(ExchangeRecord(round_index, client, direction, nbytes))
 
 
 def bank_nbytes(bank: MemoryBank) -> int:

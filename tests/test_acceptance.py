@@ -312,29 +312,27 @@ def test_criterion_5_protocol_invariants():
                                    base_hw=cfg_fed.extractor.base_hw,
                                    n_clients=3, seed=11))
     datasets = [build_client_dataset(s, cfg_fed.extractor) for s in data.client_train]
-    ledger = []
     monitor = ConvergenceMonitor()
-    states, bank, _ = initialize(cfg_fed, datasets, ledger, monitor)
+    states, bank, _ = initialize(cfg_fed, datasets, monitor)
 
-    banks_identical = True
-    upload_sizes = set()
+    banks_identical = exact_transfers = True
     expected = bank_nbytes(bank)
     for t in range(1, 6):
-        bank, metrics = run_round(states, bank, t, cfg_fed, datasets, ledger, monitor)
+        bank, metrics = run_round(states, bank, t, cfg_fed, datasets, monitor)
         for s in states:
             banks_identical &= bool(np.array_equal(s.local_bank.data, bank.data))
-        upload_sizes.add(metrics.bytes_up // cfg_fed.n_clients)
+        # each client's upload and download, not their mean
+        exact_transfers &= metrics.uploads == metrics.downloads == [expected] * cfg_fed.n_clients
 
     bank_bytes = bank_nbytes(bank)
     param_bytes = params_nbytes(states[0].params)
-    constant_uploads = upload_sizes == {expected}
     smaller = bank_bytes < param_bytes
 
-    ok = banks_identical and constant_uploads and smaller
+    ok = banks_identical and exact_transfers and smaller
     _report(5, f"protocol invariants (bank {bank_bytes}B < params {param_bytes}B, "
-               f"uploads constant {constant_uploads})", ok)
+               f"transfers exact {exact_transfers})", ok)
     assert banks_identical, "all clients must hold the identical bank each round"
-    assert constant_uploads, "per-client upload bytes must equal serialized bank size"
+    assert exact_transfers, "every client's upload and download must be the serialized bank"
     assert smaller, "bank exchange must be cheaper than parameter exchange"
 
 

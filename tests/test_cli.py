@@ -523,6 +523,19 @@ class TestCliErrors:
         assert err["key"] == "seed"
         assert not (out / "results.csv").exists()
 
+    def test_resume_past_the_configured_rounds_exit_2(self, tmp_path, capsys):
+        doc = desk_doc(rounds=3)
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        assert {"metrics.jsonl", "ledger.csv", "timings.csv"} <= {p.name for p in before}
+        doc["federation"]["rounds"] = 1
+        code = main(["train", "--resume", "--config", write_config(tmp_path, doc, "short.json"),
+                     "--out", str(out)])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2 and err["key"] == "federation.rounds"
+        assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+
     def test_resume_from_per_tensor_adam_steps_exit_2(self, tmp_path, capsys):
         # the manifest format that kept one Adam step count per tensor
         doc, out = self._checkpointed_run(tmp_path)

@@ -625,6 +625,16 @@ class TestSynthDataset:
             labels = {data.test[i].label for i in sl}
             assert labels == {0, 1}
 
+    def test_test_slices_have_both_classes_when_clients_outnumber_samples(self):
+        # three samples of each label for five clients: some must be shared
+        spec = SynthSpec(n_types=3, samples_per_type=4, test_normals_per_type=1,
+                         test_anomalies_per_type=1, n_clients=5, seed=5)
+        data = synth_dataset(spec)
+        seen = {i for sl in data.test_assignment for i in sl}
+        assert seen == set(range(len(data.test)))
+        for sl in data.test_assignment:
+            assert {data.test[i].label for i in sl} == {0, 1}
+
     def test_frozen_seed_regression_hash(self):
         import hashlib
         spec = SynthSpec(n_types=2, samples_per_type=3, test_normals_per_type=2,

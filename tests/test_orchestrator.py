@@ -63,7 +63,8 @@ class TestInitialize:
         for s in states:
             assert np.array_equal(s.local_bank.data, global_bank.data)
         assert metrics.round_index == 0
-        assert metrics.bytes_up == cfg.n_clients * bank_nbytes(global_bank)
+        assert metrics.uploads == metrics.downloads == \
+            [bank_nbytes(global_bank)] * cfg.n_clients
 
     def test_single_client_bank_is_own_reduction(self):
         cfg = desk_config(n_clients=1)
@@ -84,26 +85,29 @@ class TestInitialize:
 
 
 INIT_BANK_SHA256 = "283e21d45012ee7b1d13a3c1568c86f322e385f4e3bf2a09deacf66d851fd0b1"
+# desk_config(rounds=2) logs; how the round records become log lines must
+# not change their bytes
+ARTIFACT_SHA256 = {
+    "metrics.jsonl": "efcaac9cbe8266aad1359eecd241ee143cc59a0bbea201b55d3661b8b32e2108",
+    "ledger.csv": "f7755886f997a804d04b307b97e6f7b1c228f21c914af9de42f52b268e283e69",
+}
 
 
 class TestRunRound:
     def test_message_counts(self):
         cfg = desk_config()
         datasets = desk_datasets(cfg)
-        ledger = []
         monitor = ConvergenceMonitor()
-        states, bank, _ = initialize(cfg, datasets, ledger, monitor)
-        before = len(ledger)
-        bank, metrics = run_round(states, bank, 1, cfg, datasets, ledger, monitor)
-        assert len(ledger) - before == 2 * cfg.n_clients
+        states, bank, _ = initialize(cfg, datasets, monitor)
+        bank, metrics = run_round(states, bank, 1, cfg, datasets, monitor)
+        assert len(metrics.uploads) == len(metrics.downloads) == cfg.n_clients
         assert metrics.round_index == 1
 
     def test_plain_average_is_elementwise_mean(self):
         cfg = desk_config(baseline="plain_average")
         datasets = desk_datasets(cfg)
-        ledger = []
         monitor = ConvergenceMonitor()
-        states, bank, _ = initialize(cfg, datasets, ledger, monitor)
+        states, bank, _ = initialize(cfg, datasets, monitor)
 
         from feddymem.client import client_update, extract_all_memories, memory_reduce
         from feddymem.numerics import Rng
@@ -114,20 +118,18 @@ class TestRunRound:
             client_update(s, datasets[n], cfg.loss, 1, Rng(cfg.seed).child("update", n))
             mems = extract_all_memories(s, datasets[n], cfg.loss)
             expected_banks.append(memory_reduce(mems, s.local_bank, 1).data)
-        bank, _ = run_round(states, bank, 1, cfg, datasets, ledger, monitor)
+        bank, _ = run_round(states, bank, 1, cfg, datasets, monitor)
         assert np.allclose(bank.data, np.mean(expected_banks, axis=0), atol=1e-6)
 
     def test_local_only_no_exchange(self):
         cfg = desk_config(baseline="local_only")
         datasets = desk_datasets(cfg)
-        ledger = []
         monitor = ConvergenceMonitor()
-        states, bank, init_metrics = initialize(cfg, datasets, ledger, monitor)
-        assert ledger == []  # round 0 exchanges nothing either
-        assert init_metrics.bytes_up == 0 and init_metrics.bytes_down == 0
-        bank2, metrics = run_round(states, bank, 1, cfg, datasets, ledger, monitor)
-        assert ledger == []
-        assert metrics.bytes_up == 0 and metrics.bytes_down == 0
+        states, bank, init_metrics = initialize(cfg, datasets, monitor)
+        # round 0 exchanges nothing either
+        assert init_metrics.uploads == init_metrics.downloads == []
+        bank2, metrics = run_round(states, bank, 1, cfg, datasets, monitor)
+        assert metrics.uploads == metrics.downloads == []
         assert np.array_equal(bank2.data, bank.data)  # global bank frozen
         banks = {tuple(s.local_bank.data.reshape(-1)[:4].tolist()) for s in states}
         assert len(banks) > 1  # clients drift apart
@@ -137,12 +139,11 @@ class TestRunRound:
         for threads in (1, 3):
             cfg = desk_config()
             datasets = desk_datasets(cfg)
-            ledger = []
             monitor = ConvergenceMonitor()
-            states, bank, metrics = initialize(cfg, datasets, ledger, monitor, threads=threads)
+            states, bank, metrics = initialize(cfg, datasets, monitor, threads=threads)
             lines = [metrics.to_json_line()]
             for t in (1, 2):
-                bank, metrics = run_round(states, bank, t, cfg, datasets, ledger, monitor,
+                bank, metrics = run_round(states, bank, t, cfg, datasets, monitor,
                                           threads=threads)
                 lines.append(metrics.to_json_line())
             results.append((bank.data.copy(), monitor.r_hat_m, lines))
@@ -209,7 +210,7 @@ class TestBlockedScoring:
         data = synth_dataset(spec)
         datasets = [build_client_dataset(s, cfg.extractor) for s in data.client_train]
         states, bank, _ = initialize(cfg, datasets)
-        bank, _ = run_round(states, bank, 1, cfg, datasets, [], ConvergenceMonitor())
+        bank, _ = run_round(states, bank, 1, cfg, datasets, ConvergenceMonitor())
         test = data.test
         fused = build_client_dataset(test, cfg.extractor)
         act = cfg.loss.activation
@@ -273,12 +274,9 @@ class TestRunTraining:
     def test_constant_upload_bytes_per_round(self, tmp_path):
         cfg = desk_config(rounds=3)
         result = run_training(cfg, desk_datasets(cfg), tmp_path / "run")
-        sizes = set()
-        for m in result.metrics:
-            sizes.add(m.bytes_up // cfg.n_clients)
-        assert len(sizes) == 1
         bank_bytes = bank_nbytes(result.global_bank)
-        assert sizes.pop() == bank_bytes
+        for m in result.metrics:
+            assert m.uploads == m.downloads == [bank_bytes] * cfg.n_clients
         rows = (tmp_path / "run/ledger.csv").read_bytes().split(b"\r\n")
         assert rows[:2] == [b"round,client,direction,bytes", b"0,0,up,%d" % bank_bytes]
         assert len(rows) == 1 + 4 * 2 * cfg.n_clients + 1 and rows[-1] == b""
@@ -295,8 +293,10 @@ class TestRunTraining:
         run_training(cfg, desk_datasets(cfg), tmp_path / "a", threads=1)
         run_training(desk_config(rounds=2), desk_datasets(desk_config(rounds=2)),
                      tmp_path / "b", threads=2)
-        assert (tmp_path / "a/metrics.jsonl").read_bytes() == \
-            (tmp_path / "b/metrics.jsonl").read_bytes()
+        for name, digest in ARTIFACT_SHA256.items():
+            data = (tmp_path / "a" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+            assert (tmp_path / "b" / name).read_bytes() == data, name
 
     def test_local_only_artifacts_record_no_exchange(self, tmp_path):
         cfg = desk_config(rounds=2, baseline="local_only")
@@ -348,7 +348,7 @@ class TestRunTraining:
         aggregate_banks = orchestrator._aggregate_banks
 
         def crash_in_round_5(banks, cfg, round_index):
-            # round 5's uploads are already in the in-memory ledger here
+            # the clients of round 5 have trained and reduced by now
             if round_index == 5:
                 raise RuntimeError("killed inside round 5")
             return aggregate_banks(banks, cfg, round_index)

@@ -1,7 +1,5 @@
 import csv
 import itertools
-from collections import Counter
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from feddymem.client import MemoryBank
 from feddymem.errors import ShapeError
 from feddymem.numerics import Rng, pairwise_dist
+from feddymem.orchestrator import BASELINES, run_training
 from feddymem.server import (
     AggregationConfig,
     _hartigan_polish,
@@ -19,8 +18,8 @@ from feddymem.server import (
     bank_nbytes,
     kmeans,
     params_nbytes,
-    record_exchange,
 )
+from test_orchestrator import desk_config, desk_datasets
 
 
 def brute_force_sse(points: np.ndarray, k: int) -> float:
@@ -262,21 +261,18 @@ class TestLedger:
         header = 4 + 1 + 3 * 4
         assert bank_nbytes(bank) == 14 * 14 * 16 * 4 + header
 
-    def test_message_counts_and_csv(self, tmp_path):
-        ledger = []
-        record_exchange(ledger, 0, 0, "up", 10)
-        record_exchange(ledger, 0, 0, "down", 20)
-        record_exchange(ledger, 1, 1, "up", 30)
-        assert Counter(r.round_index for r in ledger) == {0: 2, 1: 1}
-        # run_training writes ledger.csv rows as the records' fields, in order
-        with open(tmp_path / "ledger.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows(astuple(r) for r in ledger)
-        lines = (tmp_path / "ledger.csv").read_bytes().split(b"\r\n")
-        assert lines == [b"0,0,up,10", b"0,0,down,20", b"1,1,up,30", b""]
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            record_exchange([], 0, 0, "sideways", 1)
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_csv_rows_are_each_rounds_transfers(self, tmp_path, baseline):
+        cfg = desk_config(rounds=2, baseline=baseline, n_clients=2)
+        result = run_training(cfg, desk_datasets(cfg), tmp_path)
+        want = [["round", "client", "direction", "bytes"]]
+        for m in result.metrics:
+            for direction, sizes in (("up", m.uploads), ("down", m.downloads)):
+                want += [[str(m.round_index), str(n), direction, str(b)]
+                         for n, b in enumerate(sizes)]
+        with open(tmp_path / "ledger.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == want
+        assert (len(want) == 1) == (baseline == "local_only")
 
     def test_param_bytes_exact(self):
         from feddymem.tensorio import dump_container
