@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Run the full desk-scale experiment: train the shared-bank protocol and
 both baselines on the frozen benchmark, evaluate each, and write one
-combined results table plus a communication summary.
+combined results table plus a communication summary. The run-config
+document of each baseline's run is written to <out>/<baseline>/config.json,
+and the experiment's, without a baseline, to <out>/config.json.
 
 Usage:
     python3 scripts/run_desk_experiment.py --out runs/desk [--seed 63] [--rounds 60]
@@ -48,16 +50,23 @@ def main() -> int:
 
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
+    doc = copy.deepcopy(DESK_CONFIG)
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    if args.rounds is not None:
+        doc["federation"]["rounds"] = args.rounds
+    # the experiment's document; each run directory holds the one it
+    # trained, its baseline included, so `feddymem train --resume --config`
+    # on a run directory continues that run
+    (out_root / "config.json").write_text(json.dumps(doc, indent=1, sort_keys=True))
     rows = []
     for baseline in BASELINES:
-        doc = copy.deepcopy(DESK_CONFIG)
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.rounds is not None:
-            doc["federation"]["rounds"] = args.rounds
-        doc["federation"]["baseline"] = baseline
-        cfg = load_run_config(doc)
+        run_doc = copy.deepcopy(doc)
+        run_doc["federation"]["baseline"] = baseline
+        cfg = load_run_config(run_doc)
         run_dir = out_root / baseline
+        run_dir.mkdir(exist_ok=True)
+        (run_dir / "config.json").write_text(json.dumps(run_doc, indent=1, sort_keys=True))
         t0 = time.time()
         train_run(cfg, run_dir, threads=args.threads)
         metrics = eval_run(cfg, run_dir)
@@ -70,7 +79,6 @@ def main() -> int:
             bench_comm(cfg, run_dir)
 
     write_results_csv(out_root / "results.csv", rows)
-    (out_root / "config.json").write_text(json.dumps(DESK_CONFIG, indent=1, sort_keys=True))
     print(f"\nresults table: {out_root / 'results.csv'}")
     return 0
 

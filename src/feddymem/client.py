@@ -28,19 +28,25 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .features import project_backward, project_forward
 from .generator import generator_backward, generator_forward
-from .numerics import DTYPE, AdamState, Rng, adam_step, knn
+from .numerics import DTYPE, AdamState, Reference, Rng, adam_step, knn
 
 
 @dataclass
 class MemoryBank:
-    """Fixed-size set of patch features; (H, W, C) with HW patches of dim C."""
+    """Fixed-size set of patch features; (H, W, C) with HW patches of dim C.
+
+    The bank side of every kNN lookup against it (`numerics.Reference`) is
+    built here, once, when the bank is made, and never changes after: a
+    bank is not modified in place."""
 
     data: np.ndarray
+    reference: Reference = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.data.ndim != 3:
             raise ShapeError(f"bank must be (H, W, C), got {self.data.shape}")
-        if not np.isfinite(self.data).all():
+        self.reference = Reference(self.patches)
+        if not self.reference.finite:
             raise NumericError("bank contains non-finite patches")
 
     @property
@@ -104,10 +110,11 @@ class ClientModelState:
 
 def knn_lookup(patches: np.ndarray, bank: MemoryBank, k: int) -> tuple[np.ndarray, np.ndarray]:
     """K nearest bank entries per patch: (indices, distances), ascending,
-    ties broken toward the lower bank index (`numerics.knn`)."""
+    ties broken toward the lower bank index (`numerics.knn`), against the
+    bank's own prepared reference."""
     if k > bank.size:
         raise ValueError(f"k={k} exceeds bank size {bank.size}")
-    return knn(patches, bank.patches, k)
+    return knn(patches, bank.reference, k)
 
 
 def metric_loss(m: np.ndarray, bank: MemoryBank,

@@ -33,7 +33,13 @@ import numpy as np
 from . import tensorio
 from .client import LossConfig
 from .errors import ConfigError
-from .evaluation import LabeledSample, SynthSpec, synth_dataset, synth_test_set
+from .evaluation import (
+    LabeledSample,
+    SynthSpec,
+    synth_client_train,
+    synth_dataset,
+    synth_test_set,
+)
 from .features import ExtractorSpec, load_manifest
 from .orchestrator import FederationConfig
 from .privacy import AuditConfig
@@ -206,7 +212,15 @@ def load_federated_data(cfg: RunConfig) -> tuple[list[list[LabeledSample]], list
     if cfg.synth is not None:
         data = synth_dataset(cfg.synth)
         return data.client_train, data.test
-    return [_load_manifest_samples(p) for p in cfg.train_manifests], load_test_set(cfg)
+    return load_train_sets(cfg), load_test_set(cfg)
+
+
+def load_train_sets(cfg: RunConfig) -> list[list[LabeledSample]]:
+    """The per-client train sample lists of `load_federated_data`, without
+    building or reading any test sample."""
+    if cfg.synth is not None:
+        return synth_client_train(cfg.synth)
+    return [_load_manifest_samples(p) for p in cfg.train_manifests]
 
 
 def load_test_set(cfg: RunConfig) -> list[LabeledSample]:

@@ -404,6 +404,28 @@ def synth_dataset(spec: SynthSpec) -> SynthDataset:
     """
     rng = Rng(spec.seed).child("synth")
     prototypes = _prototypes(rng, spec)
+    return SynthDataset(client_train=_client_train(rng, prototypes, spec),
+                        test=_test_set(rng, prototypes, spec),
+                        test_assignment=_assign_test_slices(spec))
+
+
+def synth_client_train(spec: SynthSpec) -> list[list[LabeledSample]]:
+    """The per-client train sets of `synth_dataset(spec)`, built alone:
+    their samples draw only from their own streams and the type
+    prototypes, so no test sample is built."""
+    rng = Rng(spec.seed).child("synth")
+    return _client_train(rng, _prototypes(rng, spec), spec)
+
+
+def synth_test_set(spec: SynthSpec) -> list[LabeledSample]:
+    """The global test set of `synth_dataset(spec)`, built alone: its
+    samples draw only from their own streams and the type prototypes."""
+    rng = Rng(spec.seed).child("synth")
+    return _test_set(rng, _prototypes(rng, spec), spec)
+
+
+def _client_train(rng: Rng, prototypes: list[np.ndarray],
+                  spec: SynthSpec) -> list[list[LabeledSample]]:
     train_samples: list[LabeledSample] = []
     for t in range(spec.n_types):
         for i in range(spec.samples_per_type):
@@ -417,17 +439,7 @@ def synth_dataset(spec: SynthSpec) -> SynthDataset:
         while not assignment[c]:
             donor = max(range(spec.n_clients), key=lambda d: len(assignment[d]))
             assignment[c].append(assignment[donor].pop())
-    client_train = [[train_samples[i] for i in idxs] for idxs in assignment]
-
-    return SynthDataset(client_train=client_train, test=_test_set(rng, prototypes, spec),
-                        test_assignment=_assign_test_slices(spec))
-
-
-def synth_test_set(spec: SynthSpec) -> list[LabeledSample]:
-    """The global test set of `synth_dataset(spec)`, built alone: its
-    samples draw only from their own streams and the type prototypes."""
-    rng = Rng(spec.seed).child("synth")
-    return _test_set(rng, _prototypes(rng, spec), spec)
+    return [[train_samples[i] for i in idxs] for idxs in assignment]
 
 
 def _prototypes(rng: Rng, spec: SynthSpec) -> list[np.ndarray]:

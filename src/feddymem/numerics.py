@@ -11,27 +11,39 @@ Conventions used repo-wide:
 Backward passes are hand-written per operation; there is no autograd.
 
 Nearest-neighbour contract (`knn`, used by the metric loss, scoring and
-k-means): the Gram form ||a||^2 + ||b||^2 - 2ab, in float64, only filters
-candidates; explicit differences (`pairwise_dist`) decide. Every returned
-or compared distance is the float `pairwise_dist` gives for that pair, and
-ties go to the lower reference index, so results equal a stable argsort of
-the full explicit row bit for bit, whatever the BLAS thread count. The
-filter is certified with gamma_n(u) = n u / (1 - n u), u the unit roundoff
-and eta the smallest subnormal of the result dtype, C the patch dim:
+k-means): the Gram form ||a||^2 + ||b||^2 - 2ab only filters candidates;
+explicit differences (`pairwise_dist`) decide. Every returned or compared
+distance is the float `pairwise_dist` gives for that pair, and ties go to
+the lower reference index, so results equal a stable argsort of the full
+explicit row bit for bit, whatever the BLAS kernel or thread count. Two
+precisions enter. The explicit differences run in the dtype of a - b,
+with unit roundoff u. The bounds run in the operands' working precision w,
+float32 for float32 (or narrower) operands and float64 otherwise, with unit
+roundoff u_w <= u. The filter is certified with gamma_n(u) = n u / (1 - n u),
+C the patch dim, and eta the larger of the smallest subnormal of a - b's
+dtype and the smallest normal of w, so that a BLAS flushing subnormal
+results to zero is covered too:
   * explicit differences give a squared distance q with
     |q - d^2| <= gamma_{C+2}(u) d^2 + C eta;
-  * the bound lb is one float64 product of augmented operands,
-    [a, keep ||a||^2, 1] . [-2b, 1, keep ||b||^2], a sum of C+2 terms whose
-    absolute values add up to at most (2 + gamma_C(u_64))(||a||^2 + ||b||^2),
-    the norms being C-term float64 sums themselves. So
-    lb <= d^2 + (keep (1 + u_64)(1 + gamma_C(u_64)) - 1
-                 + (2 + gamma_C(u_64)) gamma_{C+2}(u_64)) (||a||^2 + ||b||^2)
+  * the bound lb is one product in w of augmented operands,
+    [a, keep ||a||^2, 1] . [-2b, 1, keep ||b||^2], the squared norms being
+    C-term sums in w and keep rounded to w; a sum of C+2 terms whose
+    absolute values add up to at most (2 + gamma_C(u_w))(||a||^2 + ||b||^2).
+    So
+    lb <= d^2 + (keep (1 + u_w)^2 (1 + gamma_C(u_w)) - 1
+                 + (2 + gamma_C(u_w)) gamma_{C+2}(u_w)) (||a||^2 + ||b||^2)
           + (3C + 2) eta,
-    where the factor of (||a||^2 + ||b||^2) is (keep - 1) + (3C + 5) u_64
-    to first order. With keep = 1 - gamma_{4C+16}(u_64) it is negative for
-    every C, so lb <= d^2 + (3C + 2) eta whatever order BLAS sums in;
+    where the factor of (||a||^2 + ||b||^2) is (keep - 1) + (3C + 6) u_w
+    to first order. With keep = 1 - gamma_{4C+16}(u_w) it is negative
+    whenever (4C + 16) u_w < 1/2 (about 2 million channels in float32),
+    so lb <= d^2 + (3C + 2) eta whatever order BLAS sums in;
   * so floor = (lb - (5C + 16) eta)(1 - gamma_{2C+16}(u)) <= q (1 - u)^2,
-    the two float64 operations of `floor` included.
+    lb converted exactly to float64 and the two float64 operations of
+    `floor` included.
+The bounds are usable when (4C + 16) u_w < 1/2 and the largest squared
+norms of a and b sum to under 1e-8 of w's largest float: then no norm,
+term or partial sum of the product, each at most about 3 (||a||^2 +
+||b||^2), overflows.
 Each row takes its k columns of least lb as seeds and computes their
 explicit distances; U is the largest of them, squared in float64 and
 rounded up. The seeds are k distinct columns, so the k-th distance D
@@ -44,9 +56,17 @@ candidates. No row is recomputed on its full explicit row.
 
 k-means++ seeding asks which pairs could lower a point's current D^2
 (`GramFloor.near`); it compares lb with the per-point threshold
-t = (D^2 / (1 - gamma_{2C+16}(u)) + (5C + 16) eta)(1 + 8 eps_64) instead
-of forming floors: t's three roundings cannot undo the (1 + 8 eps_64), so
-lb > t means floor > D^2 exactly, and q > D^2.
+t = (D^2 / (1 - gamma_{2C+16}(u)) + (5C + 16) eta)(1 + 8 eps_64 + 4 u_w),
+three float64 operations and then one rounding to nearest in w, instead of
+forming floors. t is at least (5C + 16) eta, a normal number of w, so the
+rounding to w loses at most a factor (1 - u_w), and the 4 u_w makes up for
+it; the three float64 roundings of t and the two of `floor` cannot undo the
+(1 + 8 eps_64). So lb > t means floor > D^2 exactly, and q > D^2.
+
+The reference side of the product, [-2b; 1; keep ||b||^2] with the largest
+squared norm of b and whether b is finite, is a `Reference`, built once
+per set of reference rows: a memory bank builds its own when it is made,
+and every lookup against the bank reuses it.
 
 A knn call works in blocks of max(1, KNN_BOUNDS // Q) query rows, so it
 holds at most max(KNN_BOUNDS, Q) bounds and max(KNN_BOUNDS, Q) * C
@@ -56,11 +76,12 @@ Allocation policy. On glibc, importing this module fixes malloc's mmap
 threshold at 32 MiB and its trim threshold at 64 MiB (`mallopt`), so
 freed blocks below 32 MiB stay mapped and the next call reuses their
 pages. Left to glibc's dynamic rule, a metric-loss knn call of 256
-query patches against a 256-patch bank hands its 512 KiB float64 bound
-block back to the kernel on free, unmapped or trimmed off the heap, and
-the next call page-faults it in afresh: 118 to 186 minor faults per call
-on 256 x 16 float32 operands, against none with the fixed thresholds. 32 MiB is glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit,
-the ceiling of its own dynamic threshold, and 64 MiB the twice-as-large
+query patches against a 256-patch bank hands its bound block (512 KiB
+while the bounds were float64) back to the kernel on free, unmapped or
+trimmed off the heap, and the next call page-faults it in afresh: 118 to
+186 minor faults per call on 256 x 16 float32 operands, against none with
+the fixed thresholds. 32 MiB is glibc's DEFAULT_MMAP_THRESHOLD_MAX on
+64-bit, the ceiling of its own dynamic threshold, and 64 MiB the twice-as-large
 trim threshold its dynamic rule pairs with it; both are set, since
 setting either turns the dynamic rule off. The policy is set at import
 because every entry point imports the package before its set-up. Other
@@ -283,8 +304,9 @@ def bilinear_resize(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
 # Pairwise Euclidean distances and exact k-nearest neighbours
 # ---------------------------------------------------------------------------
 
-# float64 bounds per block of knn query rows: 2 MiB, one core's L2 cache
-# on the 2-core host the blocks were measured on (module docstring)
+# bounds per block of knn query rows: 1 MiB in float32 and 2 MiB in
+# float64, within one core's L2 cache on the 2-core host the blocks were
+# measured on (module docstring)
 KNN_BOUNDS = 2**18
 
 
@@ -320,51 +342,86 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u)
 
 
+def _keep_sq(x: np.ndarray, work: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """x in the working precision, and keep ||x||^2 per row in it (module
+    docstring)."""
+    xw = x.astype(work, copy=False)
+    keep = 1.0 - _gamma(4 * x.shape[1] + 16, float(np.finfo(work).eps) / 2)
+    return xw, keep * np.einsum("pc,pc->p", xw, xw)
+
+
+class Reference:
+    """The reference rows b of `knn` and `GramFloor` with their side of the
+    Gram product, built once: in b's working precision (float32 for float32
+    and narrower rows, float64 otherwise) the (C+2, Q) operand
+    [-2b^T; 1; keep ||b||^2] and the largest keep ||b||^2, and whether every
+    row is finite (module docstring). Read-only once built, so threads may
+    share one."""
+
+    def __init__(self, b: np.ndarray):
+        if b.ndim != 2:
+            raise ShapeError("expected 2-D patch matrices")
+        self.patches = b
+        self.dtype = np.result_type(b.dtype, np.float32)
+        self.finite = bool(np.isfinite(b).all())
+        bw, keep_sq = _keep_sq(b, self.dtype)
+        self.sq_max = float(keep_sq.max(initial=0.0))
+        self.operand = np.concatenate([-2.0 * bw.T, np.ones((1, len(b)), self.dtype),
+                                       keep_sq[None]])
+
+
 class GramFloor:
     """Certified floors on the explicit-difference squared distances between
-    the rows of a and b, from one augmented float64 Gram product (module
-    docstring)."""
+    the rows of a and a `Reference`, from one augmented Gram product in the
+    working precision of both (module docstring). A reference built in a
+    narrower precision than a's, say float32 rows against float64 queries,
+    is rebuilt in the wider one."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        _check_patches(a, b)
+    def __init__(self, a: np.ndarray, ref: Reference):
+        _check_patches(a, ref.patches)
+        work = np.result_type(a.dtype, ref.dtype)
+        if work != ref.dtype:
+            ref = Reference(ref.patches.astype(work))
         c = a.shape[1]
+        w = np.finfo(work)
         # explicit differences run in a - b's dtype; float16 in the
         # promotion gives integer inputs a float's roundoff
-        info = np.finfo(np.result_type(a.dtype, b.dtype, np.float16))
-        keep = 1.0 - _gamma(4 * c + 16, np.finfo(np.float64).eps / 2)
+        info = np.finfo(np.result_type(a.dtype, ref.patches.dtype, np.float16))
+        eta = max(float(info.smallest_subnormal), float(w.tiny))
         self._scale = 1.0 - _gamma(2 * c + 16, float(info.eps) / 2)
-        self._absolute = (5 * c + 16) * float(info.smallest_subnormal)
-        a64 = a.astype(np.float64)
-        b64 = b.astype(np.float64)
-        a_sq = np.einsum("pc,pc->p", a64, a64)
-        b_sq = np.einsum("qc,qc->q", b64, b64)
-        # False when the Gram form could overflow float64
-        self.usable = float(a_sq.max(initial=0.0)) + float(b_sq.max(initial=0.0)) < 1e300
-        # (P, C+2) and (C+2, Q) operands whose product is
+        self._absolute = (5 * c + 16) * eta
+        # exact in float64: 1 + 2^-49 + 4 u_w
+        self._widen = 1.0 + 8.0 * float(np.finfo(np.float64).eps) + 2.0 * float(w.eps)
+        aw, keep_sq = _keep_sq(a, work)
+        # False when keep cannot offset the product's roundoff, or the Gram
+        # form could overflow
+        self.usable = ((4 * c + 16) * float(w.eps) / 2 < 0.5
+                       and float(keep_sq.max(initial=0.0)) + ref.sq_max < 1e-8 * float(w.max))
+        # (P, C+2) operand whose product with the reference's is
         # -2ab + keep ||a||^2 + keep ||b||^2
-        self._a = np.concatenate([a64, keep * a_sq[:, None], np.ones((len(a_sq), 1))], axis=1)
-        self._b = np.concatenate([-2.0 * b64.T, np.ones((1, len(b_sq))), keep * b_sq[None]])
+        self._a = np.concatenate([aw, keep_sq[:, None], np.ones((len(a), 1), work)], axis=1)
+        self._b = ref.operand
 
     def lower(self, rows) -> np.ndarray:
-        """Lower bounds lb on the true squared distances of a[rows] to b."""
+        """Lower bounds lb on the true squared distances of a[rows] to b, in
+        the working precision."""
         return self._a[rows] @ self._b
 
     def floor(self, lb: np.ndarray) -> np.ndarray:
-        """Floors, monotone in lb, of q (1 - u)^2 for the computed q."""
-        return (lb - self._absolute) * self._scale
+        """Floors, monotone in lb, of q (1 - u)^2 for the computed q, in
+        float64."""
+        return (lb.astype(np.float64, copy=False) - self._absolute) * self._scale
 
     def near(self, rows, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pairs (i, j), i indexing rows and j the rows of b, whose
         explicit squared distance q may be below d2[j]: every pair with
-        lb <= t[j] = (d2[j] / scale + absolute)(1 + 8 eps_64). Three float64
-        roundings cannot undo the (1 + 8 eps_64), so lb > t means
-        floor(lb) > d2[j] exactly, and q > d2[j]. Every pair when the Gram
-        form is unusable."""
+        lb <= t[j] (module docstring). Every pair when the Gram form is
+        unusable."""
         if not self.usable:
             kept = np.ones((len(self._a[rows]), self._b.shape[1]), dtype=bool)
         else:
-            t = (d2 / self._scale + self._absolute) * (1.0 + 8.0 * np.finfo(np.float64).eps)
-            kept = self.lower(rows) <= t
+            t = (d2 / self._scale + self._absolute) * self._widen
+            kept = self.lower(rows) <= t.astype(self._b.dtype, copy=False)
         # row-major pairs, as np.nonzero gives them, which is several times
         # slower on a 2-D mask
         return np.divmod(np.flatnonzero(kept), kept.shape[1])
@@ -373,6 +430,8 @@ class GramFloor:
 def _k_nearest(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k least of the distances d to the columns cols, ascending by
     distance, ties to the earlier position in cols."""
+    if d.shape[1] == 1:  # k = 1 on a single column: no order to find
+        return cols, d
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(d, order, axis=1)
 
@@ -383,15 +442,19 @@ def _knn_explicit(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.
     return idx, np.take_along_axis(d, idx, axis=1)
 
 
-def _least_bound_columns(lb: np.ndarray, k: int) -> np.ndarray:
+def _least_bound_columns(lb: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k columns of least lb, ascending by index, from k argmin
-    passes; lb is left with those columns set to inf."""
+    passes, and the least lb outside them, from one more; lb is left with
+    those columns set to inf. (numpy vectorises argmin along rows far
+    better than min: 19 against 50 us on a 400 x 400 float32 block, numpy
+    2.4 on the AVX-512 host the blocks were measured on.)"""
     r = np.arange(lb.shape[0])
     cols = np.empty((lb.shape[0], k), dtype=np.intp)
     for j in range(k):
         cols[:, j] = lb.argmin(axis=1)
         lb[r, cols[:, j]] = np.inf
-    return np.sort(cols, axis=1)
+    rest = lb[r, lb.argmin(axis=1)]
+    return (cols if k == 1 else np.sort(cols, axis=1)), rest
 
 
 def _knn_near_ties(rows: np.ndarray, b: np.ndarray, candidates: np.ndarray,
@@ -406,30 +469,36 @@ def _knn_near_ties(rows: np.ndarray, b: np.ndarray, candidates: np.ndarray,
     return _k_nearest(pairwise_dist(rows, b, cols), cols, k)
 
 
-def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest rows of b for each row of a: (indices, distances), both
-    (P, k), ascending by distance, ties toward the lower index of b.
+def knn(a: np.ndarray, ref: Reference, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest rows of the reference for each row of a: (indices,
+    distances), both (P, k), ascending by distance, ties toward the lower
+    reference index.
 
     The result equals, bit for bit, a stable argsort of the full
-    `pairwise_dist(a, b)` row. Per block of max(1, KNN_BOUNDS // Q) query
-    rows one augmented float64 Gram product bounds every squared distance
-    from below (lb). Each row's k columns of least lb are its seeds, and U,
-    the largest of their explicit distances squared, bounds the k-th
-    squared distance. Only the seeds and the columns whose floor is at most
-    U can be among the k nearest (module docstring). A row with no such
-    column beyond its seeds returns its seeds; a row with more, a near tie,
-    orders the explicit distances of its candidates. Without a usable Gram
-    form, or when k = Q, each block sorts its full explicit rows.
+    `pairwise_dist(a, ref.patches)` row. Per block of max(1, KNN_BOUNDS // Q)
+    query rows one augmented Gram product, in the working precision of a and
+    the reference, bounds every squared distance from below (lb). Each
+    row's k columns of least lb are its seeds, and U, the largest of their
+    explicit distances squared, bounds the k-th squared distance. Only the
+    seeds and the columns whose floor is at most U can be among the k
+    nearest (module docstring). A row with no such column beyond its seeds
+    returns its seeds; a row with more, a near tie, orders the explicit
+    distances of its candidates. Without a usable Gram form, or when k = Q,
+    each block sorts its full explicit rows. Queries of a wider dtype than
+    the reference's working precision get the reference side rebuilt in
+    theirs for the call (`GramFloor`).
     """
+    b = ref.patches
     _check_patches(a, b)
     q = b.shape[0]
     if not 1 <= k <= q:
         raise ValueError(f"k={k} must be in [1, {q}]")
     require_finite(a, "query patches")
-    require_finite(b, "reference patches")
+    if not ref.finite:
+        raise NumericError("reference patches contains non-finite values")
     if a.shape[0] == 0:
         return _knn_explicit(a, b, k)
-    gram = GramFloor(a, b)
+    gram = GramFloor(a, ref)
     step = max(1, KNN_BOUNDS // q)
     idx_parts, dist_parts = [], []
     for s in range(0, a.shape[0], step):
@@ -438,12 +507,12 @@ def knn(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             idx, dist = _knn_explicit(rows, b, k)
         else:
             lb = gram.lower(slice(s, s + step))
-            seeds = _least_bound_columns(lb, k)
+            seeds, rest = _least_bound_columns(lb, k)
             idx, dist = _k_nearest(pairwise_dist(rows, b, seeds), seeds, k)
             bound = np.nextafter(dist[:, -1].astype(np.float64) ** 2, np.inf)
             # floor is monotone in lb, so the least bound left outside the
             # seeds certifies every other column at once
-            ties = np.flatnonzero(~(gram.floor(lb.min(axis=1)) > bound))
+            ties = np.flatnonzero(~(gram.floor(rest) > bound))
             if ties.size:
                 candidates = gram.floor(lb[ties]) <= bound[ties, None]
                 np.put_along_axis(candidates, seeds[ties], True, axis=1)

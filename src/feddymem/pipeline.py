@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensorio
 from .client import ClientModelState, MemoryBank, forward_memory
-from .config import RunConfig, load_federated_data, load_test_set
+from .config import RunConfig, load_federated_data, load_test_set, load_train_sets
 from .errors import ConfigError
 from .evaluation import (
     AnomalyMap,
@@ -42,7 +42,7 @@ from .server import bank_nbytes, params_nbytes
 
 def train_run(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
               resume: bool = False) -> TrainingResult:
-    client_samples, _ = load_federated_data(cfg)
+    client_samples = load_train_sets(cfg)
     datasets = [build_client_dataset(samples, cfg.federation.extractor)
                 for samples in client_samples]
     return run_training(cfg.federation, datasets, out_dir, threads=threads,

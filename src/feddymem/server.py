@@ -17,7 +17,7 @@ import numpy as np
 
 from .client import MemoryBank
 from .errors import ConfigError, ShapeError
-from .numerics import GramFloor, Rng, knn
+from .numerics import GramFloor, Reference, Rng, knn
 from .tensorio import tensor_nbytes
 
 
@@ -67,7 +67,7 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(0, n)
     d2 = _sq_dists(points, points[chosen[0]])
-    gram = GramFloor(points, points)
+    gram = GramFloor(points, Reference(points))
     for j in range(1, k):
         candidates = rng.choice_weighted(d2, n_candidates)
         rows, cols = gram.near(candidates, d2)
@@ -140,28 +140,36 @@ def _lloyd_once(points: np.ndarray, k: int, cfg: AggregationConfig,
         if not polish_hist:
             break
 
-    assignments = knn(points, centers, 1)[0][:, 0]
+    assignments = knn(points, Reference(centers), 1)[0][:, 0]
     objective = float(((points.astype(np.float64)
                         - centers[assignments].astype(np.float64)) ** 2).sum())
     return KMeansResult(centers=centers, assignments=assignments, objective=objective,
                         n_iterations=len(history), objective_history=history)
 
 
+def _cluster_sums(pts: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
+    """(k, C) sums of the float64 points of each cluster, from one bincount
+    keyed by cluster * C + channel: each point is added in order, as
+    `np.add.at` adds them, so the sums are the same floats."""
+    c = pts.shape[1]
+    keys = (assignments[:, None] * c + np.arange(c)).ravel()
+    return np.bincount(keys, weights=pts.ravel(), minlength=k * c).reshape(k, c)
+
+
 def _lloyd_iterations(points: np.ndarray, centers: np.ndarray, k: int,
                       cfg: AggregationConfig) -> tuple[np.ndarray, np.ndarray, list[float]]:
     history: list[float] = []
     assignments = np.zeros(points.shape[0], dtype=np.int64)
+    pts = points.astype(np.float64)
     for _ in range(cfg.max_iterations):
-        nearest_idx, nearest = knn(points, centers, 1)
+        nearest_idx, nearest = knn(points, Reference(centers), 1)
         assignments = _repair_empty(nearest_idx[:, 0], nearest[:, 0], k)
 
-        sums = np.zeros((k, points.shape[1]), dtype=np.float64)
-        np.add.at(sums, assignments, points.astype(np.float64))
+        sums = _cluster_sums(pts, assignments, k)
         counts = np.bincount(assignments, minlength=k).astype(np.float64)
         new_centers = (sums / counts[:, None]).astype(points.dtype)
 
-        sse = float(((points.astype(np.float64)
-                      - new_centers[assignments].astype(np.float64)) ** 2).sum())
+        sse = float(((pts - new_centers[assignments].astype(np.float64)) ** 2).sum())
         history.append(sse)
 
         movement = np.sqrt(((new_centers - centers).astype(np.float64) ** 2).sum(axis=1)).max()
@@ -178,8 +186,7 @@ def _hartigan_polish(points: np.ndarray, assignments: np.ndarray,
     cluster. Returns (assignments, centers as means, SSE history)."""
     pts = points.astype(np.float64)
     assignments = assignments.copy()
-    sums = np.zeros((k, pts.shape[1]), dtype=np.float64)
-    np.add.at(sums, assignments, pts)
+    sums = _cluster_sums(pts, assignments, k)
     counts = np.bincount(assignments, minlength=k).astype(np.float64)
     history: list[float] = []
     for _ in range(max_sweeps):

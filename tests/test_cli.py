@@ -1,11 +1,15 @@
 import json
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from feddymem import config, tensorio
+from feddymem import config, evaluation, pipeline, tensorio
 from feddymem.cli import main
-from feddymem.config import load_run_config, load_federated_data, load_test_set
+from feddymem.config import load_federated_data, load_run_config, load_test_set, load_train_sets
 from feddymem.client import LossConfig, forward_memory
 from feddymem.errors import ConfigError
 from feddymem.evaluation import SynthSpec
@@ -236,6 +240,55 @@ class TestCliSynthAndManifest:
                 assert a.features.tobytes() == b.features.tobytes()
                 assert (a.mask is None) == (b.mask is None)
                 assert a.mask is None or a.mask.tobytes() == b.mask.tobytes()
+
+
+    def test_train_sets_alone_equal_federated_data(self, tmp_path, monkeypatch):
+        synth_cfg = load_run_config(desk_doc())
+        root = write_synth_dataset(synth_cfg, tmp_path)
+        for cfg in (synth_cfg, load_run_config(manifest_doc(root))):
+            want = load_federated_data(cfg)[0]
+            with monkeypatch.context() as m:
+                # neither kind builds or reads a test sample
+                m.setattr(config, "synth_dataset", None)
+                m.setattr(evaluation, "_test_set", None)
+                m.setattr(cfg, "test_manifest", None)
+                got = load_train_sets(cfg)
+            assert [[s.sample_id for s in c] for c in got] == \
+                [[s.sample_id for s in c] for c in want]
+            for a, b in zip(sum(got, []), sum(want, [])):
+                assert (a.label, a.mask) == (b.label, b.mask) == (0, None)
+                assert a.features.dtype == b.features.dtype
+                assert a.features.tobytes() == b.features.tobytes()
+
+    def test_training_builds_no_test_sample(self, tmp_path, monkeypatch):
+        cfg = load_run_config(desk_doc(rounds=1))
+        monkeypatch.setattr(config, "synth_dataset", None)
+        monkeypatch.setattr(evaluation, "_test_set", None)
+        pipeline.train_run(replace(cfg, federation=replace(cfg.federation, rounds=0)), tmp_path)
+        assert (tmp_path / "metrics.jsonl").read_text().count("\n") == 1
+
+
+class TestDeskExperimentScript:
+    def test_config_json_records_the_documents_trained(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_experiment.py"
+        out = tmp_path / "desk"
+        subprocess.run([sys.executable, str(script), "--out", str(out), "--rounds", "1",
+                        "--seed", "5"], check=True, capture_output=True)
+        experiment = json.loads((out / "config.json").read_text())
+        assert (experiment["seed"], experiment["federation"]["rounds"]) == (5, 1)
+        assert "baseline" not in experiment["federation"]
+        for baseline in ("feddymem", "plain_average", "local_only"):
+            run = out / baseline
+            doc = json.loads((run / "config.json").read_text())
+            assert doc["federation"] == dict(experiment["federation"], baseline=baseline)
+            assert {k: v for k, v in doc.items() if k != "federation"} == \
+                {k: v for k, v in experiment.items() if k != "federation"}
+            assert (run / "metrics.jsonl").read_text().count("\n") == 2
+            # resuming from the recorded document trains nothing more
+            before = (run / "metrics.jsonl").read_bytes()
+            assert main(["train", "--config", str(run / "config.json"), "--out", str(run),
+                         "--resume"]) == 0
+            assert (run / "metrics.jsonl").read_bytes() == before
 
 
 class TestCliTrainEval:

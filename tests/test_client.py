@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +67,26 @@ class TestKnn:
         bank = make_bank(rng)
         with pytest.raises(ValueError):
             knn_lookup(bank.patches, bank, bank.size + 1)
+
+    def test_threads_share_one_bank_reference(self, rng):
+        # client threads all query the one global bank and its prepared
+        # reference side; with more threads than cores and a short switch
+        # interval, every lookup must still equal the single-threaded one
+        bank = MemoryBank(data=rng.child(1).normal((8, 8, 6)))
+        queries = [rng.child(2, i).normal((64, 6)) for i in range(12)]
+        want = [knn_lookup(q, bank, 3) for q in queries]
+        operand = bank.reference.operand.copy()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(knn_lookup, q, bank, 3) for q in queries * 4]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (idx, dist), (want_idx, want_dist) in zip(got, want * 4):
+            assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+        assert np.array_equal(bank.reference.operand, operand)
 
 
 class TestMetricLoss:

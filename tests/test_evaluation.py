@@ -19,6 +19,7 @@ from feddymem.evaluation import (
     synth_dataset,
 )
 from feddymem.numerics import Rng, bilinear_resize, knn, pairwise_dist
+from test_numerics import built_references
 
 
 # Reference loops: the sweep-per-score implementations that `auroc` and `pro`
@@ -167,6 +168,13 @@ class TestPixelScores:
         with pytest.raises(ShapeError):
             anomaly_map(rng.normal((2, 2, 3)), bank)
 
+    def test_scoring_builds_the_bank_side_once(self, rng):
+        with built_references() as built:
+            bank = MemoryBank(data=rng.child(1).normal((4, 4, 3)))
+            for m in rng.child(2).normal((7, 3, 3, 3)):
+                anomaly_map(m, bank)
+        assert built == [bank.reference]
+
     @given(st.integers(0, 2**31 - 1), st.integers(2, 12), st.integers(1, 4),
            st.sampled_from([np.float32, np.float64]))
     @settings(max_examples=60, deadline=None)
@@ -182,7 +190,7 @@ class TestPixelScores:
              + 0.25 * (gen.uniform(0, 1, (3, 4, 1)) < 0.5)).astype(dtype)
         scores = anomaly_map(m, bank).pixel_scores.reshape(-1)
         for k in range(1, q + 1):
-            assert np.array_equal(scores, knn(m.reshape(12, c), bank.patches, k)[1][:, 0])
+            assert np.array_equal(scores, knn(m.reshape(12, c), bank.reference, k)[1][:, 0])
 
 
 class TestImageScore:

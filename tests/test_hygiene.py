@@ -113,7 +113,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set on glibc only")
 def test_repeated_knn_calls_take_no_page_faults(tmp_path):
-    # each call's 256 x 256 float64 bound block is 512 KiB, 128 pages;
+    # each call's 256 x 256 float32 bound block is 256 KiB, 64 pages;
     # handed back to the kernel on free, it faults in afresh on every call
     out = run_fresh(tmp_path, """
 import resource
@@ -122,10 +122,11 @@ from feddymem import numerics
 gen = np.random.default_rng(0)
 a = gen.standard_normal((256, 16)).astype(np.float32)
 b = gen.standard_normal((256, 16)).astype(np.float32)
-numerics.knn(a, b, 3)
+ref = numerics.Reference(b)
+numerics.knn(a, ref, 3)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(100):
-    numerics.knn(a, b, 3)
+    numerics.knn(a, ref, 3)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """)
     assert int(out.splitlines()[-1]) < 100

@@ -1,4 +1,5 @@
 import contextlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from feddymem.client import LossConfig
 from feddymem.errors import NumericError, ShapeError
 from feddymem.numerics import (
     AdamState,
+    Reference,
     Rng,
     adam_step,
     bilinear_resize,
@@ -205,7 +207,7 @@ def knn_oracle(a, b, k):
 
 
 def assert_same_as_oracle(a, b, k):
-    idx, dist = knn(a, b, k)
+    idx, dist = knn(a, Reference(b), k)
     want_idx, want_dist = knn_oracle(a, b, k)
     assert np.array_equal(idx, want_idx)
     assert dist.dtype == want_dist.dtype
@@ -248,6 +250,23 @@ def spy(name):
         yield calls
     finally:
         setattr(numerics, name, real)
+
+
+@contextlib.contextmanager
+def built_references():
+    """Record every `Reference` built while the block runs."""
+    built = []
+    real = numerics.Reference.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self)
+
+    numerics.Reference.__init__ = init
+    try:
+        yield built
+    finally:
+        numerics.Reference.__init__ = real
 
 
 @st.composite
@@ -307,7 +326,7 @@ class TestKnnKernel:
         b = rows[r.child(2).generator.integers(0, 3, size=30)]
         a = np.concatenate([rows, r.child(3).normal((5, 4))])
         assert_same_as_oracle(a, b, k)
-        idx, dist = knn(rows[:1], b, 1)
+        idx, dist = knn(rows[:1], Reference(b), 1)
         assert idx[0, 0] == np.flatnonzero((b == rows[0]).all(axis=1))[0]
         assert dist[0, 0] == 0.0
 
@@ -316,7 +335,7 @@ class TestKnnKernel:
     def test_all_equal_reference_ties_everywhere(self, seed, k):
         b = np.full((30, 3), 0.25, dtype=np.float32)
         a = Rng(seed).normal((6, 3))
-        idx, _ = knn(a, b, k)
+        idx, _ = knn(a, Reference(b), k)
         assert np.array_equal(idx, np.tile(np.arange(k), (6, 1)))
         assert_same_as_oracle(a, b, k)
 
@@ -332,6 +351,24 @@ class TestKnnKernel:
             assert_same_as_oracle(a, b, k)
         assert sum(rows.shape[0] for rows, *_ in calls) == a.shape[0]
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+           st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_large_offset_tiny_spread_float32(self, seed, k, spread):
+        # at |x| ~ 1e4 the float32 Gram error, some 1e-6 of the squared
+        # norms' ~1e9, dwarfs squared distances of a spread this small, so
+        # float32 certification fails on most rows and they take the
+        # near-tie path; a spread of 1e-3 is about float32's spacing at 1e4,
+        # so many coordinates and distances tie too
+        r = Rng(seed)
+        c = 8
+        offset = 1e4 * r.child(0).uniform(-1.0, 1.0, (1, c), dtype=np.float64)
+        a = (offset + spread * r.child(1).normal((20, c), dtype=np.float64)).astype(np.float32)
+        b = (offset + spread * r.child(2).normal((30, c), dtype=np.float64)).astype(np.float32)
+        with spy("_knn_near_ties") as calls:
+            assert_same_as_oracle(a, b, k)
+        assert sum(rows.shape[0] for rows, *_ in calls) >= a.shape[0] // 2
+
     def test_underflowing_squares_tie_at_zero(self):
         # float32 squares of 2e-25 and 3e-26 underflow to 0, so every column
         # but the large ones is at distance 0 and index 0 must win, although
@@ -340,7 +377,7 @@ class TestKnnKernel:
                      dtype=np.float32)
         a = np.zeros((1, 1), dtype=np.float32)
         assert_same_as_oracle(a, b, 1)
-        assert knn(a, b, 1)[0][0, 0] == 0
+        assert knn(a, Reference(b), 1)[0][0, 0] == 0
 
     def test_chunks_match_oracle(self, rng, monkeypatch):
         monkeypatch.setattr(numerics, "KNN_BOUNDS", 7 * 50 + 3)
@@ -391,7 +428,7 @@ class TestKnnKernel:
         if case == "unusable Gram form":
             # squared norms overflow float64; distances stay finite
             a, b = 1e154 * (1 + 1e-10 * a), 1e154 * (1 + 1e-10 * b)
-            assert not numerics.GramFloor(a, b).usable
+            assert not numerics.GramFloor(a, Reference(b)).usable
         blocks = record_lower(monkeypatch)
         with spy("pairwise_dist") as calls:
             assert_same_as_oracle(a, b, k)
@@ -426,11 +463,35 @@ class TestKnnKernel:
         b = np.ones((20, 2), dtype=np.float32)
         (a if where == "query" else b)[1, 0] = np.inf
         with pytest.raises(NumericError):
-            knn(a, b, 1)
+            knn(a, Reference(b), 1)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            knn(np.zeros((1, 2)), np.zeros((3, 2)), 4)
+            knn(np.zeros((1, 2)), Reference(np.zeros((3, 2))), 4)
+
+    def test_wider_queries_rebuild_the_reference_side_for_the_call(self, rng):
+        # float32 rows get a float32 reference side; float64 queries
+        # promote the bounds to float64, so the call builds a float64 side
+        # of its own and leaves the prepared one as it was
+        b = rng.child(2).normal((25, 3))
+        ref = Reference(b)
+        operand = ref.operand.copy()
+        assert ref.dtype == np.float32 and operand.dtype == np.float32
+        a = rng.child(1).normal((6, 3), dtype=np.float64)
+        want_idx, want_dist = knn_oracle(a, b, 2)
+        with built_references() as built:
+            idx, dist = knn(a, ref, 2)
+        assert [r.dtype for r in built] == [np.float64]
+        assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+        assert dist.dtype == np.float64
+        assert np.array_equal(ref.operand, operand) and ref.operand.dtype == np.float32
+        assert numerics.GramFloor(a, ref).lower(slice(None)).dtype == np.float64
+        # float32 queries, and float64 queries against a float64 side, reuse it
+        with built_references() as built:
+            knn(a.astype(np.float32), ref, 2)
+            knn(a.astype(np.float32), Reference(b.astype(np.float64)), 2)
+        assert [r.dtype for r in built] == [np.float64]
+        assert numerics.GramFloor(a.astype(np.float32), ref).lower(slice(None)).dtype == np.float32
 
 
 @st.composite
@@ -460,7 +521,7 @@ class TestGramFloor:
         a, b, r = case
         diff = a[:, None, :] - b[None, :, :]
         q = np.einsum("pqc,pqc->pq", diff, diff).astype(np.float64)
-        gram = numerics.GramFloor(a, b)
+        gram = numerics.GramFloor(a, Reference(b))
         assert gram.usable
         assert (gram.floor(gram.lower(slice(None))) <= q).all()
         # each column's D^2 sits just above one row's explicit distance, or
@@ -472,9 +533,30 @@ class TestGramFloor:
         kept[gram.near(np.arange(len(a)), d2)] = True
         assert kept[q < d2].all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keep_offsets_the_product_roundoff(self, dtype):
+        # the factor of ||a||^2 + ||b||^2 in the bound's error (module
+        # docstring) is negative at every C the bounds are used at, and the
+        # bounds are unusable from the first C where the derivation stops
+        u = Fraction(float(np.finfo(dtype).eps)) / 2
+
+        def gamma(n):
+            return n * u / (1 - n * u)
+
+        last = int((1 / (2 * u) - 16) / 4)
+        while (4 * last + 16) * u >= Fraction(1, 2):
+            last -= 1
+        for c in [1, 2, 16, 64, 1024, 2**16, last]:
+            keep = 1 - gamma(4 * c + 16)
+            assert keep * (1 + u) ** 2 * (1 + gamma(c)) - 1 + (2 + gamma(c)) * gamma(c + 2) < 0
+        if dtype == np.float32:
+            for c, usable in [(last, True), (last + 1, False)]:
+                a = np.zeros((1, c), dtype=dtype)
+                assert numerics.GramFloor(a, Reference(a)).usable == usable
+
     def test_near_keeps_every_pair_when_unusable(self):
         a = np.full((3, 2), 1e154)
-        gram = numerics.GramFloor(a, a[:2])
+        gram = numerics.GramFloor(a, Reference(a[:2]))
         assert not gram.usable
         rows, cols = gram.near(np.array([2, 0]), np.zeros(2))
         assert sorted(zip(rows, cols)) == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -11,6 +11,7 @@ from feddymem.numerics import Rng, pairwise_dist
 from feddymem.orchestrator import BASELINES, run_training
 from feddymem.server import (
     AggregationConfig,
+    _cluster_sums,
     _hartigan_polish,
     _plusplus_seeding,
     aggregate,
@@ -182,6 +183,20 @@ class TestKMeans:
         pts = rows[r.child(2).generator.integers(0, distinct, size=n)]
         got = _plusplus_seeding(pts, k, Rng(seed).child("s"))
         assert got.tolist() == reference_seeding(pts, k, Rng(seed).child("s"))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 5),
+           st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_cluster_sums_equal_add_at(self, seed, n, c, k):
+        # duplicated points, clusters left empty, and points added in an
+        # order that does not follow their cluster
+        r = Rng(seed)
+        rows = r.child(1).normal((max(n // 3, 1), c), dtype=np.float64)
+        pts = rows[r.child(2).generator.integers(0, len(rows), size=n)]
+        assignments = r.child(3).generator.integers(0, k, size=n)
+        want = np.zeros((k, c))
+        np.add.at(want, assignments, pts)
+        assert np.array_equal(_cluster_sums(pts, assignments, k), want)
 
     def test_against_exhaustive_oracle(self):
         # Lloyd is a local method: require >= 95% global-optimum hits and log
