@@ -6,7 +6,12 @@ stack of the samples' frozen fused features. Per round it (1) trains the
 projection and generator so local memory features align with the bank from
 the previous round, (2) extracts memory features for every local sample with
 the trained weights, and (3) compresses them into one bank-sized tensor via
-distance-weighted averaging plus a round-indexed EMA.
+distance-weighted averaging plus a round-indexed EMA. The stack is only
+read: a training step projects its batch's rows in place
+(`features.project_forward`), and no step gathers them into a copy.
+
+Under the shared baselines every client holds the round's one global bank
+object, not a copy of it: a bank is never written after it is made.
 
 A client's state is its trainable weights, their Adam moments and its
 current bank, all kept local (only banks are exchanged). The weights are one
@@ -21,6 +26,7 @@ updates all of them once with the settings of the client's `LossConfig`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +42,9 @@ class MemoryBank:
     """Fixed-size set of patch features; (H, W, C) with HW patches of dim C.
 
     The bank side of every kNN lookup against it (`numerics.Reference`) is
-    built here, once, when the bank is made, and never changes after: a
-    bank is not modified in place."""
+    built here, once, when the bank is made. A bank is never written after:
+    one bank object is shared by every client that queries it, across
+    threads, so nothing may modify `data` in place."""
 
     data: np.ndarray
     reference: Reference = field(init=False, repr=False, compare=False)
@@ -56,9 +63,6 @@ class MemoryBank:
     @property
     def size(self) -> int:
         return self.data.shape[0] * self.data.shape[1]
-
-    def copy(self) -> "MemoryBank":
-        return MemoryBank(data=self.data.copy())
 
 
 @dataclass
@@ -155,30 +159,33 @@ def metric_loss(m: np.ndarray, bank: MemoryBank,
 # ---------------------------------------------------------------------------
 
 
-def _forward_backward(state: ClientModelState, fused: np.ndarray, bank: MemoryBank,
+def _forward_backward(state: ClientModelState, dataset: np.ndarray, rows: Sequence[int],
+                      bank: MemoryBank,
                       cfg: LossConfig) -> tuple[list[float], dict[str, np.ndarray]]:
-    """Each sample's loss for a (B, H, W, Cin) batch, and the gradients
-    summed over its samples in order: one forward pass, one metric loss and
-    one backward pass for the whole batch."""
-    projected, proj_cache = project_forward(fused, state.params, cfg.activation)
+    """Each sample's loss for the batch `rows` of the (N, H, W, Cin) stack,
+    and the gradients summed over its samples in order: one forward pass,
+    one metric loss and one backward pass for the whole batch, reading the
+    rows in place."""
+    projected, proj_cache = project_forward(dataset, state.params, cfg.activation, rows)
     m, gen_cache = generator_forward(projected, state.params)
     losses, grad_m = metric_loss(m, bank, cfg)
     grad_projected, gen_grads = generator_backward(gen_cache, grad_m)
     return losses, {**project_backward(proj_cache, grad_projected), **gen_grads}
 
 
-def forward_memory(state: ClientModelState, fused: np.ndarray,
+def forward_memory(params: dict[str, np.ndarray], fused: np.ndarray,
                    activation: str = "relu") -> np.ndarray:
     """Inference-only pass: (B, H, W, Cin) fused features -> (B, H, W, C)
-    memory features."""
-    projected, _ = project_forward(fused, state.params, activation)
-    return generator_forward(projected, state.params)[0]
+    memory features, with no backward cache (`generator_forward`)."""
+    return generator_forward(project_forward(fused, params, activation)[0], params,
+                             train=False)[0]
 
 
 def client_update(state: ClientModelState, dataset: np.ndarray, cfg: LossConfig,
                   round_t: int, rng: Rng) -> tuple[list[float], list[float]]:
     """Local epochs of batched training on the (N, H, W, Cin) fused stack
-    against the client's current bank.
+    against the client's current bank. Each batch reads its rows of the
+    stack in place.
 
     Returns (per-batch loss trace, per-batch squared gradient norm trace);
     trace length is local_epochs * ceil(len(dataset) / batch_size).
@@ -195,7 +202,7 @@ def client_update(state: ClientModelState, dataset: np.ndarray, cfg: LossConfig,
         order = rng.child("shuffle", round_t, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            losses, grads = _forward_backward(state, dataset[batch], bank, cfg)
+            losses, grads = _forward_backward(state, dataset, batch, bank, cfg)
             batch_loss = 0.0
             for loss in losses:
                 batch_loss += loss
@@ -219,7 +226,7 @@ def extract_all_memories(state: ClientModelState, dataset: np.ndarray,
     if len(dataset) == 0:
         raise ValueError("client dataset is empty")
     step = cfg.batch_size
-    return np.concatenate([forward_memory(state, dataset[s:s + step], cfg.activation)
+    return np.concatenate([forward_memory(state.params, dataset[s:s + step], cfg.activation)
                            for s in range(0, len(dataset), step)])
 
 

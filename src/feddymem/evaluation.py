@@ -140,9 +140,19 @@ def _tie_ends(sorted_vals: np.ndarray) -> np.ndarray:
     return np.append(change, len(sorted_vals) - 1)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    order = np.argsort(values, kind="stable")
+def _ascending(scores: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """The stable ascending order of `scores`: `order` when the caller
+    sorted them already, as `evaluate_states` does once for `auroc` and
+    `pro` of the same pixel scores."""
+    if order is None:
+        return np.argsort(scores, kind="stable")
+    if order.shape != scores.shape:
+        raise ShapeError(f"order {order.shape} does not match scores {scores.shape}")
+    return order
+
+
+def _average_ranks(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties averaged, from the stable ascending order."""
     ends = _tie_ends(values[order])
     starts = np.concatenate(([0], ends[:-1] + 1))
     ranks = np.empty(len(values), dtype=np.float64)
@@ -150,8 +160,9 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def auroc(scores, labels) -> float:
-    """Probability a positive outscores a negative, ties counted half."""
+def auroc(scores, labels, order: np.ndarray | None = None) -> float:
+    """Probability a positive outscores a negative, ties counted half.
+    `order`, when given, is the scores' stable ascending argsort."""
     s = _finite_scores(scores)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
@@ -160,7 +171,7 @@ def auroc(scores, labels) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auroc undefined: both classes must be present")
-    ranks = _average_ranks(s)
+    ranks = _average_ranks(s, _ascending(s, order))
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -216,7 +227,7 @@ def label_regions(masks: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def pro(heatmaps: list[np.ndarray], regions: list[np.ndarray],
-        fpr_budget: float = 0.3) -> float:
+        fpr_budget: float = 0.3, order: np.ndarray | None = None) -> float:
     """Per-region overlap averaged over thresholds up to the FPR budget.
 
     `regions` holds one region map per heatmap, as `label_regions` returns
@@ -228,12 +239,16 @@ def pro(heatmaps: list[np.ndarray], regions: list[np.ndarray],
     The cost is one sort of all pixel scores plus cumulative counts: the
     false positives at each threshold are a running sum over the sorted
     pixels, and a region's hits are the number of its pixels sorted at or
-    before the threshold. Only the last threshold of each run of equal FPR
-    is evaluated, since the step function reads no other. Per chunk of
-    `PRO_HITS_CHUNK` thresholds, one `bincount` counts the region pixels
-    between each threshold and the one before it, and a running sum down
-    the chunk turns these into hits, so memory stays bounded by the chunk,
-    not by the length of the curve.
+    before the threshold. The descending order is the stable ascending one
+    reversed, which is `order` when given (the argsort `auroc` takes, of
+    the heatmaps' scores concatenated in list order). Ties then come in
+    reverse index order, but only the counts at the end of each tie group
+    are read, and those do not depend on the order within it. Only the last
+    threshold of each run of equal FPR is evaluated, since the step
+    function reads no other. Per chunk of `PRO_HITS_CHUNK` thresholds, one
+    `bincount` counts the region pixels between each threshold and the one
+    before it, and a running sum down the chunk turns these into hits, so
+    memory stays bounded by the chunk, not by the length of the curve.
     """
     if not 0 < fpr_budget <= 1:
         raise ValueError("fpr_budget must be in (0, 1]")
@@ -257,7 +272,7 @@ def pro(heatmaps: list[np.ndarray], regions: list[np.ndarray],
     # thresholds are the ends of the tie groups in descending score order;
     # the last pixel is a negative at FPR exactly 1 >= budget, so `stop`
     # always exists
-    order = np.argsort(-scores, kind="stable")
+    order = _ascending(scores, order)[::-1]
     ends = _tie_ends(scores[order])
     fpr = np.cumsum(is_neg[order])[ends] / total_neg
     stop = int(np.argmax(fpr >= fpr_budget))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,8 +20,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import ConfigError, ShapeError
-from .numerics import (DTYPE, Rng, bilinear_resize, conv1x1_forward, conv1x1_param_grads,
-                       require_finite, xavier_uniform)
+from .numerics import DTYPE, Rng, bilinear_resize, require_finite, sum_samples, xavier_uniform
 
 SAMPLE_CHANNELS = 3
 
@@ -173,31 +173,50 @@ def _activate_backward(out: np.ndarray, grad_out: np.ndarray, activation: str) -
 @dataclass
 class ProjectionCache:
     fused: np.ndarray
+    rows: Sequence[int]
     out: np.ndarray
     activation: str
 
 
-def project_forward(fused: np.ndarray, params: dict[str, np.ndarray],
-                    activation: str = "relu") -> tuple[np.ndarray, ProjectionCache]:
+def project_forward(fused: np.ndarray, params: dict[str, np.ndarray], activation: str = "relu",
+                    rows: Sequence[int] | None = None) -> tuple[np.ndarray, ProjectionCache]:
     """Trainable per-pixel projection with nonlinearity, sigma(conv1x1(fused)),
-    of a (B, H, W, Cin) stack of fused features.
+    of the samples `rows` (all, in order, when None) of a (N, H, W, Cin)
+    stack of fused features: (len(rows), H, W, C).
 
-    Reads `proj_w` and `proj_b` from `params`; other keys are ignored.
+    Each sample's product is formed from a view of its row of the stack and
+    written into the one output, so the rows are never gathered into a copy;
+    a batch's products are the bits of batches of one. Reads `proj_w` and
+    `proj_b` from `params`; other keys are ignored.
     """
-    weight = params["proj_w"]
-    if fused.shape[-1] != weight.shape[0]:
+    weight, bias = params["proj_w"], params["proj_b"]
+    if fused.ndim != 4:
+        raise ShapeError(f"fused features must be (N, H, W, Cin), got {fused.shape}")
+    if fused.shape[3] != weight.shape[0]:
         raise ShapeError(
-            f"fused channels {fused.shape[-1]} != projection input {weight.shape[0]}")
-    out = _activate(conv1x1_forward(fused, weight, params["proj_b"]), activation)
-    return out, ProjectionCache(fused=fused, out=out, activation=activation)
+            f"fused channels {fused.shape[3]} != projection input {weight.shape[0]}")
+    rows = range(len(fused)) if rows is None else rows
+    pre = np.empty((len(rows),) + fused.shape[1:3] + (weight.shape[1],),
+                   dtype=np.result_type(fused, weight))
+    for j, i in enumerate(rows):
+        np.matmul(fused[i].reshape(-1, weight.shape[0]), weight,
+                  out=pre[j].reshape(-1, weight.shape[1]))
+    pre += bias
+    out = _activate(pre, activation)
+    return out, ProjectionCache(fused=fused, rows=rows, out=out, activation=activation)
 
 
 def project_backward(cache: ProjectionCache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    """The `proj_w`/`proj_b` gradients, summed over the stack. The fused
-    features are frozen, so no gradient w.r.t. them is formed."""
+    """The `proj_w`/`proj_b` gradients, summed over the batch in sample
+    order (`sum_samples`), each sample's weight product formed from its row
+    of the stack in place. The fused features are frozen, so no gradient
+    w.r.t. them is formed."""
     grad_pre = _activate_backward(cache.out, grad_out, cache.activation)
-    g_w, g_b = conv1x1_param_grads(cache.fused, grad_pre)
-    return {"proj_w": g_w, "proj_b": g_b}
+    fused = cache.fused
+    g = grad_pre.reshape(len(grad_pre), -1, grad_pre.shape[3])
+    g_w = sum_samples(fused[i].reshape(-1, fused.shape[3]).T @ g_j
+                      for i, g_j in zip(cache.rows, g))
+    return {"proj_w": g_w, "proj_b": sum_samples(g.sum(axis=1))}
 
 
 # ---------------------------------------------------------------------------

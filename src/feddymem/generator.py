@@ -20,6 +20,11 @@ coord_b (C,) of the coordinate convolution, phi1_w (C, Ch), phi1_b (Ch,),
 phi2_w (Ch, 2) and phi2_b (2,) of the coordinate map, out_w (2C, C) and
 out_b (C,) of the output convolution, and grid (Hg, Wg, C).
 `generator_backward` returns the gradients under the same keys.
+
+`generator_forward` is the one forward body for training and inference. The
+cache of intermediates that `generator_backward` reads is built only for
+training; inference (memory extraction and scoring) frees each intermediate
+once the next one is formed.
 """
 
 from __future__ import annotations
@@ -163,28 +168,43 @@ class GeneratorCache:
     out_cat: np.ndarray
 
 
-def generator_forward(p: np.ndarray,
-                      params: dict[str, np.ndarray]) -> tuple[np.ndarray, GeneratorCache]:
+def generator_forward(p: np.ndarray, params: dict[str, np.ndarray],
+                      train: bool = True) -> tuple[np.ndarray, GeneratorCache | None]:
     """Memory features (B, H, W, C) for a stack of projected feature maps,
     and the cache its backward pass reads. Keys of `params` other than the
-    generator's are ignored."""
+    generator's are ignored.
+
+    Only training builds the cache (`train`); without it the cache is None
+    and each intermediate is freed as soon as the next stage has been
+    formed from it, so inference holds no backward state."""
     c = params["coord_w"].shape[1]
     if p.ndim != 4 or p.shape[3] != c:
         raise ShapeError(f"expected (B, H, W, {c}) input, got {p.shape}")
     grid = params["grid"]
-    coord_cat = _with_coords(p)
-    p_hat = conv1x1_forward(coord_cat, params["coord_w"], params["coord_b"])
-    hidden = np.maximum(conv1x1_forward(p_hat, params["phi1_w"], params["phi1_b"]), 0)
+    saved: dict[str, np.ndarray] = {}
+
+    def kept(name: str, x: np.ndarray) -> np.ndarray:
+        # each stage is named once; `del` drops the name after its last
+        # use, so the cache, when there is one, holds the only reference
+        if train:
+            saved[name] = x
+        return x
+
+    coord_cat = kept("coord_cat", _with_coords(p))
+    p_hat = kept("p_hat", conv1x1_forward(coord_cat, params["coord_w"], params["coord_b"]))
+    del coord_cat
+    hidden = kept("hidden", np.maximum(
+        conv1x1_forward(p_hat, params["phi1_w"], params["phi1_b"]), 0))
     # tanh bounds the coordinates, so the grid lookup never leaves the grid
-    coords = np.tanh(conv1x1_forward(hidden, params["phi2_w"], params["phi2_b"]))
-    coords_norm = normalize_coords(coords, grid.shape[:2])
-    sampled = grid_sample(grid, coords_norm)
-    out_cat = np.concatenate([sampled, p_hat], axis=3)
+    coords = kept("coords", np.tanh(
+        conv1x1_forward(hidden, params["phi2_w"], params["phi2_b"])))
+    del hidden
+    coords_norm = kept("coords_norm", normalize_coords(coords, grid.shape[:2]))
+    del coords
+    out_cat = kept("out_cat", np.concatenate([grid_sample(grid, coords_norm), p_hat], axis=3))
+    del coords_norm, p_hat
     m = conv1x1_forward(out_cat, params["out_w"], params["out_b"])
-    cache = GeneratorCache(params=params, p=p, coord_cat=coord_cat, p_hat=p_hat,
-                           hidden=hidden, coords=coords, coords_norm=coords_norm,
-                           out_cat=out_cat)
-    return m, cache
+    return m, GeneratorCache(params=params, p=p, **saved) if train else None
 
 
 def generator_backward(cache: GeneratorCache,

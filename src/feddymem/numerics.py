@@ -93,6 +93,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,10 +227,11 @@ def conv1x1_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.n
     return out.reshape(x.shape[:3] + (weight.shape[1],))
 
 
-def sum_samples(per_sample: np.ndarray) -> np.ndarray:
-    """Sum over the leading (sample) axis, one sample at a time in order
-    and starting from 0.0: the float a loop accumulating each sample's
-    gradient gives, whatever the stack's size."""
+def sum_samples(per_sample: Iterable[np.ndarray]) -> np.ndarray:
+    """Sum of a stack's samples (its leading axis), or of the arrays an
+    iterable yields, one at a time in order and starting from 0.0: the float
+    a loop accumulating each sample's gradient gives, whatever the batch's
+    size."""
     total = 0.0
     for g in per_sample:
         total = total + g

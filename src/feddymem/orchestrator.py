@@ -196,9 +196,11 @@ def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
            monitor: ConvergenceMonitor, threads: int) -> tuple[MemoryBank, RoundMetrics]:
     """Round t: every client trains (from round 1 on), extracts its memories
     and reduces them into a bank; the shared baselines then upload the banks,
-    aggregate them and download the result. A local_only client keeps its own
-    bank, nothing is exchanged and `global_bank` is returned unchanged. The
-    returned metrics hold every client's uploaded and downloaded bytes."""
+    aggregate them and download the result: every client then holds the one
+    new global bank object, which no one writes. A local_only client keeps
+    its own bank, nothing is exchanged and `global_bank` is returned
+    unchanged. The returned metrics hold every client's uploaded and
+    downloaded bytes."""
     rng = Rng(cfg.seed)
 
     def make_task(n: int):
@@ -233,7 +235,7 @@ def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
         global_bank = _aggregate_banks(banks, cfg, t)
         monitor.observe_patch_norm(max_patch_norm(global_bank.data))
         for state in states:
-            state.local_bank = global_bank.copy()
+            state.local_bank = global_bank
         downloads = [bank_nbytes(global_bank)] * len(states)
 
     monitor.observe_round(client_losses)
@@ -248,7 +250,7 @@ def initialize(cfg: FederationConfig, datasets: list[np.ndarray],
                monitor: ConvergenceMonitor | None = None,
                threads: int = 1) -> tuple[list[ClientModelState], MemoryBank, RoundMetrics]:
     """Round 0: random init, then the round without training. Afterwards every
-    client of a shared baseline holds an identical copy of the global bank.
+    client of a shared baseline holds the global bank itself.
     For local_only the returned global bank is a zero bank of `cfg.bank_shape`
     that only fills the checkpoint's global slot, which no client reads."""
     if len(datasets) != cfg.n_clients:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorio
-from .client import ClientModelState, MemoryBank, forward_memory
+from .client import MemoryBank, forward_memory
 from .config import RunConfig, load_federated_data, load_test_set, load_train_sets
 from .errors import ConfigError
 from .evaluation import (
@@ -54,26 +54,29 @@ def train_run(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],
+def evaluate_states(params: list[dict[str, np.ndarray]], banks: list[MemoryBank],
                     test_samples: list[LabeledSample], cfg: FederationConfig
                     ) -> tuple[EvalMetrics, list[AnomalyMap]]:
-    """Per-client detection metrics over the whole test set, banks[n] being
-    what client n queries, and client 0's anomaly maps in test order.
+    """Per-client detection metrics over the whole test set, params[n] being
+    client n's weights and banks[n] the bank it queries, and client 0's
+    anomaly maps in test order.
 
     The test features are built one block of `cfg.loss.batch_size` samples
     at a time, and every client scores a block, one forward pass and then
-    one `anomaly_map` per sample, before the next is built, so the features
-    of the whole test set are never held at once. The image labels, the
-    pixel labels and the masks' regions are the test set's, the same for
-    every client, so they are built once.
+    one `anomaly_map` per sample, before the block is released and the next
+    one built: one block is held at a time, never two. The image labels,
+    the pixel labels and the masks' regions are the test set's, the same for
+    every client, so they are built once. Each client's pixel scores are
+    sorted once, for both its P-AUROC and its PRO.
     """
-    scored: list[list[AnomalyMap]] = [[] for _ in states]
+    scored: list[list[AnomalyMap]] = [[] for _ in params]
     step = cfg.loss.batch_size
     for s in range(0, len(test_samples), step):
         fused = build_client_dataset(test_samples[s:s + step], cfg.extractor)
-        for n, (state, bank) in enumerate(zip(states, banks)):
+        for n, (weights, bank) in enumerate(zip(params, banks)):
             scored[n] += [anomaly_map(m, bank)
-                          for m in forward_memory(state, fused, cfg.loss.activation)]
+                          for m in forward_memory(weights, fused, cfg.loss.activation)]
+        del fused
     labels = np.array([s.label for s in test_samples])
     masks = [s.mask_or_zeros() for s in test_samples]
     pixel_labels = (np.concatenate([m.reshape(-1) for m in masks]) > 0).astype(int)
@@ -82,8 +85,10 @@ def evaluate_states(states: list[ClientModelState], banks: list[MemoryBank],
     for client in scored:
         i_aurocs.append(auroc(np.array([a.image_score for a in client]), labels))
         maps = [a.pixel_scores for a in client]
-        p_aurocs.append(auroc(np.concatenate([a.reshape(-1) for a in maps]), pixel_labels))
-        pros.append(pro(maps, regions))
+        pixel_scores = np.concatenate([a.reshape(-1) for a in maps])
+        order = np.argsort(pixel_scores, kind="stable")
+        p_aurocs.append(auroc(pixel_scores, pixel_labels, order))
+        pros.append(pro(maps, regions, order=order))
     return EvalMetrics(i_auroc_per_client=i_aurocs, p_auroc_per_client=p_aurocs,
                        pro_per_client=pros), scored[0]
 
@@ -93,7 +98,10 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
     """Evaluate a trained run directory and write results.csv into it.
 
     local_only clients query their own banks at every round, round 0
-    included; the shared baselines query the aggregated global bank.
+    included; the shared baselines query the aggregated global bank. Of the
+    checkpoint only what scoring reads is kept: each client's weights and
+    the bank it queries; the Adam moments and the banks no client queries
+    are dropped before scoring.
     """
     out_dir = Path(out_dir)
     if round_index is None:
@@ -105,13 +113,15 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
         if not ckpt.is_dir():
             raise FileNotFoundError(f"no checkpoint for round {round_index} under {out_dir}")
     loaded_round, states, global_bank, _ = load_checkpoint(ckpt, cfg.federation)
-
-    test_samples = load_test_set(cfg)
+    params = [s.params for s in states]
     if cfg.federation.baseline == "local_only":
         banks = [s.local_bank for s in states]
     else:
         banks = [global_bank] * len(states)
-    metrics, first_maps = evaluate_states(states, banks, test_samples, cfg.federation)
+    del states, global_bank
+
+    test_samples = load_test_set(cfg)
+    metrics, first_maps = evaluate_states(params, banks, test_samples, cfg.federation)
 
     run_id = f"seed{cfg.federation.seed}_round{loaded_round}"
     write_results_csv(out_dir / "results.csv",

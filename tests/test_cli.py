@@ -361,7 +361,7 @@ class TestCliTrainEval:
         # the files a second, separate scoring of client 0 writes
         _, states, bank, _ = load_checkpoint(latest_checkpoint(out), cfg.federation)
         fused = build_client_dataset(test, cfg.federation.extractor)
-        memories = forward_memory(states[0], fused, cfg.federation.loss.activation)
+        memories = forward_memory(states[0].params, fused, cfg.federation.loss.activation)
         want = {f"{s.sample_id}.fdm1": score(m, bank).pixel_scores
                 for s, m in zip(test, memories)}
         written = sorted((out / "heatmaps").iterdir())

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -206,6 +207,23 @@ class TestClientUpdate:
         assert list(state.adam.m) == list(state.adam.v) == list(state.params)
         assert all(v.any() for v in state.adam.v.values())
 
+    def test_a_batch_reads_its_rows_in_place(self):
+        # with Cin far above C, a (B, H, W, Cin) copy of the batch's rows
+        # would outweigh everything else one training step allocates
+        b, cin = 8, 512
+        state = make_state(cin=cin)
+        state.local_bank = make_bank(Rng(5), 4, 4, 3)
+        data = Rng(3).normal((b, 4, 4, cin))
+        cfg = LossConfig(batch_size=b)
+        client_update(state, data, cfg, 1, Rng(0))
+        tracemalloc.start()
+        try:
+            client_update(state, data, cfg, 2, Rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes
+
     def test_empty_dataset_rejected(self):
         cfg = LossConfig()
         state = make_state()
@@ -225,7 +243,7 @@ def _per_sample_update(state, dataset, cfg, round_t, rng):
             batch = order[start:start + cfg.batch_size]
             acc, batch_loss = {}, 0.0
             for i in batch:
-                (loss,), grads = _forward_backward(state, dataset[i:i + 1],
+                (loss,), grads = _forward_backward(state, dataset, [i],
                                                    state.local_bank, cfg)
                 batch_loss += loss
                 for name, g in grads.items():
@@ -259,10 +277,12 @@ class TestBatchedStep:
     def test_batch_gradients_equal_accumulated_singles(self, b, activation, dtype, seed):
         cfg = LossConfig(activation=activation)
         state, data = _typed_setup(seed, b, dtype)
-        losses, grads = _forward_backward(state, data, state.local_bank, cfg)
+        # the batch's rows, read in place, in an order that is not the stack's
+        rows = Rng(seed).child("rows").permutation(b)
+        losses, grads = _forward_backward(state, data, rows, state.local_bank, cfg)
         acc, singles = {}, []
-        for i in range(b):
-            (loss,), one = _forward_backward(state, data[i:i + 1], state.local_bank, cfg)
+        for i in rows:
+            (loss,), one = _forward_backward(state, data, [i], state.local_bank, cfg)
             singles.append(loss)
             for name, g in one.items():
                 acc[name] = acc.get(name, 0.0) + g
@@ -307,7 +327,7 @@ class TestExtractAllMemories:
         state = make_state()
         data = _tiny_dataset(state, n=7)
         for activation in ("relu", "tanh"):
-            singles = [forward_memory(state, data[i:i + 1], activation)[0]
+            singles = [forward_memory(state.params, data[i:i + 1], activation)[0]
                        for i in range(len(data))]
             for batch_size in (1, 2, 3, 7, 8):
                 memories = extract_all_memories(

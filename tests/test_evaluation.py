@@ -522,6 +522,27 @@ class TestPro:
             assert pro(heatmaps, regions, budget) == loop_pro(heatmaps, masks, budget)
         assert all(np.array_equal(a, b) for a, b in zip(regions, labelled))
 
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 4), levels, budgets)
+    @settings(max_examples=60, deadline=None)
+    def test_one_sort_serves_p_auroc_and_pro(self, seed, n_maps, levels, budget):
+        # the stable ascending argsort of the concatenated pixel scores, as
+        # evaluate_states passes it to both metrics of a client
+        heatmaps, masks = random_maps(seed, n_maps, (6, 7), levels, 0.3, 0.3)
+        scores = np.concatenate([hm.reshape(-1) for hm in heatmaps])
+        labels = (np.concatenate([m.reshape(-1) for m in masks]) > 0).astype(int)
+        order = np.argsort(scores, kind="stable")
+        assert pro(heatmaps, label_regions(masks), budget, order) == \
+            loop_pro(heatmaps, masks, budget)
+        assert auroc(scores, labels, order) == loop_auroc(scores, labels)
+
+    def test_order_of_another_length_rejected(self):
+        mask = np.zeros((4, 4), dtype=np.uint8)
+        mask[1, 1] = 1
+        with pytest.raises(ShapeError):
+            pro([np.zeros((4, 4))], label_regions([mask]), order=np.arange(15))
+        with pytest.raises(ShapeError):
+            auroc([0.9, 0.1], [1, 0], order=np.arange(3))
+
     def test_all_equal_scores_equal_loop_reference(self):
         mask = np.zeros((5, 5), dtype=np.uint8)
         mask[1:3, 1:3] = 1

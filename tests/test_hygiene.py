@@ -7,9 +7,10 @@ package module defines at top level must be used by the package itself,
 so that no helper exists only for tests to call.
 
 A run needs numpy alone: training and evaluation, heatmap export included,
-load no scipy module. And on glibc a repeated kNN call reuses the pages
-its parent freed instead of faulting them in afresh (the allocation policy
-of `feddymem.numerics`). Both are checked in a fresh interpreter, since
+load no scipy module. On glibc a repeated kNN call reuses the pages its
+parent freed instead of faulting them in afresh (the allocation policy of
+`feddymem.numerics`). And a wide-bank-shaped run stays within a budget of
+peak resident memory. All three are checked in a fresh interpreter, since
 this one has imported scipy and allocated freely.
 """
 
@@ -78,10 +79,11 @@ def test_scan_finds_an_unreferenced_definition():
     assert unreferenced_definitions(sources) == ["a.py: oracle"]
 
 
-def run_fresh(tmp_path, script: str) -> str:
+def run_fresh(tmp_path, script: str, **env_vars: str) -> str:
     """Standard output of `script` run in a new interpreter that imports
-    feddymem from the source tree, from within tmp_path."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    feddymem from the source tree, from within tmp_path, with `env_vars`
+    added to the environment."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env_vars}
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -130,3 +132,34 @@ for _ in range(100):
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """)
     assert int(out.splitlines()[-1]) < 100
+
+
+# Peak RSS growth, in MB, of a wide-bank-shaped run (the benchmark's
+# wide-bank workload at seed 63: 10 clients, 20x20x32 banks, one round,
+# then its evaluation) above the resident size after import. Measured at
+# 25.98-26.17 MB on a 2-core x86-64 Linux host (glibc 2.36, OpenBLAS
+# SkylakeX kernels, one BLAS thread); the budget leaves 15% above that, more
+# than twice the 1.7 MB by which heap layout alone moves a peak.
+RSS_BUDGET_MB = 30.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_wide_bank_run_stays_within_its_rss_budget(tmp_path):
+    out = run_fresh(tmp_path, """
+import resource
+from feddymem.config import load_run_config
+from feddymem.pipeline import eval_run, train_run
+cfg = load_run_config({
+    "seed": 63,
+    "federation": {"n_clients": 10, "rounds": 1, "checkpoint_interval": 60},
+    "memory": {"channels": 32},
+    "extractor": {"base_height": 20, "base_width": 20},
+    "dataset": {"n_types": 5, "samples_per_type": 8, "test_normals_per_type": 3,
+                "test_anomalies_per_type": 3, "dirichlet_alpha": 1.0},
+})
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+train_run(cfg, "run")
+eval_run(cfg, "run")
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
+""", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert float(out.splitlines()[-1]) < RSS_BUDGET_MB

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -121,6 +122,21 @@ class TestRunRound:
         bank, _ = run_round(states, bank, 1, cfg, datasets, monitor)
         assert np.allclose(bank.data, np.mean(expected_banks, axis=0), atol=1e-6)
 
+    @pytest.mark.parametrize("baseline", ["feddymem", "plain_average"])
+    def test_clients_share_the_global_bank_and_never_write_it(self, baseline):
+        cfg = desk_config(baseline=baseline)
+        datasets = desk_datasets(cfg)
+        monitor = ConvergenceMonitor()
+        states, bank, _ = initialize(cfg, datasets, monitor)
+        for t in (1, 2):
+            assert all(s.local_bank is bank for s in states)
+            data, operand = bank.data.tobytes(), bank.reference.operand.tobytes()
+            new_bank, _ = run_round(states, bank, t, cfg, datasets, monitor)
+            assert bank.data.tobytes() == data
+            assert bank.reference.operand.tobytes() == operand
+            bank = new_bank
+        assert all(s.local_bank is bank for s in states)
+
     def test_local_only_no_exchange(self):
         cfg = desk_config(baseline="local_only")
         datasets = desk_datasets(cfg)
@@ -215,12 +231,13 @@ class TestBlockedScoring:
         fused = build_client_dataset(test, cfg.extractor)
         act = cfg.loss.activation
         # client 0's maps, in test order, each scored alone
-        singles = [anomaly_map(forward_memory(states[0], fused[i:i + 1], act)[0], bank)
+        singles = [anomaly_map(forward_memory(states[0].params, fused[i:i + 1], act)[0], bank)
                    for i in range(len(test))]
         results = []
         for batch_size in (1, 3, len(test)):
             fed = replace(cfg, loss=replace(cfg.loss, batch_size=batch_size))
-            results.append(evaluate_states(states, [bank] * cfg.n_clients, test, fed))
+            results.append(evaluate_states([s.params for s in states], [bank] * cfg.n_clients,
+                                           test, fed))
         (one_metrics, one_first), *blocked = results
         assert len(one_first) == len(test)
         pairs = [zip(one_first, singles)]
@@ -231,6 +248,32 @@ class TestBlockedScoring:
             for a, b in pair:
                 assert a.image_score == b.image_score
                 assert np.array_equal(a.pixel_scores, b.pixel_scores)
+
+    def test_one_test_block_at_a_time(self):
+        # a fused test block, (batch, H, W, Cin) with Cin far above C,
+        # outweighs all else that scoring holds, so a peak under two blocks
+        # means each block was released before the next one was built
+        batch = 8
+        cfg = replace(desk_config(n_clients=2), loss=LossConfig(batch_size=batch),
+                      extractor=ExtractorSpec(kind="synthetic", seed=3, levels=1,
+                                              base_hw=(8, 8), level_channels=(256,)))
+        spec = SynthSpec(n_types=2, samples_per_type=4, test_normals_per_type=6,
+                         test_anomalies_per_type=6, base_hw=cfg.extractor.base_hw,
+                         n_clients=cfg.n_clients, seed=cfg.seed)
+        data = synth_dataset(spec)
+        states, bank, _ = initialize(
+            cfg, [build_client_dataset(s, cfg.extractor) for s in data.client_train])
+        params = [s.params for s in states]
+        block = build_client_dataset(data.test[:batch], cfg.extractor).nbytes
+        assert len(data.test) > 2 * batch
+        evaluate_states(params, [bank] * cfg.n_clients, data.test, cfg)
+        tracemalloc.start()
+        try:
+            evaluate_states(params, [bank] * cfg.n_clients, data.test, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block
 
 
 def _sha256_files(root: Path, pattern: str) -> dict[str, str]:
