@@ -6,6 +6,10 @@ within a round may run on a thread pool; every stochastic choice is keyed by
 (seed, client, round) through counter-based streams, so results are
 bit-identical regardless of worker count or scheduling, and a run can resume
 from any checkpoint with an identical continuation.
+
+A bank has one owner, `ClientModelState.local_bank`: every client of a shared
+baseline holds the round's one global bank, which a checkpoint writes once, to
+`global_bank.fdm1`; a local_only client's is its container's `bank` section.
 """
 
 from __future__ import annotations
@@ -191,16 +195,15 @@ def _run_clients(tasks, threads: int):
         return [f.result() for f in futures]
 
 
-def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
-           cfg: FederationConfig, datasets: list[np.ndarray],
-           monitor: ConvergenceMonitor, threads: int) -> tuple[MemoryBank, RoundMetrics]:
+def _round(states: list[ClientModelState], t: int, cfg: FederationConfig,
+           datasets: list[np.ndarray], monitor: ConvergenceMonitor,
+           threads: int) -> RoundMetrics:
     """Round t: every client trains (from round 1 on), extracts its memories
     and reduces them into a bank; the shared baselines then upload the banks,
     aggregate them and download the result: every client then holds the one
     new global bank object, which no one writes. A local_only client keeps
-    its own bank, nothing is exchanged and `global_bank` is returned
-    unchanged. The returned metrics hold every client's uploaded and
-    downloaded bytes."""
+    its own bank and nothing is exchanged. The returned metrics hold every
+    client's uploaded and downloaded bytes."""
     rng = Rng(cfg.seed)
 
     def make_task(n: int):
@@ -239,38 +242,31 @@ def _round(states: list[ClientModelState], global_bank: MemoryBank, t: int,
         downloads = [bank_nbytes(global_bank)] * len(states)
 
     monitor.observe_round(client_losses)
-    metrics = RoundMetrics(round_index=t, client_losses=client_losses,
-                           client_grad_sq_norms=client_grad_sq,
-                           uploads=uploads, downloads=downloads,
-                           r_hat_m=monitor.r_hat_m)
-    return global_bank, metrics
+    return RoundMetrics(round_index=t, client_losses=client_losses,
+                        client_grad_sq_norms=client_grad_sq,
+                        uploads=uploads, downloads=downloads, r_hat_m=monitor.r_hat_m)
 
 
 def initialize(cfg: FederationConfig, datasets: list[np.ndarray],
                monitor: ConvergenceMonitor | None = None,
-               threads: int = 1) -> tuple[list[ClientModelState], MemoryBank, RoundMetrics]:
+               threads: int = 1) -> tuple[list[ClientModelState], RoundMetrics]:
     """Round 0: random init, then the round without training. Afterwards every
-    client of a shared baseline holds the global bank itself.
-    For local_only the returned global bank is a zero bank of `cfg.bank_shape`
-    that only fills the checkpoint's global slot, which no client reads."""
+    client of a shared baseline holds the global bank itself."""
     if len(datasets) != cfg.n_clients:
         raise ConfigError("need one dataset per client", key="federation.n_clients")
     monitor = monitor if monitor is not None else ConvergenceMonitor()
     states = [_init_client_state(cfg, n) for n in range(cfg.n_clients)]
-    zero_bank = MemoryBank(data=np.zeros(cfg.bank_shape, dtype=DTYPE))
-    global_bank, metrics = _round(states, zero_bank, 0, cfg, datasets, monitor, threads)
-    return states, global_bank, metrics
+    return states, _round(states, 0, cfg, datasets, monitor, threads)
 
 
-def run_round(states: list[ClientModelState], global_bank: MemoryBank,
-              round_index: int, cfg: FederationConfig,
+def run_round(states: list[ClientModelState], round_index: int, cfg: FederationConfig,
               datasets: list[np.ndarray], monitor: ConvergenceMonitor,
-              threads: int = 1) -> tuple[MemoryBank, RoundMetrics]:
+              threads: int = 1) -> RoundMetrics:
     """One synchronous communication round (train, reduce, upload, aggregate,
     distribute)."""
     if round_index < 1:
         raise ValueError("run_round is for rounds >= 1; use initialize for round 0")
-    return _round(states, global_bank, round_index, cfg, datasets, monitor, threads)
+    return _round(states, round_index, cfg, datasets, monitor, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +281,15 @@ def _checkpoint_dir(out_dir: Path, round_index: int) -> Path:
 
 
 def save_checkpoint(out_dir: Path, round_index: int, states: list[ClientModelState],
-                    global_bank: MemoryBank, monitor: ConvergenceMonitor,
-                    cfg: FederationConfig) -> Path:
+                    monitor: ConvergenceMonitor, cfg: FederationConfig) -> Path:
     """Write the round's checkpoint into a temporary sibling directory, then
     rename it to `round_NNNNN`, so a save that stops part way never leaves a
     `round_*` directory behind. Whatever that round left before is replaced.
-    The manifest records the run's seed and baseline, which the weights and
-    banks do not show."""
+    Each bank is written once: the shared baselines' one bank to
+    `global_bank.fdm1`, and no client container holds it; a local_only
+    client's bank to its container's `bank` section, and there is no
+    `global_bank.fdm1`. The manifest records the run's seed and baseline."""
+    local = cfg.baseline == "local_only"
     ckpt = _checkpoint_dir(out_dir, round_index)
     tmp = ckpt.with_name(f"partial_{ckpt.name}")
     shutil.rmtree(tmp, ignore_errors=True)
@@ -304,12 +302,14 @@ def save_checkpoint(out_dir: Path, round_index: int, states: list[ClientModelSta
             sections[name] = param
             sections[f"adam_m.{name}"] = state.adam.m[name]
             sections[f"adam_v.{name}"] = state.adam.v[name]
-        sections["bank"] = state.local_bank.data
+        if local:
+            sections["bank"] = state.local_bank.data
         fname = f"client_{state.client_id}.fdmc"
         tensorio.write_container(tmp / fname, sections)
         manifest["clients"].append({"id": state.client_id, "file": fname,
                                     "adam_step": state.adam.step})
-    tensorio.write_tensor(tmp / "global_bank.fdm1", global_bank.data)
+    if not local:
+        tensorio.write_tensor(tmp / "global_bank.fdm1", states[0].local_bank.data)
     (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     shutil.rmtree(ckpt, ignore_errors=True)
     os.replace(tmp, ckpt)
@@ -322,16 +322,20 @@ def _require_shape(what: str, got: tuple, want: tuple) -> None:
 
 
 def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
-        -> tuple[int, list[ClientModelState], MemoryBank, ConvergenceMonitor]:
-    """Each client's weights, Adam moments and bank, the global bank, and
-    the monitor's `r_hat_m` and `bound_violations`. The manifest holds the
-    `round`, `seed`, `baseline` and `monitor`, and per client its `id`,
-    container `file` and one `adam_step`; other keys are ignored. A client
-    without `adam_step` (older checkpoints kept an `adam_steps` count per
-    tensor) raises `ConfigError`, and so does a checkpoint of another seed
-    or baseline, of clients other than 0..n_clients-1, or with a section or
-    bank of another shape than the config gives it. A manifest without the
-    seed and baseline is not checked for them."""
+        -> tuple[int, list[ClientModelState], ConvergenceMonitor]:
+    """Each client's weights, Adam moments and bank, and the monitor's
+    `r_hat_m` and `bound_violations`. The shared baselines' bank is read from
+    `global_bank.fdm1` into one `MemoryBank` that every client holds; a
+    local_only client's from its container's `bank` section. A bank the
+    baseline does not read, as older checkpoints hold, is ignored. The
+    manifest holds the `round`, `seed`, `baseline` and `monitor`, and per
+    client its `id`, container `file` and one `adam_step`; other keys are
+    ignored. A client without `adam_step` (older checkpoints kept an
+    `adam_steps` count per tensor) raises `ConfigError`, and so does a
+    checkpoint of another seed or baseline, of clients other than
+    0..n_clients-1, or with a section or bank of another shape than the
+    config gives it. A manifest without the seed and baseline is not checked
+    for them."""
     manifest = json.loads((ckpt / "manifest.json").read_text())
     round_index = int(manifest["round"])
     for name, key in (("seed", "seed"), ("baseline", "federation.baseline")):
@@ -342,6 +346,10 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
     if ids != list(range(cfg.n_clients)):
         raise ConfigError(f"checkpoint {ckpt} holds clients {ids}, not the "
                           f"{cfg.n_clients} of the config", key="federation.n_clients")
+    local = cfg.baseline == "local_only"
+    if not local:
+        shared = MemoryBank(data=tensorio.read_tensor(ckpt / "global_bank.fdm1"))
+        _require_shape("global_bank.fdm1", shared.data.shape, cfg.bank_shape)
     states = []
     for entry in sorted(manifest["clients"], key=lambda e: e["id"]):
         if "adam_step" not in entry:
@@ -349,7 +357,7 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
                               f"{entry['id']}; it is of an older format")
         sections = tensorio.read_container(ckpt / entry["file"])
         state = _init_client_state(cfg, entry["id"])
-        shapes = {"bank": cfg.bank_shape}
+        shapes = {"bank": cfg.bank_shape} if local else {}
         for name, fresh in state.params.items():
             shapes.update(dict.fromkeys((name, f"adam_m.{name}", f"adam_v.{name}"), fresh.shape))
         for key, shape in shapes.items():
@@ -358,13 +366,11 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
         state.adam = AdamState(m={name: sections[f"adam_m.{name}"] for name in state.params},
                                v={name: sections[f"adam_v.{name}"] for name in state.params},
                                step=int(entry["adam_step"]))
-        state.local_bank = MemoryBank(data=sections["bank"])
+        state.local_bank = MemoryBank(data=sections["bank"]) if local else shared
         states.append(state)
-    global_bank = MemoryBank(data=tensorio.read_tensor(ckpt / "global_bank.fdm1"))
-    _require_shape("global_bank.fdm1", global_bank.data.shape, cfg.bank_shape)
     doc = manifest["monitor"]
     monitor = ConvergenceMonitor(float(doc["r_hat_m"]), int(doc["bound_violations"]))
-    return round_index, states, global_bank, monitor
+    return round_index, states, monitor
 
 
 def latest_checkpoint(out_dir: Path) -> Path | None:
@@ -386,7 +392,7 @@ def latest_checkpoint(out_dir: Path) -> Path | None:
 @dataclass
 class TrainingResult:
     states: list[ClientModelState]
-    global_bank: MemoryBank
+    global_bank: MemoryBank | None  # None under local_only
     metrics: list[RoundMetrics]
     monitor: ConvergenceMonitor
     out_dir: Path
@@ -418,26 +424,26 @@ def run_training(cfg: FederationConfig, datasets: list[np.ndarray],
     """Initialization (round 0) plus T rounds, with persistence.
 
     Writes metrics.jsonl, ledger.csv, timings.csv and periodic checkpoints
-    under out_dir. metrics.jsonl and ledger.csv are written from each
-    round's RoundMetrics and are deterministic bytes: ledger.csv has one
-    `up` row per client, then one `down` row per client, for every round
-    that exchanged banks. timings.csv holds the wall time of each
-    initialize or run_round call, measured here. Each round's lines are
-    appended and flushed as the round ends, so a killed run leaves the logs
-    at its last finished round. With resume=True the latest checkpoint, of
-    round r, is loaded, the logs are cut back to rounds 0..r and the run
-    continues identically to an uninterrupted one; without a checkpoint it
-    starts afresh. A checkpoint past `cfg.rounds` raises ConfigError and
-    leaves out_dir as it was. `metrics` of the result holds the rounds this
-    call ran.
+    under out_dir, and for the shared baselines the final global_bank.fdm1.
+    metrics.jsonl and ledger.csv are written from each round's RoundMetrics
+    and are deterministic bytes: ledger.csv has one `up` row per client,
+    then one `down` row per client, for every round that exchanged banks.
+    timings.csv holds the wall time of each initialize or run_round call,
+    measured here. Each round's lines are appended and flushed as the round
+    ends, so a killed run leaves the logs at its last finished round. With
+    resume=True the latest checkpoint, of round r, is loaded, the logs are
+    cut back to rounds 0..r and the run continues identically to an
+    uninterrupted one; without a checkpoint it starts afresh. A checkpoint
+    past `cfg.rounds` raises ConfigError and leaves out_dir as it was.
+    `metrics` of the result holds the rounds this call ran.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = latest_checkpoint(out_dir) if resume else None
     if ckpt is None:
-        last, states, global_bank, monitor = -1, [], None, ConvergenceMonitor()
+        last, states, monitor = -1, [], ConvergenceMonitor()
     else:
-        last, states, global_bank, monitor = load_checkpoint(ckpt, cfg)
+        last, states, monitor = load_checkpoint(ckpt, cfg)
         if last > cfg.rounds:
             raise ConfigError(f"{ckpt} is of round {last}, past the config's {cfg.rounds} "
                               "rounds", key="federation.rounds")
@@ -452,11 +458,9 @@ def run_training(cfg: FederationConfig, datasets: list[np.ndarray],
         for t in range(last + 1, cfg.rounds + 1):
             t0 = time.perf_counter()
             if t == 0:
-                states, global_bank, round_metrics = initialize(cfg, datasets, monitor,
-                                                                threads)
+                states, round_metrics = initialize(cfg, datasets, monitor, threads)
             else:
-                global_bank, round_metrics = run_round(states, global_bank, t, cfg,
-                                                       datasets, monitor, threads)
+                round_metrics = run_round(states, t, cfg, datasets, monitor, threads)
             seconds = time.perf_counter() - t0
             metrics.append(round_metrics)
             metrics_fh.write(round_metrics.to_json_line() + "\n")
@@ -468,9 +472,11 @@ def run_training(cfg: FederationConfig, datasets: list[np.ndarray],
                 fh.flush()
             if cfg.checkpoint_interval > 0 and (
                     t % cfg.checkpoint_interval == 0 or t == cfg.rounds):
-                save_checkpoint(out_dir, t, states, global_bank, monitor, cfg)
+                save_checkpoint(out_dir, t, states, monitor, cfg)
 
-    tensorio.write_tensor(out_dir / "global_bank.fdm1", global_bank.data)
+    global_bank = None if cfg.baseline == "local_only" else states[0].local_bank
+    if global_bank is not None:
+        tensorio.write_tensor(out_dir / "global_bank.fdm1", global_bank.data)
 
     return TrainingResult(states=states, global_bank=global_bank, metrics=metrics,
                           monitor=monitor, out_dir=out_dir)

@@ -26,7 +26,6 @@ from .evaluation import (
     write_results_csv,
 )
 from .features import ManifestEntry, write_manifest
-from .numerics import DTYPE
 from .orchestrator import (
     FederationConfig,
     TrainingResult,
@@ -37,7 +36,7 @@ from .orchestrator import (
     load_checkpoint,
     run_training,
 )
-from .server import bank_nbytes, params_nbytes
+from .server import params_nbytes
 
 
 def train_run(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
@@ -97,11 +96,11 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
              export_heatmaps: bool = False) -> EvalMetrics:
     """Evaluate a trained run directory and write results.csv into it.
 
-    local_only clients query their own banks at every round, round 0
-    included; the shared baselines query the aggregated global bank. Of the
-    checkpoint only what scoring reads is kept: each client's weights and
-    the bank it queries; the Adam moments and the banks no client queries
-    are dropped before scoring.
+    Each client queries the bank its state holds: its own under local_only,
+    at every round, round 0 included, and the one aggregated global bank
+    under the shared baselines. Of the checkpoint only what scoring reads is
+    kept: each client's weights and bank; the Adam moments are dropped
+    before scoring.
     """
     out_dir = Path(out_dir)
     if round_index is None:
@@ -112,13 +111,10 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
         ckpt = _checkpoint_dir(out_dir, round_index)
         if not ckpt.is_dir():
             raise FileNotFoundError(f"no checkpoint for round {round_index} under {out_dir}")
-    loaded_round, states, global_bank, _ = load_checkpoint(ckpt, cfg.federation)
+    loaded_round, states, _ = load_checkpoint(ckpt, cfg.federation)
     params = [s.params for s in states]
-    if cfg.federation.baseline == "local_only":
-        banks = [s.local_bank for s in states]
-    else:
-        banks = [global_bank] * len(states)
-    del states, global_bank
+    banks = [s.local_bank for s in states]
+    del states
 
     test_samples = load_test_set(cfg)
     metrics, first_maps = evaluate_states(params, banks, test_samples, cfg.federation)
@@ -188,10 +184,8 @@ def bench_comm(cfg: RunConfig, out_dir: str | Path) -> Path:
     """One-row table of the bytes each client uploads per round: its memory
     bank, against the parameters a parameter-averaging protocol sends."""
     fed = cfg.federation
-    state = _init_client_state(fed, 0)
-    bank = MemoryBank(data=np.zeros(fed.bank_shape, dtype=DTYPE))
-    bank_bytes = bank_nbytes(bank)
-    param_bytes = params_nbytes(state.params)
+    bank_bytes = tensorio.tensor_nbytes(fed.bank_shape)
+    param_bytes = params_nbytes(_init_client_state(fed, 0).params)
     out_path = Path(out_dir) / "comm.csv"
     out_path.write_text("bank_bytes_per_client,param_bytes_per_client\n"
                         f"{bank_bytes},{param_bytes}\n")

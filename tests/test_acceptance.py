@@ -313,12 +313,13 @@ def test_criterion_5_protocol_invariants():
                                    n_clients=3, seed=11))
     datasets = [build_client_dataset(s, cfg_fed.extractor) for s in data.client_train]
     monitor = ConvergenceMonitor()
-    states, bank, _ = initialize(cfg_fed, datasets, monitor)
+    states, _ = initialize(cfg_fed, datasets, monitor)
 
     banks_identical = exact_transfers = True
-    expected = bank_nbytes(bank)
+    expected = bank_nbytes(states[0].local_bank)
     for t in range(1, 6):
-        bank, metrics = run_round(states, bank, t, cfg_fed, datasets, monitor)
+        metrics = run_round(states, t, cfg_fed, datasets, monitor)
+        bank = states[0].local_bank
         for s in states:
             banks_identical &= bool(np.array_equal(s.local_bank.data, bank.data))
         # each client's upload and download, not their mean

@@ -359,7 +359,8 @@ class TestCliTrainEval:
         assert len(scored) == cfg.federation.n_clients * len(test)
 
         # the files a second, separate scoring of client 0 writes
-        _, states, bank, _ = load_checkpoint(latest_checkpoint(out), cfg.federation)
+        _, states, _ = load_checkpoint(latest_checkpoint(out), cfg.federation)
+        bank = states[0].local_bank
         fused = build_client_dataset(test, cfg.federation.extractor)
         memories = forward_memory(states[0].params, fused, cfg.federation.loss.activation)
         want = {f"{s.sample_id}.fdm1": score(m, bank).pixel_scores
@@ -520,9 +521,9 @@ class TestCliErrors:
         assert code == 4
         assert err["type"] == "numeric"
 
-    def _checkpointed_run(self, tmp_path):
+    def _checkpointed_run(self, tmp_path, baseline="feddymem"):
         """A 3-client run of one round, checkpointed at rounds 0 and 1."""
-        doc = desk_doc(rounds=1)
+        doc = desk_doc(rounds=1, baseline=baseline)
         doc["federation"]["n_clients"] = 3
         out = tmp_path / "out"
         assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
@@ -551,11 +552,15 @@ class TestCliErrors:
         assert not (out / "results.csv").exists()
 
     def test_resume_with_other_memory_channels_exit_2(self, tmp_path, capsys):
-        doc, out = self._checkpointed_run(tmp_path)
-        doc["memory"]["channels"] = 8
-        doc["federation"]["rounds"] = 2
-        err = self._rejected(tmp_path, capsys, ["train", "--resume"], doc, out)
-        assert "client_0.fdmc section 'bank'" in err["message"]
+        # the first bank read names the file that holds it
+        for baseline, holder in (("feddymem", "global_bank.fdm1"),
+                                 ("local_only", "client_0.fdmc section 'bank'")):
+            (tmp_path / baseline).mkdir()
+            doc, out = self._checkpointed_run(tmp_path / baseline, baseline)
+            doc["memory"]["channels"] = 8
+            doc["federation"]["rounds"] = 2
+            err = self._rejected(tmp_path / baseline, capsys, ["train", "--resume"], doc, out)
+            assert f"checkpoint {holder} has shape" in err["message"]
 
     def test_resume_with_other_baseline_exit_2(self, tmp_path, capsys):
         doc, out = self._checkpointed_run(tmp_path)

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import write_pyramid
+from feddymem import tensorio
 from feddymem.client import LossConfig, client_update, extract_all_memories, forward_memory
 from feddymem.errors import ConfigError, ShapeError
 from feddymem.evaluation import LabeledSample, SynthSpec, anomaly_map, synth_dataset
 from feddymem.features import ExtractorSpec, FeaturePyramid, ManifestEntry, write_manifest
 from feddymem.numerics import Rng
 from feddymem.orchestrator import (
+    BASELINES,
     ConvergenceMonitor,
     FederationConfig,
     build_client_dataset,
@@ -60,9 +62,9 @@ def desk_datasets(cfg, n_types=2, spt=6, seed=None):
 class TestInitialize:
     def test_all_banks_identical_to_global(self):
         cfg = desk_config()
-        states, global_bank, metrics = initialize(cfg, desk_datasets(cfg))
-        for s in states:
-            assert np.array_equal(s.local_bank.data, global_bank.data)
+        states, metrics = initialize(cfg, desk_datasets(cfg))
+        global_bank = states[0].local_bank
+        assert all(s.local_bank is global_bank for s in states)
         assert metrics.round_index == 0
         assert metrics.uploads == metrics.downloads == \
             [bank_nbytes(global_bank)] * cfg.n_clients
@@ -70,18 +72,18 @@ class TestInitialize:
     def test_single_client_bank_is_own_reduction(self):
         cfg = desk_config(n_clients=1)
         datasets = desk_datasets(cfg)
-        states, global_bank, _ = initialize(cfg, datasets)
+        states, _ = initialize(cfg, datasets)
         from feddymem.client import extract_all_memories, memory_reduce
         memories = extract_all_memories(states[0], datasets[0], cfg.loss)
         own = memory_reduce(memories, None, 0)
-        got = sorted(map(tuple, np.round(global_bank.patches, 4).tolist()))
+        got = sorted(map(tuple, np.round(states[0].local_bank.patches, 4).tolist()))
         want = sorted(map(tuple, np.round(own.patches, 4).tolist()))
         assert got == want
 
     def test_frozen_seed_regression_hash(self):
         cfg = desk_config(seed=17)
-        _, global_bank, _ = initialize(cfg, desk_datasets(cfg))
-        digest = hashlib.sha256(global_bank.data.astype("<f4").tobytes()).hexdigest()
+        states, _ = initialize(cfg, desk_datasets(cfg))
+        digest = hashlib.sha256(states[0].local_bank.data.astype("<f4").tobytes()).hexdigest()
         assert digest == INIT_BANK_SHA256
 
 
@@ -99,8 +101,8 @@ class TestRunRound:
         cfg = desk_config()
         datasets = desk_datasets(cfg)
         monitor = ConvergenceMonitor()
-        states, bank, _ = initialize(cfg, datasets, monitor)
-        bank, metrics = run_round(states, bank, 1, cfg, datasets, monitor)
+        states, _ = initialize(cfg, datasets, monitor)
+        metrics = run_round(states, 1, cfg, datasets, monitor)
         assert len(metrics.uploads) == len(metrics.downloads) == cfg.n_clients
         assert metrics.round_index == 1
 
@@ -108,7 +110,7 @@ class TestRunRound:
         cfg = desk_config(baseline="plain_average")
         datasets = desk_datasets(cfg)
         monitor = ConvergenceMonitor()
-        states, bank, _ = initialize(cfg, datasets, monitor)
+        states, _ = initialize(cfg, datasets, monitor)
 
         from feddymem.client import client_update, extract_all_memories, memory_reduce
         from feddymem.numerics import Rng
@@ -119,34 +121,33 @@ class TestRunRound:
             client_update(s, datasets[n], cfg.loss, 1, Rng(cfg.seed).child("update", n))
             mems = extract_all_memories(s, datasets[n], cfg.loss)
             expected_banks.append(memory_reduce(mems, s.local_bank, 1).data)
-        bank, _ = run_round(states, bank, 1, cfg, datasets, monitor)
-        assert np.allclose(bank.data, np.mean(expected_banks, axis=0), atol=1e-6)
+        run_round(states, 1, cfg, datasets, monitor)
+        assert np.allclose(states[0].local_bank.data, np.mean(expected_banks, axis=0), atol=1e-6)
 
     @pytest.mark.parametrize("baseline", ["feddymem", "plain_average"])
     def test_clients_share_the_global_bank_and_never_write_it(self, baseline):
         cfg = desk_config(baseline=baseline)
         datasets = desk_datasets(cfg)
         monitor = ConvergenceMonitor()
-        states, bank, _ = initialize(cfg, datasets, monitor)
+        states, _ = initialize(cfg, datasets, monitor)
         for t in (1, 2):
+            bank = states[0].local_bank
             assert all(s.local_bank is bank for s in states)
             data, operand = bank.data.tobytes(), bank.reference.operand.tobytes()
-            new_bank, _ = run_round(states, bank, t, cfg, datasets, monitor)
+            run_round(states, t, cfg, datasets, monitor)
             assert bank.data.tobytes() == data
             assert bank.reference.operand.tobytes() == operand
-            bank = new_bank
-        assert all(s.local_bank is bank for s in states)
+        assert all(s.local_bank is states[0].local_bank for s in states)
 
     def test_local_only_no_exchange(self):
         cfg = desk_config(baseline="local_only")
         datasets = desk_datasets(cfg)
         monitor = ConvergenceMonitor()
-        states, bank, init_metrics = initialize(cfg, datasets, monitor)
+        states, init_metrics = initialize(cfg, datasets, monitor)
         # round 0 exchanges nothing either
         assert init_metrics.uploads == init_metrics.downloads == []
-        bank2, metrics = run_round(states, bank, 1, cfg, datasets, monitor)
+        metrics = run_round(states, 1, cfg, datasets, monitor)
         assert metrics.uploads == metrics.downloads == []
-        assert np.array_equal(bank2.data, bank.data)  # global bank frozen
         banks = {tuple(s.local_bank.data.reshape(-1)[:4].tolist()) for s in states}
         assert len(banks) > 1  # clients drift apart
 
@@ -156,13 +157,12 @@ class TestRunRound:
             cfg = desk_config()
             datasets = desk_datasets(cfg)
             monitor = ConvergenceMonitor()
-            states, bank, metrics = initialize(cfg, datasets, monitor, threads=threads)
+            states, metrics = initialize(cfg, datasets, monitor, threads=threads)
             lines = [metrics.to_json_line()]
             for t in (1, 2):
-                bank, metrics = run_round(states, bank, t, cfg, datasets, monitor,
-                                          threads=threads)
+                metrics = run_round(states, t, cfg, datasets, monitor, threads=threads)
                 lines.append(metrics.to_json_line())
-            results.append((bank.data.copy(), monitor.r_hat_m, lines))
+            results.append((states[0].local_bank.data, monitor.r_hat_m, lines))
         (bank_1, r_hat_1, lines_1), (bank_3, r_hat_3, lines_3) = results
         assert np.array_equal(bank_1, bank_3)
         assert r_hat_1 == r_hat_3 > 0.0
@@ -210,7 +210,7 @@ class TestDatasets:
         cfg = desk_config()
         data = build_client_dataset([], cfg.extractor)
         assert len(data) == 0
-        states, _, _ = initialize(cfg, desk_datasets(cfg))
+        states, _ = initialize(cfg, desk_datasets(cfg))
         with pytest.raises(ValueError, match="empty"):
             client_update(states[0], data, cfg.loss, 1, Rng(0))
         with pytest.raises(ValueError, match="empty"):
@@ -225,8 +225,9 @@ class TestBlockedScoring:
                          n_clients=cfg.n_clients, seed=cfg.seed)
         data = synth_dataset(spec)
         datasets = [build_client_dataset(s, cfg.extractor) for s in data.client_train]
-        states, bank, _ = initialize(cfg, datasets)
-        bank, _ = run_round(states, bank, 1, cfg, datasets, ConvergenceMonitor())
+        states, _ = initialize(cfg, datasets)
+        run_round(states, 1, cfg, datasets, ConvergenceMonitor())
+        bank = states[0].local_bank
         test = data.test
         fused = build_client_dataset(test, cfg.extractor)
         act = cfg.loss.activation
@@ -261,9 +262,9 @@ class TestBlockedScoring:
                          test_anomalies_per_type=6, base_hw=cfg.extractor.base_hw,
                          n_clients=cfg.n_clients, seed=cfg.seed)
         data = synth_dataset(spec)
-        states, bank, _ = initialize(
+        states, _ = initialize(
             cfg, [build_client_dataset(s, cfg.extractor) for s in data.client_train])
-        params = [s.params for s in states]
+        params, bank = [s.params for s in states], states[0].local_bank
         block = build_client_dataset(data.test[:batch], cfg.extractor).nbytes
         assert len(data.test) > 2 * batch
         evaluate_states(params, [bank] * cfg.n_clients, data.test, cfg)
@@ -311,8 +312,7 @@ class TestRunTraining:
     def test_bank_consistency_every_round(self, tmp_path):
         cfg = desk_config(rounds=3)
         result = run_training(cfg, desk_datasets(cfg), tmp_path / "run")
-        for s in result.states:
-            assert np.array_equal(s.local_bank.data, result.global_bank.data)
+        assert all(s.local_bank is result.global_bank for s in result.states)
 
     def test_constant_upload_bytes_per_round(self, tmp_path):
         cfg = desk_config(rounds=3)
@@ -411,7 +411,6 @@ class TestRunTraining:
         assert [int(line.split(",")[0]) for line in timings[1:]] == list(range(7))
 
     def test_checkpoint_save_is_crash_safe(self, tmp_path, monkeypatch):
-        from feddymem import tensorio
         cfg = desk_config(rounds=6, ckpt=2)
         run_training(cfg, desk_datasets(cfg), tmp_path / "full")
 
@@ -450,17 +449,20 @@ class TestRunTraining:
                 assert f.read_bytes() == (root / ckpt / f.name).read_bytes()
 
     def test_checkpoint_load_save_is_byte_identical(self, tmp_path):
-        cfg = desk_config(rounds=2, ckpt=1)
-        run_training(cfg, desk_datasets(cfg), tmp_path / "run")
-        ckpt = latest_checkpoint(tmp_path / "run")
-        round_index, states, bank, monitor = load_checkpoint(ckpt, cfg)
-        again = save_checkpoint(tmp_path / "again", round_index, states, bank, monitor, cfg)
-        files = sorted(f.name for f in ckpt.iterdir())
-        assert files == sorted(f.name for f in again.iterdir())
-        assert "manifest.json" in files and "global_bank.fdm1" in files
-        assert sum(f.startswith("client_") for f in files) == cfg.n_clients
-        for name in files:
-            assert (ckpt / name).read_bytes() == (again / name).read_bytes(), name
+        for baseline in ("feddymem", "local_only"):
+            cfg = desk_config(rounds=2, ckpt=1, baseline=baseline)
+            run_training(cfg, desk_datasets(cfg), tmp_path / baseline)
+            ckpt = latest_checkpoint(tmp_path / baseline)
+            round_index, states, monitor = load_checkpoint(ckpt, cfg)
+            again = save_checkpoint(tmp_path / f"{baseline}_again", round_index, states,
+                                    monitor, cfg)
+            files = sorted(f.name for f in ckpt.iterdir())
+            assert files == sorted(f.name for f in again.iterdir())
+            assert "manifest.json" in files
+            assert ("global_bank.fdm1" in files) == (baseline != "local_only")
+            assert sum(f.startswith("client_") for f in files) == cfg.n_clients
+            for name in files:
+                assert (ckpt / name).read_bytes() == (again / name).read_bytes(), name
 
     def test_manifest_records_one_adam_step_per_client(self, tmp_path):
         cfg = desk_config(rounds=2, ckpt=1)
@@ -481,44 +483,109 @@ class TestRunTraining:
         cfg = desk_config(rounds=2, ckpt=1)
         result = run_training(cfg, desk_datasets(cfg), tmp_path / "run")
         ckpt = latest_checkpoint(tmp_path / "run")
-        round_index, states, bank, monitor = load_checkpoint(ckpt, cfg)
+        round_index, states, monitor = load_checkpoint(ckpt, cfg)
         assert round_index == 2
-        assert np.array_equal(bank.data, result.global_bank.data)
+        assert np.array_equal(states[0].local_bank.data, result.global_bank.data)
         for a, b in zip(states, result.states):
             assert list(a.params) == list(b.params)
             for name in a.params:
                 assert np.array_equal(a.params[name], b.params[name])
         assert monitor.r_hat_m == result.monitor.r_hat_m
 
+    @pytest.mark.parametrize("baseline", ["feddymem", "plain_average", "local_only"])
+    def test_each_bank_is_written_once_and_loaded_into_one_object(self, tmp_path, monkeypatch,
+                                                                   baseline):
+        from feddymem import orchestrator, pipeline
+        from feddymem.config import load_run_config
+        from test_cli import desk_doc
+        loaded = []  # (checkpoint, each client's bank as loaded)
+        load = orchestrator.load_checkpoint
+
+        def recorded_load(ckpt, cfg):
+            got = load(ckpt, cfg)
+            loaded.append((ckpt, [s.local_bank for s in got[1]]))
+            return got
+
+        for module in (orchestrator, pipeline):
+            monkeypatch.setattr(module, "load_checkpoint", recorded_load)
+        doc = desk_doc(rounds=1, baseline=baseline)
+        out = tmp_path / "run"
+        pipeline.train_run(load_run_config(doc), out)
+        doc["federation"]["rounds"] = 2
+        cfg = load_run_config(doc)
+        result = pipeline.train_run(cfg, out, resume=True)
+        pipeline.eval_run(cfg, out)
+        # the resume's load, of round 1, and the evaluation's, of round 2
+        assert [ckpt.name for ckpt, _ in loaded] == ["round_00001", "round_00002"]
+
+        shared = baseline != "local_only"
+        n_clients = cfg.federation.n_clients
+        assert (out / "global_bank.fdm1").exists() == shared
+        assert (result.global_bank is None) == (not shared)
+        for ckpt in sorted((out / "checkpoints").iterdir()):
+            assert (ckpt / "global_bank.fdm1").exists() == shared
+            for n in range(n_clients):
+                assert ("bank" in tensorio.read_container(ckpt / f"client_{n}.fdmc")) != shared
+        for ckpt, banks in loaded:
+            if shared:
+                assert all(bank is banks[0] for bank in banks)
+                assert np.array_equal(banks[0].data,
+                                      tensorio.read_tensor(ckpt / "global_bank.fdm1"))
+            else:
+                for n, bank in enumerate(banks):
+                    section = tensorio.read_container(ckpt / f"client_{n}.fdmc")["bank"]
+                    assert np.array_equal(bank.data, section)
+        if shared:
+            assert all(s.local_bank is result.global_bank for s in result.states)
+            assert np.array_equal(result.global_bank.data,
+                                  tensorio.read_tensor(out / "global_bank.fdm1"))
+
     def test_checkpoint_with_removed_keys_resumes_identically(self, tmp_path):
         # checkpoints written before the monitor kept only two fields, and
         # before banks lost their round tags, hold the keys added below;
-        # those written before the seed and baseline were recorded lack them
-        cfg = desk_config(rounds=4, ckpt=2)
-        full = run_training(cfg, desk_datasets(cfg), tmp_path / "full")
-        run_training(desk_config(rounds=2, ckpt=2), desk_datasets(cfg), tmp_path / "old")
-        path = tmp_path / "old/checkpoints/round_00002/manifest.json"
-        manifest = json.loads(path.read_text())
-        assert sorted(manifest["monitor"]) == ["bound_violations", "r_hat_m"]
-        assert (manifest.pop("seed"), manifest.pop("baseline")) == (cfg.seed, cfg.baseline)
-        manifest["monitor"].update(loss_sum=1.5, loss_count=6, grad_sq_sum=0.25,
-                                   grad_sq_count=6, round_mean_losses=[0.75, 0.75],
-                                   round_mean_grad_sq=[0.125, 0.125], bound_violations=7)
-        manifest["global_bank_round"] = 2
-        for entry in manifest["clients"]:
-            entry["bank_round"] = 2
-        path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        # those written before the seed and baseline were recorded lack them;
+        # those written before each bank was written once hold more banks:
+        # the shared bank in every client container too, and a zero
+        # global_bank.fdm1 beside the local_only containers
+        for baseline in BASELINES:
+            cfg = desk_config(rounds=4, ckpt=2, baseline=baseline)
+            full_dir, old_dir = tmp_path / baseline / "full", tmp_path / baseline / "old"
+            full = run_training(cfg, desk_datasets(cfg), full_dir)
+            run_training(replace(cfg, rounds=2), desk_datasets(cfg), old_dir)
+            ckpt = old_dir / "checkpoints/round_00002"
+            if baseline == "local_only":
+                tensorio.write_tensor(ckpt / "global_bank.fdm1",
+                                      np.zeros(cfg.bank_shape, dtype=np.float32))
+            else:
+                bank = tensorio.read_tensor(ckpt / "global_bank.fdm1")
+                for n in range(cfg.n_clients):
+                    sections = tensorio.read_container(ckpt / f"client_{n}.fdmc")
+                    tensorio.write_container(ckpt / f"client_{n}.fdmc",
+                                             {**sections, "bank": bank})
+            path = ckpt / "manifest.json"
+            manifest = json.loads(path.read_text())
+            assert sorted(manifest["monitor"]) == ["bound_violations", "r_hat_m"]
+            assert (manifest.pop("seed"), manifest.pop("baseline")) == (cfg.seed, baseline)
+            manifest["monitor"].update(loss_sum=1.5, loss_count=6, grad_sq_sum=0.25,
+                                       grad_sq_count=6, round_mean_losses=[0.75, 0.75],
+                                       round_mean_grad_sq=[0.125, 0.125], bound_violations=7)
+            manifest["global_bank_round"] = 2
+            for entry in manifest["clients"]:
+                entry["bank_round"] = 2
+            path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
-        resumed = run_training(cfg, desk_datasets(cfg), tmp_path / "old", resume=True)
-        for name in ("metrics.jsonl", "ledger.csv", "global_bank.fdm1"):
-            assert (tmp_path / "full" / name).read_bytes() == \
-                (tmp_path / "old" / name).read_bytes()
-        assert full.monitor.bound_violations == 0
-        assert resumed.monitor == replace(full.monitor, bound_violations=7)
-        last = json.loads((tmp_path / "old/checkpoints/round_00004/manifest.json").read_text())
-        assert last["monitor"] == {"bound_violations": 7, "r_hat_m": full.monitor.r_hat_m}
-        assert "bank_round" not in last["clients"][0] and "global_bank_round" not in last
-        assert (last["seed"], last["baseline"]) == (cfg.seed, cfg.baseline)
+            resumed = run_training(cfg, desk_datasets(cfg), old_dir, resume=True)
+            assert (full_dir / "global_bank.fdm1").exists() == (baseline != "local_only")
+            for name in ("metrics.jsonl", "ledger.csv", "global_bank.fdm1"):
+                assert (full_dir / name).exists() == (old_dir / name).exists(), name
+                if (full_dir / name).exists():
+                    assert (full_dir / name).read_bytes() == (old_dir / name).read_bytes(), name
+            assert full.monitor.bound_violations == 0
+            assert resumed.monitor == replace(full.monitor, bound_violations=7)
+            last = json.loads((old_dir / "checkpoints/round_00004/manifest.json").read_text())
+            assert last["monitor"] == {"bound_violations": 7, "r_hat_m": full.monitor.r_hat_m}
+            assert "bank_round" not in last["clients"][0] and "global_bank_round" not in last
+            assert (last["seed"], last["baseline"]) == (cfg.seed, baseline)
 
     def test_loss_bound_and_quartile_trend(self, tmp_path):
         cfg = desk_config(rounds=8, ckpt=8)
