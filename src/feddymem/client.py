@@ -10,6 +10,12 @@ distance-weighted averaging plus a round-indexed EMA. The stack is only
 read: a training step projects its batch's rows in place
 (`features.project_forward`), and no step gathers them into a copy.
 
+Steps (2) and (3) hold one float64 (N, H, W, C) copy of the client's
+memories: extraction writes each block's forward pass into it, and
+memory-reduce and the patch-norm bound read it in place, one sample or one
+block of rows at a time. Every temporary beside it is one sample or one
+block in size.
+
 Under the shared baselines every client holds the round's one global bank
 object, not a copy of it: a bank is never written after it is made.
 
@@ -221,13 +227,18 @@ def client_update(state: ClientModelState, dataset: np.ndarray, cfg: LossConfig,
 def extract_all_memories(state: ClientModelState, dataset: np.ndarray,
                          cfg: LossConfig) -> np.ndarray:
     """Pure inference pass over the (N, H, W, Cin) fused stack in manifest
-    order, one forward pass per block of `cfg.batch_size` samples:
-    (N, H, W, C)."""
+    order, one forward pass per block of `cfg.batch_size` samples, each
+    block written into its rows of one float64 (N, H, W, C) stack."""
     if len(dataset) == 0:
         raise ValueError("client dataset is empty")
     step = cfg.batch_size
-    return np.concatenate([forward_memory(state.params, dataset[s:s + step], cfg.activation)
-                           for s in range(0, len(dataset), step)])
+    memories = np.empty(0)
+    for s in range(0, len(dataset), step):
+        block = forward_memory(state.params, dataset[s:s + step], cfg.activation)
+        if s == 0:
+            memories = np.empty((len(dataset),) + block.shape[1:], dtype=np.float64)
+        memories[s:s + step] = block
+    return memories
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +256,11 @@ def memory_reduce(memories: np.ndarray, prev_bank: MemoryBank | None,
     weighted mean with the previous bank using alpha = 1 / (t + 1). If every
     memory coincides with the previous bank (all weights zero) the weights
     fall back to uniform, the limit of the weighting as distances vanish.
+
+    A float64 stack is read in place; any other is cast to float64 once.
+    Each weight is formed from its own sample's difference, in one
+    bank-sized buffer, and the weighted mean is one product over the whole
+    stack.
     """
     if memories.ndim != 4:
         raise ShapeError(f"memories must be (N, H, W, C), got {memories.shape}")
@@ -258,23 +274,38 @@ def memory_reduce(memories: np.ndarray, prev_bank: MemoryBank | None,
     elif memories.shape[1:] != prev_bank.data.shape:
         raise ShapeError(f"memories {memories.shape[1:]} != bank {prev_bank.data.shape}")
 
-    stack = memories.astype(np.float64)
-    if t == 0:
-        weights = np.ones(len(memories), dtype=np.float64)
-    else:
-        diff = stack - prev_bank.data.astype(np.float64)
-        weights = np.sqrt((diff * diff).sum(axis=(1, 2, 3)))
+    stack = np.asarray(memories, dtype=np.float64)
+    weights = np.ones(len(stack), dtype=np.float64)
+    if t > 0:
+        prev = prev_bank.data.astype(np.float64)
+        diff = np.empty_like(prev)
+        for i, memory in enumerate(stack):
+            np.subtract(memory, prev, out=diff)
+            weights[i] = np.multiply(diff, diff, out=diff).sum()
+        weights = np.sqrt(weights)
         if weights.sum() == 0.0:
-            weights = np.ones(len(memories), dtype=np.float64)
+            weights = np.ones(len(stack), dtype=np.float64)
 
     mean = np.tensordot(weights, stack, axes=1) / weights.sum()
     if t > 0:
         alpha = 1.0 / (t + 1)
-        mean = alpha * mean + (1.0 - alpha) * prev_bank.data.astype(np.float64)
+        mean = alpha * mean + (1.0 - alpha) * prev
     return MemoryBank(data=mean.astype(DTYPE))
 
 
+# patch vectors squared per block of `max_patch_norm`: 512 KiB of float64
+NORM_BLOCK = 1 << 16
+
+
 def max_patch_norm(arr: np.ndarray) -> float:
-    """Largest L2 norm over the patch vectors of an (..., C) tensor."""
-    flat = arr.reshape(-1, arr.shape[-1]).astype(np.float64)
-    return float(np.sqrt((flat * flat).sum(axis=1)).max())
+    """Largest L2 norm over the patch vectors of an (..., C) tensor, squared
+    in float64 one block of patch rows at a time, in one buffer."""
+    flat = arr.reshape(-1, arr.shape[-1])
+    rows = max(1, NORM_BLOCK // flat.shape[1])
+    buf = np.empty((min(rows, len(flat)), flat.shape[1]), dtype=np.float64)
+    largest = []
+    for s in range(0, len(flat), rows):
+        block = buf[:len(flat[s:s + rows])]
+        np.copyto(block, flat[s:s + rows])
+        largest.append(np.multiply(block, block, out=block).sum(axis=1).max())
+    return float(np.sqrt(np.max(largest)))

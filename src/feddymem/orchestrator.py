@@ -36,7 +36,7 @@ from .client import (
     max_patch_norm,
     memory_reduce,
 )
-from .errors import ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .features import ExtractorSpec, extract_pyramid, fuse_pyramid, init_projection
 from .generator import init_generator
 from .numerics import DTYPE, AdamState, Rng
@@ -321,22 +321,37 @@ def _require_shape(what: str, got: tuple, want: tuple) -> None:
         raise ConfigError(f"checkpoint {what} has shape {got}; the config gives {tuple(want)}")
 
 
-def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
+def _read_checkpoint_file(path: Path, read, *args):
+    """`read(path, *args)`, raising `CheckpointError` that names the file
+    when its bytes do not parse."""
+    try:
+        return read(path, *args)
+    except (ShapeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"checkpoint file {path}: {exc}") from exc
+
+
+def load_checkpoint(ckpt: Path, cfg: FederationConfig, moments: bool = True) \
         -> tuple[int, list[ClientModelState], ConvergenceMonitor]:
     """Each client's weights, Adam moments and bank, and the monitor's
     `r_hat_m` and `bound_violations`. The shared baselines' bank is read from
     `global_bank.fdm1` into one `MemoryBank` that every client holds; a
     local_only client's from its container's `bank` section. A bank the
-    baseline does not read, as older checkpoints hold, is ignored. The
-    manifest holds the `round`, `seed`, `baseline` and `monitor`, and per
+    baseline does not read, as older checkpoints hold, is ignored. With
+    `moments=False` the Adam sections are skipped unparsed and each state
+    keeps fresh zero moments: such states score, but do not resume.
+
+    The manifest holds the `round`, `seed`, `baseline` and `monitor`, and per
     client its `id`, container `file` and one `adam_step`; other keys are
     ignored. A client without `adam_step` (older checkpoints kept an
     `adam_steps` count per tensor) raises `ConfigError`, and so does a
     checkpoint of another seed or baseline, of clients other than
     0..n_clients-1, or with a section or bank of another shape than the
     config gives it. A manifest without the seed and baseline is not checked
-    for them."""
-    manifest = json.loads((ckpt / "manifest.json").read_text())
+    for them. A checkpoint file that does not parse (bad magic, truncated)
+    or a container without a section that is read raises `CheckpointError`,
+    which names the file and the section."""
+    manifest = _read_checkpoint_file(ckpt / "manifest.json",
+                                     lambda path: json.loads(path.read_text()))
     round_index = int(manifest["round"])
     for name, key in (("seed", "seed"), ("baseline", "federation.baseline")):
         if name in manifest and manifest[name] != getattr(cfg, name):
@@ -348,24 +363,30 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig) \
                           f"{cfg.n_clients} of the config", key="federation.n_clients")
     local = cfg.baseline == "local_only"
     if not local:
-        shared = MemoryBank(data=tensorio.read_tensor(ckpt / "global_bank.fdm1"))
+        shared = MemoryBank(data=_read_checkpoint_file(ckpt / "global_bank.fdm1",
+                                                       tensorio.read_tensor))
         _require_shape("global_bank.fdm1", shared.data.shape, cfg.bank_shape)
     states = []
     for entry in sorted(manifest["clients"], key=lambda e: e["id"]):
         if "adam_step" not in entry:
             raise ConfigError(f"checkpoint {ckpt} records no adam_step for client "
                               f"{entry['id']}; it is of an older format")
-        sections = tensorio.read_container(ckpt / entry["file"])
         state = _init_client_state(cfg, entry["id"])
         shapes = {"bank": cfg.bank_shape} if local else {}
         for name, fresh in state.params.items():
-            shapes.update(dict.fromkeys((name, f"adam_m.{name}", f"adam_v.{name}"), fresh.shape))
+            keys = (name, f"adam_m.{name}", f"adam_v.{name}") if moments else (name,)
+            shapes.update(dict.fromkeys(keys, fresh.shape))
+        path = ckpt / entry["file"]
+        sections = _read_checkpoint_file(path, tensorio.read_container, shapes)
         for key, shape in shapes.items():
+            if key not in sections:
+                raise CheckpointError(f"checkpoint file {path} has no section {key!r}")
             _require_shape(f"{entry['file']} section {key!r}", sections[key].shape, shape)
         state.params = {name: sections[name] for name in state.params}
-        state.adam = AdamState(m={name: sections[f"adam_m.{name}"] for name in state.params},
-                               v={name: sections[f"adam_v.{name}"] for name in state.params},
-                               step=int(entry["adam_step"]))
+        if moments:
+            state.adam = AdamState(m={name: sections[f"adam_m.{name}"] for name in state.params},
+                                   v={name: sections[f"adam_v.{name}"] for name in state.params},
+                                   step=int(entry["adam_step"]))
         state.local_bank = MemoryBank(data=sections["bank"]) if local else shared
         states.append(state)
     doc = manifest["monitor"]

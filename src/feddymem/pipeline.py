@@ -99,8 +99,7 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
     Each client queries the bank its state holds: its own under local_only,
     at every round, round 0 included, and the one aggregated global bank
     under the shared baselines. Of the checkpoint only what scoring reads is
-    kept: each client's weights and bank; the Adam moments are dropped
-    before scoring.
+    read: each client's weights and bank; the Adam moments are skipped.
     """
     out_dir = Path(out_dir)
     if round_index is None:
@@ -111,7 +110,7 @@ def eval_run(cfg: RunConfig, out_dir: str | Path, round_index: int | None = None
         ckpt = _checkpoint_dir(out_dir, round_index)
         if not ckpt.is_dir():
             raise FileNotFoundError(f"no checkpoint for round {round_index} under {out_dir}")
-    loaded_round, states, _ = load_checkpoint(ckpt, cfg.federation)
+    loaded_round, states, _ = load_checkpoint(ckpt, cfg.federation, moments=False)
     params = [s.params for s in states]
     banks = [s.local_bank for s in states]
     del states

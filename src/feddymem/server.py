@@ -141,10 +141,18 @@ def _lloyd_once(points: np.ndarray, k: int, cfg: AggregationConfig,
             break
 
     assignments = knn(points, Reference(centers), 1)[0][:, 0]
-    objective = float(((points.astype(np.float64)
-                        - centers[assignments].astype(np.float64)) ** 2).sum())
+    objective = _sse(points, centers, assignments)
     return KMeansResult(centers=centers, assignments=assignments, objective=objective,
                         n_iterations=len(history), objective_history=history)
+
+
+def _sse(points: np.ndarray, centers: np.ndarray, assignments: np.ndarray) -> float:
+    """Within-cluster sum of squares in float64, formed in place in one
+    (P, C) buffer that is freed on return: the same floats as squaring a
+    fresh float64 difference."""
+    residual = points.astype(np.float64)
+    residual -= centers[assignments]
+    return float(np.square(residual, out=residual).sum())
 
 
 def _cluster_sums(pts: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
@@ -169,8 +177,7 @@ def _lloyd_iterations(points: np.ndarray, centers: np.ndarray, k: int,
         counts = np.bincount(assignments, minlength=k).astype(np.float64)
         new_centers = (sums / counts[:, None]).astype(points.dtype)
 
-        sse = float(((pts - new_centers[assignments].astype(np.float64)) ** 2).sum())
-        history.append(sse)
+        history.append(_sse(pts, new_centers, assignments))
 
         movement = np.sqrt(((new_centers - centers).astype(np.float64) ** 2).sum(axis=1)).max()
         centers = new_centers

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import struct
+from collections.abc import Collection
 from pathlib import Path
 
 import numpy as np
@@ -51,23 +52,32 @@ def load_tensor(buf: bytes | memoryview) -> np.ndarray:
     return arr
 
 
-def _read_tensor_at(buf: memoryview, offset: int) -> tuple[np.ndarray, int]:
+def _tensor_extent(buf: memoryview, offset: int) -> tuple[tuple[int, ...], int, int]:
+    """Shape, payload start and payload end of the FDM1 blob at `offset`."""
     if bytes(buf[offset:offset + 4]) != MAGIC:
         raise ShapeError("bad magic: not an FDM1 tensor")
     offset += 4
+    if offset >= len(buf):
+        raise ShapeError("truncated tensor header")
     rank = buf[offset]
     offset += 1
     if rank < 1 or rank > MAX_RANK:
         raise ShapeError(f"tensor rank must be 1-{MAX_RANK}, got {rank}")
+    if offset + 4 * rank > len(buf):
+        raise ShapeError("truncated tensor header")
     shape = struct.unpack_from(f"<{rank}I", buf, offset)
     offset += 4 * rank
     if any(d < 1 for d in shape):
         raise ShapeError(f"tensor extents must be >= 1, got {shape}")
-    count = int(np.prod(shape, dtype=np.int64))
-    end = offset + 4 * count
+    end = offset + 4 * int(np.prod(shape, dtype=np.int64))
     if end > len(buf):
         raise ShapeError("truncated tensor payload")
-    arr = np.frombuffer(buf[offset:end], dtype="<f4").reshape(shape).copy()
+    return shape, offset, end
+
+
+def _read_tensor_at(buf: memoryview, offset: int) -> tuple[np.ndarray, int]:
+    shape, start, end = _tensor_extent(buf, offset)
+    arr = np.frombuffer(buf[start:end], dtype="<f4").reshape(shape).copy()
     if not np.isfinite(arr).all():
         raise NumericError("tensor payload contains non-finite values")
     return arr, end
@@ -98,20 +108,32 @@ def dump_container(sections: dict[str, np.ndarray]) -> bytes:
     return out.getvalue()
 
 
-def load_container(buf: bytes) -> dict[str, np.ndarray]:
+def load_container(buf: bytes, names: Collection[str] | None = None) -> dict[str, np.ndarray]:
+    """The container's sections, or only those named in `names`: the others
+    are checked for their header and length, but not copied or checked for
+    finiteness. A section that does not parse is named in the error."""
     view = memoryview(buf)
     if bytes(view[:4]) != CONTAINER_MAGIC:
         raise ShapeError("bad magic: not an FDMC container")
+    if len(view) < 8:
+        raise ShapeError("truncated container header")
     (count,) = struct.unpack_from("<I", view, 4)
     offset = 8
     sections: dict[str, np.ndarray] = {}
-    for _ in range(count):
+    for index in range(count):
+        if offset + 2 > len(view):
+            raise ShapeError(f"truncated container: {index} of {count} sections")
         (name_len,) = struct.unpack_from("<H", view, offset)
         offset += 2
-        name = bytes(view[offset:offset + name_len]).decode("utf-8")
+        name = bytes(view[offset:offset + name_len]).decode("utf-8", errors="replace")
         offset += name_len
-        arr, offset = _read_tensor_at(view, offset)
-        sections[name] = arr
+        try:
+            if names is None or name in names:
+                sections[name], offset = _read_tensor_at(view, offset)
+            else:
+                offset = _tensor_extent(view, offset)[2]
+        except (ShapeError, NumericError) as exc:
+            raise type(exc)(f"section {name!r}: {exc}") from exc
     if offset != len(view):
         raise ShapeError(f"trailing bytes after container payload ({len(view) - offset})")
     return sections
@@ -123,5 +145,6 @@ def write_container(path: str | Path, sections: dict[str, np.ndarray]) -> int:
     return len(data)
 
 
-def read_container(path: str | Path) -> dict[str, np.ndarray]:
-    return load_container(Path(path).read_bytes())
+def read_container(path: str | Path,
+                   names: Collection[str] | None = None) -> dict[str, np.ndarray]:
+    return load_container(Path(path).read_bytes(), names)

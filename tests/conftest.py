@@ -5,6 +5,7 @@ import pytest
 
 from feddymem import tensorio
 from feddymem.errors import NumericError
+from feddymem.client import MemoryBank
 from feddymem.features import FeaturePyramid
 from feddymem.numerics import Rng
 
@@ -55,3 +56,24 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
             raise NumericError("non-finite function value in finite_diff_grad")
         flat[i] = (fp - fm) / (2.0 * eps)
     return grad.astype(x.dtype)
+
+
+def reference_memory_reduce(memories: np.ndarray, prev_bank: MemoryBank | None,
+                            t: int) -> np.ndarray:
+    """memory_reduce as whole-stack float64 arithmetic, before it read the
+    stack in place: the float64 stack, its difference with the previous
+    bank and the squared difference each a full copy. The floats the
+    in-place version must reproduce, bit for bit."""
+    stack = memories.astype(np.float64)
+    if t == 0:
+        weights = np.ones(len(memories), dtype=np.float64)
+    else:
+        diff = stack - prev_bank.data.astype(np.float64)
+        weights = np.sqrt((diff * diff).sum(axis=(1, 2, 3)))
+        if weights.sum() == 0.0:
+            weights = np.ones(len(memories), dtype=np.float64)
+    mean = np.tensordot(weights, stack, axes=1) / weights.sum()
+    if t > 0:
+        alpha = 1.0 / (t + 1)
+        mean = alpha * mean + (1.0 - alpha) * prev_bank.data.astype(np.float64)
+    return mean.astype(np.float32)

@@ -607,6 +607,50 @@ class TestCliErrors:
         err = self._rejected(tmp_path, capsys, ["train", "--resume"], doc, out)
         assert "adam_step" in err["message"]
 
+    def _unreadable(self, tmp_path, capsys, command, corruption):
+        """Exit code 3 and an I/O error naming client 0's round-1 container,
+        spoilt by `corruption`, and metrics.jsonl left as it was."""
+        doc, out = self._checkpointed_run(tmp_path)
+        path = out / "checkpoints/round_00001/client_0.fdmc"
+        raw = path.read_bytes()
+        if corruption == "truncated":
+            path.write_bytes(raw[:len(raw) // 2])
+        elif corruption == "bad magic":
+            path.write_bytes(b"XXXX" + raw[4:])
+        else:
+            sections = tensorio.read_container(path)
+            del sections["proj_b"]
+            tensorio.write_container(path, sections)
+        doc["federation"]["rounds"] = 2
+        metrics = (out / "metrics.jsonl").read_bytes()
+        code = main([*command, "--config", write_config(tmp_path, doc, "changed.json"),
+                     "--out", str(out)])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 3 and err["type"] == "io"
+        assert str(path) in err["message"]
+        assert (out / "metrics.jsonl").read_bytes() == metrics
+        return err, out
+
+    @pytest.mark.parametrize("corruption, detail", [
+        ("truncated", "truncated tensor payload"),
+        ("bad magic", "bad magic"),
+        ("missing section", "no section 'proj_b'"),
+    ])
+    def test_unreadable_checkpoint_eval_exit_3(self, tmp_path, capsys, corruption, detail):
+        err, out = self._unreadable(tmp_path, capsys, ["eval"], corruption)
+        assert detail in err["message"]
+        if corruption == "truncated":
+            assert "section '" in err["message"]
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("corruption, detail", [
+        ("truncated", "truncated tensor payload"),
+        ("missing section", "no section 'proj_b'"),
+    ])
+    def test_unreadable_checkpoint_resume_exit_3(self, tmp_path, capsys, corruption, detail):
+        err, _ = self._unreadable(tmp_path, capsys, ["train", "--resume"], corruption)
+        assert detail in err["message"]
+
     def test_init_command(self, tmp_path):
         cfg_path = write_config(tmp_path, desk_doc(rounds=7))
         out = tmp_path / "out"

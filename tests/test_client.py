@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import f64, finite_diff_grad, max_rel_err
+from conftest import f64, finite_diff_grad, max_rel_err, reference_memory_reduce
 from feddymem.client import (
     ClientModelState,
     LossConfig,
@@ -333,6 +333,7 @@ class TestExtractAllMemories:
                 memories = extract_all_memories(
                     state, data, LossConfig(batch_size=batch_size, activation=activation))
                 assert memories.shape == (7, 4, 4, 3)
+                assert memories.dtype == np.float64
                 for m, single in zip(memories, singles):
                     assert np.array_equal(m, single)
 
@@ -399,6 +400,40 @@ class TestMemoryReduce:
         out = memory_reduce(np.stack(mems), prev, 3)
         assert np.allclose(out.data, 1.0)
 
+    @given(n=st.integers(1, 5), h=st.integers(1, 12), w=st.integers(1, 12),
+           c=st.sampled_from([1, 3, 16, 70]), t=st.sampled_from([0, 1, 2, 7]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_whole_stack_reference(self, n, h, w, c, t, dtype, scale, seed):
+        # c = 70 puts H*W*C above numpy's 8192-element reduction buffer
+        # for most extents
+        r = Rng(seed)
+        mems = (r.child(1).normal((n, h, w, c)) * scale).astype(dtype)
+        prev = None if t == 0 else MemoryBank(data=r.child(2).normal((h, w, c)).astype(np.float32))
+        assert np.array_equal(memory_reduce(mems, prev, t).data,
+                              reference_memory_reduce(mems, prev, t))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_weights_equal_the_reference(self, dtype):
+        prev = MemoryBank(data=Rng(4).normal((30, 30, 12)).astype(np.float32))
+        mems = np.stack([prev.data, prev.data, prev.data]).astype(dtype)
+        out = memory_reduce(mems, prev, 3)
+        assert np.array_equal(out.data, reference_memory_reduce(mems, prev, 3))
+        assert np.array_equal(out.data, prev.data)
+
+    def test_reads_a_float64_stack_in_place(self):
+        # the weighted mean reads the stack it is given, not a copy of it
+        mems = Rng(6).normal((40, 32, 32, 8)).astype(np.float64)
+        prev = MemoryBank(data=Rng(7).normal((32, 32, 8)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            memory_reduce(mems, prev, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * mems.nbytes
+
     def test_round0_rejects_prev(self, rng):
         with pytest.raises(ValueError):
             memory_reduce(rng.normal((1, 1, 1, 1)), make_bank(rng, 1, 1, 1), 0)
@@ -416,3 +451,47 @@ class TestMemoryReduce:
             memory_reduce(rng.normal((2, 1, 1)), None, 0)
         with pytest.raises(ShapeError):
             memory_reduce(rng.normal((2, 1, 1, 2)), make_bank(rng, 1, 1, 1), 1)
+
+
+class TestMaxPatchNorm:
+    @given(p=st.integers(1, 9000), c=st.sampled_from([1, 3, 16, 64]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_the_one_shot_float64_formula(self, p, c, dtype, seed):
+        # up to 9000 * 64 values: several blocks of rows
+        arr = (Rng(seed).normal((p, c)) * 10.0).astype(dtype).reshape(p, 1, c)
+        flat = arr.reshape(-1, c).astype(np.float64)
+        assert max_patch_norm(arr) == float(np.sqrt((flat * flat).sum(axis=1)).max())
+
+    def test_non_finite_patch_propagates(self):
+        arr = np.ones((20000, 4))
+        arr[-1, 0] = np.nan
+        assert np.isnan(max_patch_norm(arr))
+        arr[-1, 0] = np.inf
+        assert max_patch_norm(arr) == np.inf
+
+
+class TestRoundMemory:
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_extract_reduce_and_norm_hold_one_float64_copy(self, t):
+        # the memories of a client's round: one float64 (N, H, W, C) stack;
+        # every other buffer is one block or one sample in size
+        rng = Rng(8)
+        params = {**init_projection(rng.child("p"), 6, 16),
+                  **init_generator(rng.child("g"), 16, (4, 4))}
+        state = ClientModelState(client_id=0, params=params)
+        data = rng.child("d").normal((128, 16, 16, 6)).astype(np.float32)
+        prev = None if t == 0 else MemoryBank(data=rng.child("b").normal((16, 16, 16))
+                                              .astype(np.float32))
+        cfg = LossConfig(batch_size=4)
+        stack_bytes = 128 * 16 * 16 * 16 * 8
+        tracemalloc.start()
+        try:
+            memories = extract_all_memories(state, data, cfg)
+            memory_reduce(memories, prev, t)
+            max_patch_norm(memories)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert memories.nbytes == stack_bytes
+        assert peak < 1.25 * stack_bytes

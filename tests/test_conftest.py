@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import f64, finite_diff_grad, max_rel_err
+from conftest import f64, finite_diff_grad, max_rel_err, reference_memory_reduce
+from feddymem.client import MemoryBank
 from feddymem.errors import NumericError
 
 
@@ -20,3 +21,15 @@ class TestFiniteDiff:
     def test_nonfinite_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             finite_diff_grad(lambda x: float(np.log(x.sum())), np.zeros(2), 1e-3)
+
+
+class TestReferenceMemoryReduce:
+    def test_hand_scalar_case(self):
+        # weights (1, 3) -> weighted mean 2.5; alpha=1/2 blends with prev 0
+        mems = np.array([1.0, 3.0], dtype=np.float32).reshape(2, 1, 1, 1)
+        prev = MemoryBank(data=np.zeros((1, 1, 1), dtype=np.float32))
+        assert reference_memory_reduce(mems, prev, 1).item() == 1.25
+
+    def test_round0_is_mean(self):
+        mems = np.array([1.0, 2.0, 6.0]).reshape(3, 1, 1, 1)
+        assert reference_memory_reduce(mems, None, 0).item() == 3.0

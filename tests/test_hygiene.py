@@ -10,8 +10,9 @@ A run needs numpy alone: training and evaluation, heatmap export included,
 load no scipy module. On glibc a repeated kNN call reuses the pages its
 parent freed instead of faulting them in afresh (the allocation policy of
 `feddymem.numerics`). And a wide-bank-shaped run stays within a budget of
-peak resident memory. All three are checked in a fresh interpreter, since
-this one has imported scipy and allocated freely.
+peak resident memory, and so does aggregating banks of the paper's size.
+All four are checked in a fresh interpreter, since this one has imported
+scipy and allocated freely.
 """
 
 import ast
@@ -134,19 +135,32 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert int(out.splitlines()[-1]) < 100
 
 
-# Peak RSS growth, in MB, of a wide-bank-shaped run (the benchmark's
-# wide-bank workload at seed 63: 10 clients, 20x20x32 banks, one round,
-# then its evaluation) above the resident size after import. Measured at
+# Defines status_mb(field): a /proc/self/status memory field in MB. VmHWM
+# and VmRSS hold this process's memory only; `ru_maxrss` also holds the
+# resident size of the process that spawned it, 2.4 GB late in a full pytest
+# session, which left a budget on its growth nothing to check.
+STATUS_MB = """
+def status_mb(field):
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith(field + ":"))
+    return int(line.split()[1]) / 1024.0
+"""
+
+
+# Peak RSS, in MB, of a wide-bank-shaped run (the benchmark's wide-bank
+# workload at seed 63: 10 clients, 20x20x32 banks, one round, then its
+# evaluation) above the resident size after import. Measured at
 # 25.98-26.17 MB on a 2-core x86-64 Linux host (glibc 2.36, OpenBLAS
-# SkylakeX kernels, one BLAS thread); the budget leaves 15% above that, more
-# than twice the 1.7 MB by which heap layout alone moves a peak.
+# SkylakeX kernels, one BLAS thread), as the growth of `ru_maxrss` from a
+# shell, and at 26.10-26.15 MB read from /proc/self/status; the budget
+# leaves 15% above that, more than twice the 1.7 MB by which heap layout
+# alone moves a peak.
 RSS_BUDGET_MB = 30.0
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_wide_bank_run_stays_within_its_rss_budget(tmp_path):
-    out = run_fresh(tmp_path, """
-import resource
+    out = run_fresh(tmp_path, STATUS_MB + """
 from feddymem.config import load_run_config
 from feddymem.pipeline import eval_run, train_run
 cfg = load_run_config({
@@ -157,9 +171,34 @@ cfg = load_run_config({
     "dataset": {"n_types": 5, "samples_per_type": 8, "test_normals_per_type": 3,
                 "test_anomalies_per_type": 3, "dirichlet_alpha": 1.0},
 })
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+resident = status_mb("VmRSS")
 train_run(cfg, "run")
 eval_run(cfg, "run")
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
+print(status_mb("VmHWM") - resident)
 """, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     assert float(out.splitlines()[-1]) < RSS_BUDGET_MB
+
+
+# Peak RSS, in MB, of aggregating ten random 28x28x128 banks (the paper's
+# 28x28 bank at 128 channels; K = 784 centers over 7840 points) above the
+# resident size once the banks are made. Measured at 30.63-30.64 MB in 3 runs
+# on a 2-core x86-64 Linux host (glibc 2.36, OpenBLAS SkylakeX kernels, one
+# BLAS thread), against 38.30-38.32 MB while every k-means SSE built three
+# or four full (P, C) float64 temporaries. The budget leaves 11%.
+AGGREGATION_RSS_BUDGET_MB = 34.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_paper_size_aggregation_stays_within_its_rss_budget(tmp_path):
+    out = run_fresh(tmp_path, STATUS_MB + """
+import numpy as np
+from feddymem.client import MemoryBank
+from feddymem.server import AggregationConfig, aggregate
+gen = np.random.default_rng(0)
+banks = [MemoryBank(data=gen.standard_normal((28, 28, 128)).astype(np.float32))
+         for _ in range(10)]
+resident = status_mb("VmRSS")
+aggregate(banks, AggregationConfig(seed=1))
+print(status_mb("VmHWM") - resident)
+""", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert float(out.splitlines()[-1]) < AGGREGATION_RSS_BUDGET_MB

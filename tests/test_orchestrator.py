@@ -501,8 +501,8 @@ class TestRunTraining:
         loaded = []  # (checkpoint, each client's bank as loaded)
         load = orchestrator.load_checkpoint
 
-        def recorded_load(ckpt, cfg):
-            got = load(ckpt, cfg)
+        def recorded_load(ckpt, cfg, **kwargs):
+            got = load(ckpt, cfg, **kwargs)
             loaded.append((ckpt, [s.local_bank for s in got[1]]))
             return got
 
@@ -586,6 +586,31 @@ class TestRunTraining:
             assert last["monitor"] == {"bound_violations": 7, "r_hat_m": full.monitor.r_hat_m}
             assert "bank_round" not in last["clients"][0] and "global_bank_round" not in last
             assert (last["seed"], last["baseline"]) == (cfg.seed, baseline)
+
+    def test_evaluation_reads_no_adam_moments(self, tmp_path):
+        # NaN moments: a load that parsed them would fail its finiteness check
+        from feddymem import pipeline
+        from feddymem.config import load_run_config
+        from feddymem.errors import NumericError
+        from test_cli import desk_doc
+        cfg = load_run_config(desk_doc(rounds=1))
+        out = tmp_path / "run"
+        pipeline.train_run(cfg, out)
+        clean = pipeline.eval_run(cfg, out)
+        ckpt = out / "checkpoints/round_00001"
+        for n in range(cfg.federation.n_clients):
+            path = ckpt / f"client_{n}.fdmc"
+            sections = tensorio.read_container(path)
+            tensorio.write_container(path, {
+                key: np.full_like(value, np.nan) if key.startswith("adam_") else value
+                for key, value in sections.items()})
+        assert pipeline.eval_run(cfg, out) == clean
+        _, states, _ = load_checkpoint(ckpt, cfg.federation, moments=False)
+        for state in states:
+            assert not any(m.any() for m in state.adam.m.values())
+            assert state.adam.step == 0
+        with pytest.raises(NumericError, match="section 'adam_m.proj_w'"):
+            load_checkpoint(ckpt, cfg.federation)
 
     def test_loss_bound_and_quartile_trend(self, tmp_path):
         cfg = desk_config(rounds=8, ckpt=8)
