@@ -305,7 +305,8 @@ def max_patch_norm(arr: np.ndarray) -> float:
     buf = np.empty((min(rows, len(flat)), flat.shape[1]), dtype=np.float64)
     largest = []
     for s in range(0, len(flat), rows):
-        block = buf[:len(flat[s:s + rows])]
-        np.copyto(block, flat[s:s + rows])
+        part = flat[s:s + rows]
+        block = buf[:len(part)]
+        np.copyto(block, part)
         largest.append(np.multiply(block, block, out=block).sum(axis=1).max())
     return float(np.sqrt(np.max(largest)))

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import f64, finite_diff_grad, max_rel_err, reference_memory_reduce
 from feddymem.client import (
@@ -405,9 +405,11 @@ class TestMemoryReduce:
            dtype=st.sampled_from([np.float32, np.float64]),
            scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
+    @example(n=3, h=12, w=12, c=70, t=2, dtype=np.float32, scale=1.0, seed=0)
+    @example(n=2, h=12, w=11, c=70, t=0, dtype=np.float64, scale=1e3, seed=1)
     def test_equals_the_whole_stack_reference(self, n, h, w, c, t, dtype, scale, seed):
-        # c = 70 puts H*W*C above numpy's 8192-element reduction buffer
-        # for most extents
+        # c = 70 puts H*W*C above numpy's 8192-element reduction buffer for
+        # most extents, and the examples do
         r = Rng(seed)
         mems = (r.child(1).normal((n, h, w, c)) * scale).astype(dtype)
         prev = None if t == 0 else MemoryBank(data=r.child(2).normal((h, w, c)).astype(np.float32))

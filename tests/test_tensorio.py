@@ -70,3 +70,22 @@ def test_container_roundtrip(tmp_path, rng):
 def test_container_bad_magic():
     with pytest.raises(ShapeError):
         tensorio.load_container(b"XXXX" + bytes(4))
+
+
+def test_container_reads_only_the_named_sections():
+    # a skipped section is not checked for finiteness, only for its length
+    raw = tensorio.dump_container({"keep": np.ones(2, np.float32),
+                                   "skip": np.array([np.nan, 1.0], np.float32)})
+    assert list(tensorio.load_container(raw, {"keep"})) == ["keep"]
+    with pytest.raises(NumericError, match="section 'skip'"):
+        tensorio.load_container(raw)
+    with pytest.raises(ShapeError, match="section 'skip': truncated tensor payload"):
+        tensorio.load_container(raw[:-2], {"keep"})
+
+
+@pytest.mark.parametrize("cut", [2, 6, 9, 12, 17])
+def test_truncated_container_raises_shape_error(cut):
+    # cut inside the header, a section name, a tensor header or a payload
+    raw = tensorio.dump_container({"alpha": np.ones((2, 3), np.float32)})
+    with pytest.raises(ShapeError):
+        tensorio.load_container(raw[:cut])
