@@ -10,15 +10,21 @@ and by path (baseline first), to <out>/DIGEST.json. Then compares the files'
 hashes with the repository's DIGEST.json, lists every path that differs, is
 missing or is new, and exits 1 if there is any.
 
+The digest's `env` records the Python and numpy versions, numpy's BLAS and
+the OpenBLAS core kernel chosen at run time (`OPENBLAS_CORETYPE` overrides
+it): the banks' last bits depend on that kernel, so a digest made under
+another one is expected to differ.
+
 A change that claims bit-identical outputs shows that this exits 0; one
 that changes numerics on purpose commits the new DIGEST.json and names the
 paths that changed.
 
 Usage:
-    python3 scripts/digest.py --out runs/digest [--threads 1]
+    python3 scripts/digest.py --out runs/digest
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -38,6 +44,22 @@ SKIPPED = {"timings.csv"}
 def _run(args: list[str]) -> None:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     subprocess.run([sys.executable, *args], check=True, env=env, stdout=subprocess.DEVNULL)
+
+
+def _env() -> dict[str, str]:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    env = {"python": sys.version.split()[0], "numpy": np.__version__,
+           "blas": f"{blas['name']} {blas['version']}",
+           "blas_core": os.environ.get("OPENBLAS_CORETYPE", "unknown")}
+    # the OpenBLAS bundled with numpy's wheels is already loaded; ask it
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        env["blas_core"] = corename().decode()
+    return env
 
 
 def _hashes(root: Path) -> dict[str, str]:
@@ -62,22 +84,20 @@ def _differences(got: dict, want: dict) -> list[str]:
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     runs = {}
     for name, seed, rounds in RUNS:
         run_dir = args.out / name
         _run([str(ROOT / "scripts/run_desk_experiment.py"), "--out", str(run_dir),
-              "--seed", str(seed), "--rounds", str(rounds), "--threads", str(args.threads)])
+              "--seed", str(seed), "--rounds", str(rounds)])
         for baseline in BASELINES:
             _run(["-m", "feddymem.cli", "eval", "--config", str(run_dir / baseline / "config.json"),
                   "--out", str(run_dir / baseline), "--export-heatmaps"])
         runs[name] = _hashes(run_dir)
         print(f"{name}: {len(runs[name])} files")
 
-    doc = {"env": {"python": sys.version.split()[0], "numpy": np.__version__},
-           "runs": runs}
+    doc = {"env": _env(), "runs": runs}
     (args.out / "DIGEST.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"digest: {args.out / 'DIGEST.json'}")
 
@@ -87,7 +107,8 @@ def main() -> int:
         return 0
     want = json.loads(committed.read_text())
     if want["env"] != doc["env"]:
-        print(f"note: committed under {want['env']}, run under {doc['env']}")
+        print(f"note: committed under {want['env']}, run under {doc['env']}; another "
+              f"BLAS core kernel changes the banks' last bits")
     lines = _differences(runs, want["runs"])
     print("\n".join(lines) if lines else f"equal to {committed}")
     return 1 if lines else 0

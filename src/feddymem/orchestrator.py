@@ -347,17 +347,25 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig, moments: bool = True) \
     checkpoint of another seed or baseline, of clients other than
     0..n_clients-1, or with a section or bank of another shape than the
     config gives it. A manifest without the seed and baseline is not checked
-    for them. A checkpoint file that does not parse (bad magic, truncated)
-    or a container without a section that is read raises `CheckpointError`,
-    which names the file and the section."""
-    manifest = _read_checkpoint_file(ckpt / "manifest.json",
-                                     lambda path: json.loads(path.read_text()))
-    round_index = int(manifest["round"])
+    for them. A checkpoint file that does not parse (bad magic, truncated),
+    a manifest without one of the other keys above, or a container without
+    a section that is read raises `CheckpointError`, which names the file
+    and the key or section."""
+    manifest_path = ckpt / "manifest.json"
+    manifest = _read_checkpoint_file(manifest_path, lambda path: json.loads(path.read_text()))
+    try:
+        round_index = int(manifest["round"])
+        entries = sorted(manifest["clients"], key=lambda e: e["id"])
+        files = [entry["file"] for entry in entries]
+        doc = manifest["monitor"]
+        monitor = ConvergenceMonitor(float(doc["r_hat_m"]), int(doc["bound_violations"]))
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint file {manifest_path} has no key {exc}") from exc
     for name, key in (("seed", "seed"), ("baseline", "federation.baseline")):
         if name in manifest and manifest[name] != getattr(cfg, name):
             raise ConfigError(f"checkpoint {ckpt} is of {name} {manifest[name]!r}; the "
                               f"config gives {getattr(cfg, name)!r}", key=key)
-    ids = sorted(entry["id"] for entry in manifest["clients"])
+    ids = [entry["id"] for entry in entries]
     if ids != list(range(cfg.n_clients)):
         raise ConfigError(f"checkpoint {ckpt} holds clients {ids}, not the "
                           f"{cfg.n_clients} of the config", key="federation.n_clients")
@@ -367,7 +375,7 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig, moments: bool = True) \
                                                        tensorio.read_tensor))
         _require_shape("global_bank.fdm1", shared.data.shape, cfg.bank_shape)
     states = []
-    for entry in sorted(manifest["clients"], key=lambda e: e["id"]):
+    for entry, file in zip(entries, files):
         if "adam_step" not in entry:
             raise ConfigError(f"checkpoint {ckpt} records no adam_step for client "
                               f"{entry['id']}; it is of an older format")
@@ -376,12 +384,12 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig, moments: bool = True) \
         for name, fresh in state.params.items():
             keys = (name, f"adam_m.{name}", f"adam_v.{name}") if moments else (name,)
             shapes.update(dict.fromkeys(keys, fresh.shape))
-        path = ckpt / entry["file"]
+        path = ckpt / file
         sections = _read_checkpoint_file(path, tensorio.read_container, shapes)
         for key, shape in shapes.items():
             if key not in sections:
                 raise CheckpointError(f"checkpoint file {path} has no section {key!r}")
-            _require_shape(f"{entry['file']} section {key!r}", sections[key].shape, shape)
+            _require_shape(f"{file} section {key!r}", sections[key].shape, shape)
         state.params = {name: sections[name] for name in state.params}
         if moments:
             state.adam = AdamState(m={name: sections[f"adam_m.{name}"] for name in state.params},
@@ -389,8 +397,6 @@ def load_checkpoint(ckpt: Path, cfg: FederationConfig, moments: bool = True) \
                                    step=int(entry["adam_step"]))
         state.local_bank = MemoryBank(data=sections["bank"]) if local else shared
         states.append(state)
-    doc = manifest["monitor"]
-    monitor = ConvergenceMonitor(float(doc["r_hat_m"]), int(doc["bound_violations"]))
     return round_index, states, monitor
 
 

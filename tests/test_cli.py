@@ -608,12 +608,18 @@ class TestCliErrors:
         assert "adam_step" in err["message"]
 
     def _unreadable(self, tmp_path, capsys, command, corruption):
-        """Exit code 3 and an I/O error naming client 0's round-1 container,
-        spoilt by `corruption`, and metrics.jsonl left as it was."""
+        """Exit code 3 and an I/O error naming the round-1 checkpoint file
+        spoilt by `corruption` (client 0's container, or the manifest), and
+        metrics.jsonl left as it was."""
         doc, out = self._checkpointed_run(tmp_path)
         path = out / "checkpoints/round_00001/client_0.fdmc"
         raw = path.read_bytes()
-        if corruption == "truncated":
+        if corruption == "manifest without monitor":
+            path = path.with_name("manifest.json")
+            manifest = json.loads(path.read_text())
+            del manifest["monitor"]
+            path.write_text(json.dumps(manifest))
+        elif corruption == "truncated":
             path.write_bytes(raw[:len(raw) // 2])
         elif corruption == "bad magic":
             path.write_bytes(b"XXXX" + raw[4:])
@@ -635,6 +641,7 @@ class TestCliErrors:
         ("truncated", "truncated tensor payload"),
         ("bad magic", "bad magic"),
         ("missing section", "no section 'proj_b'"),
+        ("manifest without monitor", "no key 'monitor'"),
     ])
     def test_unreadable_checkpoint_eval_exit_3(self, tmp_path, capsys, corruption, detail):
         err, out = self._unreadable(tmp_path, capsys, ["eval"], corruption)
@@ -646,6 +653,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("corruption, detail", [
         ("truncated", "truncated tensor payload"),
         ("missing section", "no section 'proj_b'"),
+        ("manifest without monitor", "no key 'monitor'"),
     ])
     def test_unreadable_checkpoint_resume_exit_3(self, tmp_path, capsys, corruption, detail):
         err, _ = self._unreadable(tmp_path, capsys, ["train", "--resume"], corruption)
