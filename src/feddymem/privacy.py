@@ -11,21 +11,23 @@ whenever the weights are constants. Mutual information under the Gaussian
 assumption is -0.5 * log(1 - rho^2), so the bound translates directly into
 an MI reduction that grows with the number of local samples.
 
-Two modes are audited: with uniform (constant) weights the bound's
-hypotheses hold and the inequality is asserted; with the artifact's dynamic
-distance weights the hypotheses do not hold in general, so those numbers are
-reported descriptively only.
+The sweep over local dataset sizes averages unit-variance Y_i (rho does not
+depend on a common scale) with memory-reduce's round-0 uniform weights, so
+the bound's hypotheses hold and it is asserted. The Y_i are drawn and summed
+one at a time, so memory does not grow with the dataset size. The lemma
+trials draw random variances and weights.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .client import memory_reduce
 from .errors import ConfigError, NumericError
 from .numerics import Rng
 
@@ -84,8 +86,6 @@ class AuditConfig:
     dataset_sizes: tuple[int, ...] = (10, 100, 1000)
     seed: int = 0
     rho: float = 0.8
-    sigma_x: float = 1.0
-    sigma_y: float = 1.0
     lemma_configs: int = 100
     lemma_mc_samples: int = 10_000
 
@@ -96,8 +96,12 @@ class AuditConfig:
                                   key=f"audit.{key}")
         if not 0 < abs(self.rho) < 1:
             raise ConfigError("rho must be in (0, 1)", key="audit.rho")
-        if min(self.dataset_sizes) < 1:
-            raise ConfigError("dataset sizes must be >= 1", key="audit.dataset_sizes")
+        if not self.dataset_sizes or min(self.dataset_sizes) < 1:
+            raise ConfigError("dataset sizes must be a non-empty list of values >= 1",
+                              key="audit.dataset_sizes")
+        if self.lemma_configs < 1:
+            raise ConfigError("the audit needs at least one lemma configuration",
+                              key="audit.lemma_configs")
 
 
 @dataclass
@@ -112,8 +116,6 @@ class SweepPoint:
     mi_direct: float
     mi_reduced: float
     mi_ratio: float
-    rho_reduced_dynamic: float
-    mi_reduced_dynamic: float
 
 
 @dataclass
@@ -152,70 +154,50 @@ class AuditReport:
         Path(path).write_text(self.to_json())
 
 
-def _draw_model(rng: Rng, d: int, n: int, rho: float, sigma_x: float,
-                sigma_y: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """n trials of (X, Y_1..Y_d): X correlated rho with Y_j only."""
-    u = rng.child("x").generator.standard_normal(n)
-    z = rng.child("y").generator.standard_normal((d, n))
-    y = sigma_y[:, None] * z
-    y[j] = sigma_y[j] * (rho * u + np.sqrt(1.0 - rho * rho) * z[j])
-    return sigma_x * u, y
+def _draw_model(rng: Rng, n: int, rho: float,
+                sigma_y: np.ndarray) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """n trials of (X, Y_1..Y_d), d = len(sigma_y): X correlated rho with Y_1
+    only. The Y_i come as (n,) rows, each drawn from one stream when it is
+    asked for."""
+    x = rng.child("x").generator.standard_normal(n)
+    gen = rng.child("y").generator
+
+    def rows():
+        for i, sigma in enumerate(sigma_y):
+            z = gen.standard_normal(n)
+            yield sigma * (rho * x + np.sqrt(1.0 - rho * rho) * z) if i == 0 else sigma * z
+
+    return x, rows()
 
 
-# trials per memory_reduce call in the audit's uniform reduction
-REDUCE_CHUNK = 10_000
-
-
-def _reduce_uniform(y: np.ndarray) -> np.ndarray:
-    """Round-0 memory_reduce of the D per-sample statistics, all trials at
-    once: each trial occupies one cell of the (REDUCE_CHUNK, 1, 1) memory
-    tensors."""
-    d, n = y.shape
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, REDUCE_CHUNK):
-        block = y[:, start:start + REDUCE_CHUNK].astype(np.float32)
-        memories = block.reshape(d, -1, 1, 1)
-        out[start:start + REDUCE_CHUNK] = memory_reduce(memories, None, 0).data.reshape(-1)
-    return out
-
-
-def dynamic_scalar_reduce(y: np.ndarray, prev: float, t: int) -> np.ndarray:
-    """Vectorized per-trial memory-reduce for scalar memories with the
-    distance weights: w_i = |y_i - prev|, then the round-EMA blend."""
-    if t < 1:
-        raise ValueError("dynamic weights are defined for t >= 1")
-    w = np.abs(y - prev)
-    total = w.sum(axis=0)
-    w = np.where(total == 0.0, 1.0, w)
-    total = w.sum(axis=0)
-    mean = (w * y).sum(axis=0) / total
-    alpha = 1.0 / (t + 1)
-    return alpha * mean + (1.0 - alpha) * prev
+def _uniform_reduce(rows: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Round-0 memory_reduce of scalar memories, one trial in each of the n
+    elements of a row: the float32-rounded rows summed in turn in float64,
+    divided by their count and rounded to float32."""
+    total = np.zeros(n)
+    for d, row in enumerate(rows, 1):
+        total += row.astype(np.float32)
+    return (total / d).astype(np.float32)
 
 
 def audit_reduction(cfg: AuditConfig) -> AuditReport:
-    """Run the full audit: |D| sweep with asserted uniform-weight bounds and
-    descriptive dynamic-weight numbers, plus randomized lemma configurations."""
+    """Run the full audit: |D| sweep with asserted uniform-weight bounds,
+    plus randomized lemma configurations."""
     rng = Rng(cfg.seed).child("audit")
     n = cfg.mc_samples
     sweep: list[SweepPoint] = []
     inconclusive = False
 
     for d in cfg.dataset_sizes:
-        sigma_y = np.full(d, cfg.sigma_y, dtype=np.float64)
-        x, y = _draw_model(rng.child("sweep", int(d)), d, n, cfg.rho,
-                           cfg.sigma_x, sigma_y, j=0)
-        y_red = _reduce_uniform(y)
-        rho_direct = pearson(x, y[0])
-        rho_red = pearson(x, y_red)
-        factor = lemma1_bound(np.full(d, 1.0 / d), sigma_y, 0)
+        x, rows = _draw_model(rng.child("sweep", int(d)), n, cfg.rho, np.ones(d))
+        y_first = next(rows)
+        rho_direct = pearson(x, y_first)
+        rho_red = pearson(x, _uniform_reduce(itertools.chain([y_first], rows), n))
+        factor = lemma1_bound(np.full(d, 1.0 / d), np.ones(d), 0)
         se = (1.0 + factor) / np.sqrt(n - 3)
         rhs = factor * abs(rho_direct) + 3.0 * se
         mi_direct = gaussian_mi(rho_direct)
         mi_red = gaussian_mi(rho_red)
-        # dynamic Eq-style weights, reported but never asserted
-        y_red_dyn = dynamic_scalar_reduce(y, prev=0.0, t=1)
-        rho_red_dyn = pearson(x, y_red_dyn)
         sweep.append(SweepPoint(
             dataset_size=int(d),
             rho_direct=rho_direct,
@@ -227,8 +209,6 @@ def audit_reduction(cfg: AuditConfig) -> AuditReport:
             mi_direct=mi_direct,
             mi_reduced=mi_red,
             mi_ratio=mi_red / mi_direct,
-            rho_reduced_dynamic=rho_red_dyn,
-            mi_reduced_dynamic=gaussian_mi(rho_red_dyn),
         ))
         if abs(rho_red) <= 3.0 * se and d > 1:
             # reduced correlation indistinguishable from zero at this sample
@@ -247,8 +227,8 @@ def audit_reduction(cfg: AuditConfig) -> AuditReport:
             weights = np.full(d, 1.0 / d)
         else:
             weights = trng.child("w").generator.dirichlet(np.ones(d))
-        x, y = _draw_model(trng.child("draw"), d, cfg.lemma_mc_samples, rho,
-                           1.0, sigma_y, j=0)
+        x, rows = _draw_model(trng.child("draw"), cfg.lemma_mc_samples, rho, sigma_y)
+        y = np.array(list(rows))
         y_avg = weights @ y
         rho_direct = pearson(x, y[0])
         rho_red = pearson(x, y_avg)

@@ -69,8 +69,8 @@ SECTION_KEYS = {
                 "test_anomalies_per_type", "anomaly_magnitude", "anomaly_extent",
                 "noise_scale", "dirichlet_alpha", "prototype_cells",
                 "noise_cells", "type_spread", "train_manifests", "test_manifest"},
-    "audit": {"mc_samples", "dataset_sizes", "rho", "sigma_x", "sigma_y",
-              "lemma_configs", "lemma_mc_samples", "seed"},
+    "audit": {"mc_samples", "dataset_sizes", "rho", "lemma_configs", "lemma_mc_samples",
+              "seed"},
 }
 
 # Every key of SECTION_KEYS at a legal value other than its default; the
@@ -91,8 +91,8 @@ EVERY_KEY = {
                 "anomaly_magnitude": 2.0, "anomaly_extent": 3, "noise_scale": 0.2,
                 "dirichlet_alpha": 0.5, "prototype_cells": 3, "noise_cells": 5,
                 "type_spread": 0.5},
-    "audit": {"mc_samples": 20000, "dataset_sizes": [3, 30], "rho": 0.5, "sigma_x": 2.0,
-              "sigma_y": 3.0, "lemma_configs": 7, "lemma_mc_samples": 20000, "seed": 8},
+    "audit": {"mc_samples": 20000, "dataset_sizes": [3, 30], "rho": 0.5, "lemma_configs": 7,
+              "lemma_mc_samples": 20000, "seed": 8},
 }
 MANIFEST_DATASET = {"kind": "manifest", "train_manifests": ["a", "b", "c", "d"],
                     "test_manifest": "t"}
@@ -460,6 +460,9 @@ class TestCliErrors:
         ({"dataset": {"dirichlet_alpha": 0}}, "dataset.dirichlet_alpha"),
         ({"audit": {"lemma_mc_samples": 10}}, "audit.lemma_mc_samples"),
         ({"audit": {"rho": 1.5}}, "audit.rho"),
+        ({"audit": {"dataset_sizes": []}}, "audit.dataset_sizes"),
+        ({"audit": {"lemma_configs": -3}}, "audit.lemma_configs"),
+        ({"audit": {"lemma_configs": 0}}, "audit.lemma_configs"),
     ])
     def test_malformed_value_exit_2_names_key(self, tmp_path, capsys, doc, key):
         out = tmp_path / "o"

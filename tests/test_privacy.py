@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from feddymem.client import MemoryBank, memory_reduce
+from feddymem import privacy
+from feddymem.client import memory_reduce
 from feddymem.errors import NumericError
 from feddymem.numerics import Rng
 from feddymem.privacy import (
     AuditConfig,
     audit_reduction,
-    dynamic_scalar_reduce,
     gaussian_mi,
     lemma1_bound,
     pearson,
@@ -93,22 +93,17 @@ class TestLemma1Bound:
             lemma1_bound(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0)
 
 
-class TestDynamicScalarReduce:
-    def test_matches_memory_reduce_per_trial(self):
-        r = Rng(12)
-        d, trials = 4, 50
-        y = r.normal((d, trials)).astype(np.float64)
-        prev_val = 0.25
-        vec = dynamic_scalar_reduce(y, prev_val, t=1)
-        for j in range(trials):
-            mems = [np.full((1, 1, 1), y[i, j], dtype=np.float32) for i in range(d)]
-            prev = MemoryBank(data=np.full((1, 1, 1), prev_val, dtype=np.float32))
-            expected = memory_reduce(np.stack(mems), prev, 1).data.item()
-            assert vec[j] == pytest.approx(expected, rel=1e-5)
-
-    def test_requires_round_ge_one(self):
-        with pytest.raises(ValueError):
-            dynamic_scalar_reduce(np.ones((2, 3)), 0.0, 0)
+class TestUniformReduce:
+    def test_running_sum_equals_memory_reduce(self):
+        # the audit sums one row of trials at a time; memory_reduce takes the
+        # mean over the whole float64 stack in one product
+        for d, n in ((1, 5), (2, 7), (7, 33), (50, 129), (300, 16)):
+            gen = Rng(d).generator
+            rows = gen.standard_normal((d, n)) * 10.0 ** gen.uniform(-4, 4, (d, n))
+            stack = rows.astype(np.float32).reshape(d, n, 1, 1)
+            want = memory_reduce(stack, None, 0).data.reshape(n)
+            got = privacy._uniform_reduce(iter(rows), n)
+            assert got.dtype == want.dtype and (got == want).all(), (d, n)
 
 
 class TestAuditReduction:
