@@ -55,18 +55,27 @@ seeds returns them; a row with more orders the explicit distances of its
 candidates. No row is recomputed on its full explicit row.
 
 k-means++ seeding asks which pairs could lower a point's current D^2
-(`GramFloor.near`); it compares lb with the per-point threshold
-t = (D^2 / (1 - gamma_{2C+16}(u)) + (5C + 16) eta)(1 + 8 eps_64 + 4 u_w),
-three float64 operations and then one rounding to nearest in w, instead of
-forming floors. t is at least (5C + 16) eta, a normal number of w, so the
-rounding to w loses at most a factor (1 - u_w), and the 4 u_w makes up for
-it; the three float64 roundings of t and the two of `floor` cannot undo the
-(1 + 8 eps_64). So lb > t means floor > D^2 exactly, and q > D^2.
+(`GramFloor.near`). It keeps, beside D^2, the per-point threshold
+t = (D^2 / (1 - gamma_{2C+16}(u)) + (5C + 16) eta)(1 + 8 eps_64 + 4 u_w)
+(`GramFloor.threshold`), three float64 operations and then one rounding to
+nearest in w, and compares lb with it instead of forming floors. t is
+elementwise in D^2, so seeding rewrites it only at the points whose D^2 a
+chosen center lowered, not at all n points every step. t is at least
+(5C + 16) eta, a normal number of w, so the rounding to w loses at most a
+factor (1 - u_w), and the 4 u_w makes up for it; the three float64
+roundings of t and the two of `floor` cannot undo the (1 + 8 eps_64). So
+lb > t means floor > D^2 exactly, and q > D^2.
 
 The reference side of the product, [-2b; 1; keep ||b||^2] with the largest
 squared norm of b and whether b is finite, is a `Reference`, built once
 per set of reference rows: a memory bank builds its own when it is made,
-and every lookup against the bank reuses it.
+and every lookup against the bank reuses it. Its (C+2, Q) operand is
+row-major: seeding's 10-row product runs 1.5-3x slower against a
+column-major one (about 125 against 80 us on 4000 x 32 float32 rows, and
+15 against 5 us on 1280 x 16, one AVX-512 core under OpenBLAS's SkylakeX
+kernels), while the hundreds-of-rows products of kNN take the same time
+either way. -2b is exact, and no result depends on the bits of lb, so the
+layout changes no output.
 
 A knn call works in blocks of max(1, KNN_BOUNDS // Q) query rows, so it
 holds at most max(KNN_BOUNDS, Q) bounds and max(KNN_BOUNDS, Q) * C
@@ -187,10 +196,10 @@ class Rng:
     def dirichlet(self, alpha: np.ndarray) -> np.ndarray:
         return self.generator.dirichlet(alpha)
 
-    def choice_weighted(self, weights: np.ndarray, draws: int) -> np.ndarray:
+    def choice_weighted(self, weights: np.ndarray, total: float, draws: int) -> np.ndarray:
         """`draws` independent indices, each drawn proportionally to
-        nonnegative weights; uniform when the weights sum to zero."""
-        total = float(weights.sum())
+        nonnegative weights whose finite sum, float(weights.sum()), the
+        caller passes as total; uniform when it is zero."""
         if total <= 0.0:
             return np.array([self.integers(0, len(weights)) for _ in range(draws)],
                             dtype=np.int64)
@@ -368,8 +377,11 @@ class Reference:
         self.finite = bool(np.isfinite(b).all())
         bw, keep_sq = _keep_sq(b, self.dtype)
         self.sq_max = float(keep_sq.max(initial=0.0))
-        self.operand = np.concatenate([-2.0 * bw.T, np.ones((1, len(b)), self.dtype),
-                                       keep_sq[None]])
+        # row-major, written in place (module docstring)
+        self.operand = np.empty((b.shape[1] + 2, len(b)), self.dtype)
+        np.multiply(bw.T, -2.0, out=self.operand[:-2])
+        self.operand[-2] = 1.0
+        self.operand[-1] = keep_sq
 
 
 class GramFloor:
@@ -414,16 +426,25 @@ class GramFloor:
         float64."""
         return (lb.astype(np.float64, copy=False) - self._absolute) * self._scale
 
-    def near(self, rows, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def threshold(self, d2: np.ndarray) -> np.ndarray:
+        """The thresholds t, in the working precision, that `near` compares
+        lb with for squared distances d2 (module docstring); elementwise, so
+        a caller may keep t and rewrite it where d2 changes. inf when the
+        Gram form is unusable."""
+        if not self.usable:
+            return np.full(d2.shape, np.inf, self._b.dtype)
+        return ((d2 / self._scale + self._absolute) * self._widen).astype(self._b.dtype,
+                                                                          copy=False)
+
+    def near(self, rows, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pairs (i, j), i indexing rows and j the rows of b, whose
-        explicit squared distance q may be below d2[j]: every pair with
-        lb <= t[j] (module docstring). Every pair when the Gram form is
-        unusable."""
+        explicit squared distance q may be below d2[j], given
+        t = threshold(d2): every pair with lb <= t[j] (module docstring).
+        Every pair when the Gram form is unusable."""
         if not self.usable:
             kept = np.ones((len(self._a[rows]), self._b.shape[1]), dtype=bool)
         else:
-            t = (d2 / self._scale + self._absolute) * self._widen
-            kept = self.lower(rows) <= t.astype(self._b.dtype, copy=False)
+            kept = self.lower(rows) <= t
         # row-major pairs, as np.nonzero gives them, which is several times
         # slower on a 2-D mask
         return np.divmod(np.flatnonzero(kept), kept.shape[1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .client import MemoryBank
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .numerics import GramFloor, Reference, Rng, knn
 from .tensorio import tensor_nbytes
 
@@ -57,29 +57,62 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
 
     One Gram product per step bounds every candidate's squared distances
     from below (`GramFloor`); only the (candidate, point) pairs whose bound
-    does not clear the point's current D^2 (`GramFloor.near`) get explicit
-    differences, for all candidates together, so each candidate's D^2 row
-    is the one a full recomputation would give. The first candidate of
-    least potential wins. Every potential is finite: it is at most
-    sum(D^2), and an infinite D^2 makes `choice_weighted` raise first."""
+    does not clear the point's current D^2 (`GramFloor.near`, against
+    thresholds kept beside D^2 and rewritten only where D^2 falls) get
+    explicit differences, for all candidates together, so each candidate's
+    D^2 row is the one a full recomputation would give. The first candidate
+    of least potential wins, the potential being the numpy sum of that row.
+
+    That sum is formed only for near ties. With S the sum of D^2 (also the
+    draw's total) and m the pairs, a candidate's approx = S - (its pairs'
+    reductions of D^2, one bincount) differs from its potential by at most
+    (2n + m) u S to first order, u the float64 unit roundoff: every term of
+    either sum is >= 0 and at most S, so any order of summing errs by at
+    most gamma_{n-1} S, and the reductions add m terms. The slack
+    8 (n + m + 8) u S is twice the largest gap two such errors make, so a
+    candidate whose approx exceeds the least by more than the slack cannot
+    have least potential. Only when two or more candidates are within it
+    (repeated candidates, all-zero D^2) are their exact rows summed. A
+    total D^2 that is not finite raises `NumericError`."""
     n = points.shape[0]
     n_candidates = 2 + int(np.log2(max(k, 2)))
+    u = float(np.finfo(np.float64).eps) / 2
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(0, n)
     d2 = _sq_dists(points, points[chosen[0]])
     gram = GramFloor(points, Reference(points))
+    t = gram.threshold(d2)
     for j in range(1, k):
-        candidates = rng.choice_weighted(d2, n_candidates)
-        rows, cols = gram.near(candidates, d2)
+        total = float(d2.sum())
+        if not np.isfinite(total):
+            raise NumericError("k-means++ seeding: the total squared distance is not finite")
+        candidates = rng.choice_weighted(d2, total, n_candidates)
+        rows, cols = gram.near(candidates, t)
         sq = np.empty(len(rows))
         # n pairs at a time: never more differences than one full candidate
         for s in range(0, len(rows), n):
             sq[s:s + n] = _sq_dists(points[cols[s:s + n]], points[candidates[rows[s:s + n]]])
-        cand = np.tile(d2, (len(candidates), 1))
-        cand[rows, cols] = np.minimum(d2[cols], sq)
-        best = int(np.argmin(cand.sum(axis=1)))
+        # in place, so a step holds no more pair arrays than its differences
+        # need: sq becomes each pair's new D^2, gain how far it lowers D^2
+        gain = d2[cols]
+        np.minimum(gain, sq, out=sq)
+        gain -= sq
+        approx = total - np.bincount(rows, weights=gain, minlength=n_candidates)
+        slack = np.nextafter(8 * (n + len(rows) + 8) * u * total, np.inf)
+        tied = np.flatnonzero(approx <= approx.min() + slack)
+        best = int(tied[0])
+        if len(tied) > 1:
+            slot = np.full(n_candidates, -1)
+            slot[tied] = np.arange(len(tied))
+            pair = np.flatnonzero(slot[rows] >= 0)
+            exact = np.tile(d2, (len(tied), 1))
+            exact[slot[rows[pair]], cols[pair]] = sq[pair]
+            best = int(tied[np.argmin(exact.sum(axis=1))])
         chosen[j] = candidates[best]
-        d2 = cand[best]
+        mine = np.flatnonzero(rows == best)
+        lowered = mine[gain[mine] > 0]
+        d2[cols[lowered]] = sq[lowered]
+        t[cols[lowered]] = gram.threshold(sq[lowered])
     return chosen
 
 

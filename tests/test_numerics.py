@@ -530,8 +530,23 @@ class TestGramFloor:
         d2 = np.nextafter(q[at, np.arange(len(b))], np.inf)
         d2[r.generator.random(len(b)) < 0.2] = 0.0
         kept = np.zeros(q.shape, dtype=bool)
-        kept[gram.near(np.arange(len(a)), d2)] = True
+        kept[gram.near(np.arange(len(a)), gram.threshold(d2))] = True
         assert kept[q < d2].all()
+
+    @given(gram_case(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_threshold_is_elementwise(self, case, seed):
+        # seeding keeps t and rewrites it at a few columns: those must hold
+        # the bits a fresh threshold of the whole D^2 would
+        a, b, _ = case
+        gram = numerics.GramFloor(a, Reference(b))
+        r = Rng(seed)
+        d2 = np.abs(r.child(1).normal(len(b), dtype=np.float64)) * 10.0 ** r.integers(-30, 30)
+        d2[r.generator.random(len(b)) < 0.2] = 0.0
+        idx = r.generator.integers(0, len(b), size=r.integers(0, 2 * len(b)))
+        whole, part = gram.threshold(d2), gram.threshold(d2[idx])
+        assert whole.dtype == part.dtype == np.result_type(a.dtype, b.dtype, np.float32)
+        assert whole[idx].tobytes() == part.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keep_offsets_the_product_roundoff(self, dtype):
@@ -558,8 +573,20 @@ class TestGramFloor:
         a = np.full((3, 2), 1e154)
         gram = numerics.GramFloor(a, Reference(a[:2]))
         assert not gram.usable
-        rows, cols = gram.near(np.array([2, 0]), np.zeros(2))
+        rows, cols = gram.near(np.array([2, 0]), gram.threshold(np.zeros(2)))
         assert sorted(zip(rows, cols)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reference_operand_is_row_major(self, dtype, rng):
+        # seeding's few-row products are 1.5-3x slower against a
+        # column-major operand; the values are [-2b^T; 1; keep ||b||^2]
+        b = rng.child(1).normal((37, 5), dtype=dtype)
+        ref = Reference(b)
+        assert ref.operand.flags.c_contiguous and ref.operand.dtype == dtype
+        keep = 1.0 - numerics._gamma(4 * 5 + 16, float(np.finfo(dtype).eps) / 2)
+        want = np.concatenate([-2.0 * b.T, np.ones((1, 37), dtype),
+                               (keep * np.einsum("pc,pc->p", b, b))[None]])
+        assert ref.operand.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def zero_adam(params):

@@ -3,10 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from feddymem.client import MemoryBank
-from feddymem.errors import ShapeError
+from feddymem.errors import NumericError, ShapeError
 from feddymem.numerics import Rng, pairwise_dist
 from feddymem.orchestrator import BASELINES, run_training
 from feddymem.server import (
@@ -175,12 +175,34 @@ class TestKMeans:
     @given(st.integers(1, 80), st.integers(1, 4), st.integers(1, 24), st.integers(1, 30),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
+    # n >= 300 runs past numpy's 128-term pairwise-sum block: distinct rows,
+    # three rows (candidates repeat, so potentials tie exactly) and one row
+    # (D^2 all zero, every step a uniform draw and a full tie)
+    @example(n=300, c=4, k=24, distinct=300, seed=5)
+    @example(n=1000, c=3, k=24, distinct=1000, seed=6)
+    @example(n=400, c=3, k=24, distinct=3, seed=7)
+    @example(n=320, c=2, k=8, distinct=1, seed=8)
     def test_seeding_matches_per_candidate_loop(self, n, c, k, distinct, seed):
         # few distinct rows make candidates repeat and potentials tie
         k = min(k, n)
         r = Rng(seed)
         rows = r.child(1).normal((distinct, c))
         pts = rows[r.child(2).generator.integers(0, distinct, size=n)]
+        got = _plusplus_seeding(pts, k, Rng(seed).child("s"))
+        assert got.tolist() == reference_seeding(pts, k, Rng(seed).child("s"))
+
+    @pytest.mark.parametrize("seed,n,c,k,half", [
+        (157, 457, 2, 21, 22), (217, 317, 2, 12, 22), (244, 344, 1, 16, 9),
+    ])
+    def test_seeding_near_ties_go_to_exact_sums(self, seed, n, c, k, half):
+        # float64 rows mirrored about 0.3: mirrored candidates have equal
+        # potentials in exact arithmetic, so only their rounded numpy sums
+        # order them. Picking by the bincount estimate alone, or with no
+        # slack around its least value, chooses otherwise in these cases
+        r = Rng(seed)
+        x = r.child(1).normal((half, c), dtype=np.float64)
+        rows = np.concatenate([0.3 + x, 0.3 - x])
+        pts = rows[r.child(2).generator.integers(0, len(rows), size=n)]
         got = _plusplus_seeding(pts, k, Rng(seed).child("s"))
         assert got.tolist() == reference_seeding(pts, k, Rng(seed).child("s"))
 
@@ -257,6 +279,15 @@ class TestAggregate:
         banks = [MemoryBank(data=Rng(n).normal((4, 4, 3))) for n in range(5)]
         out = aggregate(banks, AggregationConfig(seed=1))
         assert out.data.shape == (4, 4, 3)
+
+    def test_overflowing_squared_distances_are_numeric_error(self):
+        # finite banks whose float32 squared distances overflow: the draw's
+        # total D^2 is inf, which numpy's uniform rejects with OverflowError
+        banks = [MemoryBank(data=Rng(i).normal((4, 4, 8)) * np.float32(1e19))
+                 for i in range(10)]
+        assert all(np.isfinite(b.data).all() for b in banks)
+        with pytest.raises(NumericError, match="not finite"):
+            aggregate(banks, AggregationConfig(seed=1))
 
     def test_shape_mismatch_rejected(self):
         banks = [MemoryBank(data=Rng(0).normal((2, 2, 2))),
