@@ -69,7 +69,7 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     (2n + m) u S to first order, u the float64 unit roundoff: every term of
     either sum is >= 0 and at most S, so any order of summing errs by at
     most gamma_{n-1} S, and the reductions add m terms. The slack
-    8 (n + m + 8) u S is twice the largest gap two such errors make, so a
+    8 (n + m + 8) u S is at least twice the gap two such errors make, so a
     candidate whose approx exceeds the least by more than the slack cannot
     have least potential. Only when two or more candidates are within it
     (repeated candidates, all-zero D^2) are their exact rows summed. A
@@ -92,8 +92,7 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
         # n pairs at a time: never more differences than one full candidate
         for s in range(0, len(rows), n):
             sq[s:s + n] = _sq_dists(points[cols[s:s + n]], points[candidates[rows[s:s + n]]])
-        # in place, so a step holds no more pair arrays than its differences
-        # need: sq becomes each pair's new D^2, gain how far it lowers D^2
+        # in place: sq becomes each pair's new D^2, gain how far that lowers D^2
         gain = d2[cols]
         np.minimum(gain, sq, out=sq)
         gain -= sq
@@ -102,11 +101,10 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
         tied = np.flatnonzero(approx <= approx.min() + slack)
         best = int(tied[0])
         if len(tied) > 1:
-            slot = np.full(n_candidates, -1)
-            slot[tied] = np.arange(len(tied))
-            pair = np.flatnonzero(slot[rows] >= 0)
             exact = np.tile(d2, (len(tied), 1))
-            exact[slot[rows[pair]], cols[pair]] = sq[pair]
+            for row, c in zip(exact, tied):
+                mine = rows == c
+                row[cols[mine]] = sq[mine]
             best = int(tied[np.argmin(exact.sum(axis=1))])
         chosen[j] = candidates[best]
         mine = np.flatnonzero(rows == best)

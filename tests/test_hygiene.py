@@ -183,10 +183,10 @@ print(status_mb("VmHWM") - resident)
 
 # Peak RSS, in MB, of aggregating ten random 28x28x128 banks (the paper's
 # 28x28 bank at 128 channels; K = 784 centers over 7840 points) above the
-# resident size once the banks are made. Measured at 30.63-30.64 MB in 3 runs
+# resident size once the banks are made. Measured at 31.06-31.10 MB in 3 runs
 # on a 2-core x86-64 Linux host (glibc 2.36, OpenBLAS SkylakeX kernels, one
 # BLAS thread), against 38.30-38.32 MB while every k-means SSE built three
-# or four full (P, C) float64 temporaries. The budget leaves 11%.
+# or four full (P, C) float64 temporaries. The budget leaves 9%.
 AGGREGATION_RSS_BUDGET_MB = 34.0
 
 

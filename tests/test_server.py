@@ -286,7 +286,7 @@ class TestAggregate:
         banks = [MemoryBank(data=Rng(i).normal((4, 4, 8)) * np.float32(1e19))
                  for i in range(10)]
         assert all(np.isfinite(b.data).all() for b in banks)
-        with pytest.raises(NumericError, match="not finite"):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="not finite"):
             aggregate(banks, AggregationConfig(seed=1))
 
     def test_shape_mismatch_rejected(self):
