@@ -151,6 +151,32 @@ def _ascending(scores: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     return order
 
 
+def stable_order(scores: np.ndarray) -> np.ndarray:
+    """`np.argsort(scores, kind="stable")` of 1-D scores without NaN, the
+    order `auroc` and `pro` take.
+
+    Float32 scores are ordered by one sort of unique int64 keys, formed in
+    the one buffer that becomes the order. The low 32 bits hold the index,
+    which breaks ties as a stable sort does. The high 32 bits hold an
+    order-preserving image of the score: its bits as an int32, with the low
+    31 bits flipped for negative scores, after -0.0 is folded onto +0.0 (by
+    adding +0.0) so that the two zeros tie as they compare. The sorted keys,
+    their high bits cleared, are the order. Other dtypes, and more than
+    2**32 scores, take the stable argsort itself.
+    """
+    n = len(scores)
+    if scores.dtype != np.float32 or n > 2**32:
+        return np.argsort(scores, kind="stable")
+    keys = np.arange(n, dtype=np.int64)
+    # the int32 halves of the keys that hold their high bits
+    high = keys.view(np.int32)[int(np.little_endian)::2]
+    np.add(scores, np.float32(0.0), out=high.view(np.float32))
+    np.bitwise_xor(high, 0x7FFFFFFF, out=high, where=high < 0)
+    keys.sort()
+    keys &= 0xFFFFFFFF
+    return keys
+
+
 def _average_ranks(values: np.ndarray, order: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged, from the stable ascending order."""
     ends = _tie_ends(values[order])
@@ -240,8 +266,9 @@ def pro(heatmaps: list[np.ndarray], regions: list[np.ndarray],
     false positives at each threshold are a running sum over the sorted
     pixels, and a region's hits are the number of its pixels sorted at or
     before the threshold. The descending order is the stable ascending one
-    reversed, which is `order` when given (the argsort `auroc` takes, of
-    the heatmaps' scores concatenated in list order). Ties then come in
+    reversed, which is `order` when given (the order `auroc` takes, of the
+    heatmaps' scores concatenated in list order, as `stable_order` forms
+    it). Ties then come in
     reverse index order, but only the counts at the end of each tie group
     are read, and those do not depend on the order within it. Only the last
     threshold of each run of equal FPR is evaluated, since the step

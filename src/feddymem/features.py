@@ -59,9 +59,7 @@ class ExtractorSpec:
     def fused_channels(self) -> int:
         if self.kind == "synthetic":
             return int(sum(self.level_channels))
-        pyramids = _manifest_index(self.manifest_path)
-        first = read_pyramid(next(iter(pyramids.values())))
-        return int(sum(lvl.shape[2] for lvl in first.levels))
+        return _manifest_channels(self.manifest_path)
 
 
 @dataclass
@@ -80,6 +78,12 @@ class FeaturePyramid:
             if prev is not None and (lvl.shape[0] > prev[0] or lvl.shape[1] > prev[1]):
                 raise ShapeError("pyramid spatial extents must be nonincreasing")
             prev = lvl.shape
+
+    @property
+    def fused_shape(self) -> tuple[int, int, int]:
+        """(H, W, C) of the fused map: level-0 dims, every level's channels."""
+        h0, w0 = self.levels[0].shape[:2]
+        return h0, w0, sum(lvl.shape[2] for lvl in self.levels)
 
 
 @functools.lru_cache(maxsize=32)
@@ -109,6 +113,13 @@ def _manifest_index(manifest_path: str) -> dict[str, str]:
     return {e.sample_id: str(base / e.path) for e in entries}
 
 
+@functools.lru_cache(maxsize=8)
+def _manifest_channels(manifest_path: str) -> int:
+    """Fused channels of the manifest's first pyramid, read once per path."""
+    first = next(iter(_manifest_index(manifest_path).values()))
+    return read_pyramid(first).fused_shape[2]
+
+
 def extract_pyramid(sample, spec: ExtractorSpec) -> FeaturePyramid:
     """Frozen multi-level features for one sample.
 
@@ -135,12 +146,28 @@ def extract_pyramid(sample, spec: ExtractorSpec) -> FeaturePyramid:
     return FeaturePyramid(levels=levels)
 
 
-def fuse_pyramid(p: FeaturePyramid) -> np.ndarray:
-    """Resize every level to level-0 dims and concatenate along channels."""
-    h0, w0 = p.levels[0].shape[:2]
-    parts = [lvl if lvl.shape[:2] == (h0, w0) else bilinear_resize(lvl, (h0, w0))
-             for lvl in p.levels]
-    return np.concatenate(parts, axis=2)
+def fuse_pyramid(p: FeaturePyramid, out: np.ndarray | None = None) -> np.ndarray:
+    """Resize every level to level-0 dims and concatenate along channels:
+    a `p.fused_shape` map in the levels' common dtype.
+
+    Each level is written straight into its channel slice of the result: a
+    level at level-0 dims is copied, and the others are lerped in place
+    (`bilinear_resize`) and copied, so no list of parts is concatenated.
+    With `out`, such as a row of a stack of fused maps, the result is
+    written there and `out` returned; each level is still resized in its
+    own dtype, and `out` receives it cast, as an assignment would.
+    """
+    shape = p.fused_shape
+    if out is None:
+        out = np.empty(shape, dtype=np.result_type(*p.levels))
+    elif out.shape != shape:
+        raise ShapeError(f"pyramid fuses to {shape}, not out's {out.shape}")
+    start = 0
+    for lvl in p.levels:
+        c = lvl.shape[2]
+        bilinear_resize(lvl, shape[:2], out=out[..., start:start + c])
+        start += c
+    return out
 
 
 # ---------------------------------------------------------------------------

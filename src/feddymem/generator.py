@@ -25,11 +25,21 @@ out_b (C,) of the output convolution, and grid (Hg, Wg, C).
 cache of intermediates that `generator_backward` reads is built only for
 training; inference (memory extraction and scoring) frees each intermediate
 once the next one is formed.
+
+Each forward pass sets the sampler's corners up once, as a `SamplingPlan`:
+the flat cell index y * Wg + x of every pixel's four corners, and its
+fractions. `grid_sample` gathers each corner's cells with one `take` on the
+grid's (Hg * Wg, C) view and sums the weighted corners in place, in the
+order of the plain four-term sum, so the bits are those of
+w00 g00 + w01 g01 + w10 g10 + w11 g11 formed array by array. The training
+cache keeps the plan, so `grid_sample_backward` neither sets the corners up
+again nor gathers cells by 2-D fancy indexing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,43 +98,88 @@ def normalize_coords(coords: np.ndarray, grid_hw: tuple[int, int]) -> np.ndarray
     return out
 
 
-def _corner_setup(grid: np.ndarray, coords: np.ndarray):
-    hg, wg, _ = grid.shape
+class SamplingPlan(NamedTuple):
+    """Where a bilinear sample of an (Hg, Wg, C) grid reads, for a
+    (B, H, W, 2) stack of normalized coordinates: `corners` (4, B, H, W)
+    holds the flat cell index y * Wg + x of each pixel's corners (y0, x0),
+    (y0, x1), (y1, x0) and (y1, x1), and `frac` (B, H, W, 2) the pixel's
+    fractions (fx, fy) past (x0, y0)."""
+
+    corners: np.ndarray
+    frac: np.ndarray
+
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """The bilinear weights of the four corners, in `corners` order."""
+        fx, fy = self.frac[..., 0], self.frac[..., 1]
+        return (1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx
+
+
+def sampling_plan(grid_hw: tuple[int, int], coords: np.ndarray) -> SamplingPlan:
+    """The `SamplingPlan` of a (B, H, W, 2) stack of normalized coordinates
+    on an (Hg, Wg) grid. Raises ShapeError for another shape, NumericError
+    for non-finite coordinates and ValueError for coordinates outside
+    [0, Wg-1] x [0, Hg-1]."""
+    hg, wg = grid_hw
+    if coords.ndim != 4 or coords.shape[3] != 2:
+        raise ShapeError(f"coords must be (B, H, W, 2), got {coords.shape}")
     px = coords[..., 0]
     py = coords[..., 1]
     if not np.isfinite(coords).all():
         raise NumericError("sample coordinates contain non-finite values")
     if px.min() < 0 or px.max() > wg - 1 or py.min() < 0 or py.max() > hg - 1:
         raise ValueError("sample coordinates outside grid index range")
-    x0 = np.floor(px).astype(np.int64)
-    y0 = np.floor(py).astype(np.int64)
-    fx = (px - x0).astype(coords.dtype)
-    fy = (py - y0).astype(coords.dtype)
+    lo = np.floor(coords).astype(np.int64)
+    # the integer corner converts to +0.0, so a -0.0 coordinate keeps its
+    # sign in the fraction; the difference is exact in the coords' dtype
+    frac = np.subtract(coords, lo, dtype=coords.dtype)
+    x0, y0 = lo[..., 0], lo[..., 1]
     # +1 exceeds the last index only at the exact upper boundary, where the
     # corresponding weight is exactly zero
     x1 = np.minimum(x0 + 1, wg - 1)
     y1 = np.minimum(y0 + 1, hg - 1)
-    return x0, x1, y0, y1, fx, fy
+    corners = np.empty((4,) + coords.shape[:3], dtype=np.int64)
+    for corner, row, col in zip(corners, (y0, y0, y1, y1), (x0, x1, x0, x1)):
+        np.multiply(row, wg, out=corner)
+        corner += col
+    return SamplingPlan(corners=corners, frac=frac)
 
 
-def grid_sample(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
+def _as_plan(grid: np.ndarray, coords: np.ndarray | SamplingPlan) -> SamplingPlan:
+    if grid.ndim != 3:
+        raise ShapeError(f"grid must be (Hg, Wg, C), got {grid.shape}")
+    if isinstance(coords, SamplingPlan):
+        return coords
+    return sampling_plan(grid.shape[:2], coords)
+
+
+def grid_sample(grid: np.ndarray, coords: np.ndarray | SamplingPlan) -> np.ndarray:
     """Four-corner bilinear sampling of the grid at a (B, H, W, 2) stack of
-    normalized coordinates."""
-    if grid.ndim != 3 or coords.ndim != 4 or coords.shape[3] != 2:
-        raise ShapeError("grid_sample expects grid (Hg, Wg, C) and coords (B, H, W, 2)")
-    x0, x1, y0, y1, fx, fy = _corner_setup(grid, coords)
-    w00 = ((1 - fy) * (1 - fx))[..., None]
-    w01 = ((1 - fy) * fx)[..., None]
-    w10 = (fy * (1 - fx))[..., None]
-    w11 = (fy * fx)[..., None]
-    return (w00 * grid[y0, x0] + w01 * grid[y0, x1]
-            + w10 * grid[y1, x0] + w11 * grid[y1, x1])
+    normalized coordinates, or at their `SamplingPlan`.
+
+    Each corner's cells are gathered with one `take` on the grid's
+    (Hg * Wg, C) view and weighted in place, and the four are summed in
+    place left to right: w00 g00 + w01 g01 + w10 g10 + w11 g11.
+    """
+    plan = _as_plan(grid, coords)
+    c = grid.shape[2]
+    dtype = np.result_type(grid, plan.frac)
+    cells = grid.reshape(-1, c).astype(dtype, copy=False)
+    out = np.empty((plan.corners[0].size, c), dtype=dtype)
+    part = np.empty_like(out)
+    # every index is in range, so `take` need not check or buffer
+    for k, (corner, weight) in enumerate(zip(plan.corners, plan.weights())):
+        dst = part if k else out
+        cells.take(corner.reshape(-1), axis=0, out=dst, mode="clip")
+        dst *= weight.reshape(-1, 1)
+        if k:
+            out += part
+    return out.reshape(plan.corners.shape[1:] + (c,))
 
 
-def grid_sample_backward(grid: np.ndarray, coords: np.ndarray,
+def grid_sample_backward(grid: np.ndarray, coords: np.ndarray | SamplingPlan,
                          grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of grid_sample w.r.t. the grid cells, summed over the stack,
-    and w.r.t. the coordinates.
+    and w.r.t. the coordinates, at the coordinates or their `SamplingPlan`.
 
     The four corner cells receive the bilinear weights times grad_out; the
     coordinate gradient uses the a.e. derivative (floor indices constant).
@@ -132,25 +187,26 @@ def grid_sample_backward(grid: np.ndarray, coords: np.ndarray,
     its contributions in the order one sample alone would, and the copies
     are then summed in sample order (`sum_samples`).
     """
-    x0, x1, y0, y1, fx, fy = _corner_setup(grid, coords)
-    g00, g01, g10, g11 = grid[y0, x0], grid[y0, x1], grid[y1, x0], grid[y1, x1]
-
-    n = coords.shape[0]
+    plan = _as_plan(grid, coords)
+    n = grad_out.shape[0]
     hg, wg, c = grid.shape
+    cells = grid.reshape(-1, c)
+    g00, g01, g10, g11 = (cells.take(corner, axis=0) for corner in plan.corners)
+
     grad_grid = np.zeros(n * grid.size, dtype=grid.dtype)
     copies = np.arange(n)[:, None, None] * (hg * wg)
     channels = np.arange(c)
-    for yi, xi, weight in ((y0, x0, (1 - fy) * (1 - fx)), (y0, x1, (1 - fy) * fx),
-                           (y1, x0, fy * (1 - fx)), (y1, x1, fy * fx)):
+    for corner, weight in zip(plan.corners, plan.weights()):
         # flat indices, in the order the (b, h, w, c) loop visits them, take
         # numpy's fast path for np.add.at
-        flat = ((copies + yi * wg + xi)[..., None] * c + channels).reshape(-1)
+        flat = ((copies + corner)[..., None] * c + channels).reshape(-1)
         np.add.at(grad_grid, flat, (weight[..., None] * grad_out).reshape(-1))
     grad_grid = grad_grid.reshape((n,) + grid.shape)
 
+    fx, fy = plan.frac[..., 0], plan.frac[..., 1]
     d_dfx = (1 - fy)[..., None] * (g01 - g00) + fy[..., None] * (g11 - g10)
     d_dfy = (1 - fx)[..., None] * (g10 - g00) + fx[..., None] * (g11 - g01)
-    grad_coords = np.empty_like(coords)
+    grad_coords = np.empty_like(plan.frac)
     grad_coords[..., 0] = (grad_out * d_dfx).sum(axis=3)
     grad_coords[..., 1] = (grad_out * d_dfy).sum(axis=3)
     return sum_samples(grad_grid), grad_coords
@@ -164,7 +220,7 @@ class GeneratorCache:
     p_hat: np.ndarray
     hidden: np.ndarray
     coords: np.ndarray
-    coords_norm: np.ndarray
+    plan: SamplingPlan
     out_cat: np.ndarray
 
 
@@ -199,10 +255,10 @@ def generator_forward(p: np.ndarray, params: dict[str, np.ndarray],
     coords = kept("coords", np.tanh(
         conv1x1_forward(hidden, params["phi2_w"], params["phi2_b"])))
     del hidden
-    coords_norm = kept("coords_norm", normalize_coords(coords, grid.shape[:2]))
+    plan = kept("plan", sampling_plan(grid.shape[:2], normalize_coords(coords, grid.shape[:2])))
     del coords
-    out_cat = kept("out_cat", np.concatenate([grid_sample(grid, coords_norm), p_hat], axis=3))
-    del coords_norm, p_hat
+    out_cat = kept("out_cat", np.concatenate([grid_sample(grid, plan), p_hat], axis=3))
+    del plan, p_hat
     m = conv1x1_forward(out_cat, params["out_w"], params["out_b"])
     return m, GeneratorCache(params=params, p=p, **saved) if train else None
 
@@ -221,7 +277,7 @@ def generator_backward(cache: GeneratorCache,
     grad_sampled = grad_cat[..., :c]
     grad_p_hat = grad_cat[..., c:].copy()
 
-    g_grid, grad_norm = grid_sample_backward(params["grid"], cache.coords_norm, grad_sampled)
+    g_grid, grad_norm = grid_sample_backward(params["grid"], cache.plan, grad_sampled)
 
     hg, wg = params["grid"].shape[:2]
     grad_coords = np.empty_like(grad_norm)

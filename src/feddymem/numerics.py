@@ -100,6 +100,7 @@ C libraries keep their own policy.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 from collections.abc import Iterable
@@ -276,8 +277,11 @@ def conv1x1_backward(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _resize_axis_coords(n_in: int, n_out: int, dtype):
-    """Source coordinates for align-corners bilinear resampling."""
+    """Source coordinates for align-corners bilinear resampling: the lower
+    and upper source index of each output index and the fraction between
+    them. Formed once per (n_in, n_out, dtype) and returned read-only."""
     if n_out == 1 or n_in == 1:
         src = np.zeros(n_out, dtype=dtype)
     else:
@@ -285,30 +289,53 @@ def _resize_axis_coords(n_in: int, n_out: int, dtype):
     lo = np.floor(src).astype(np.int64)
     hi = np.minimum(lo + 1, n_in - 1)
     frac = (src - lo).astype(dtype)
+    for a in (lo, hi, frac):
+        a.setflags(write=False)
     return lo, hi, frac
 
 
-def bilinear_resize(x: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Align-corners bilinear interpolation of an (H, W, C) map to target dims."""
+def bilinear_resize(x: np.ndarray, target: tuple[int, int],
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Align-corners bilinear interpolation of an (H, W, C) map to target
+    dims, in x's dtype; a map already at target dims is copied.
+
+    Each value is the lerp a + f*(b - a), which keeps constant inputs
+    exactly constant: every source row is lerped along x once, then each
+    output row between its two source rows, both in place in contiguous
+    buffers of x's dtype. With `out`, an (H0, W0, C) array that may be a
+    strided view such as a channel slice of a larger map, the result is
+    assigned to it (cast, if `out` has another dtype) and `out` returned;
+    one copy into a strided view costs less than lerping in it.
+    """
     if x.ndim != 3:
         raise ShapeError(f"resize input must be (H, W, C), got {x.shape}")
     h0, w0 = int(target[0]), int(target[1])
     if h0 < 1 or w0 < 1:
         raise ShapeError(f"target extents must be >= 1, got {target}")
-    h, w, _ = x.shape
+    h, w, c = x.shape
+    if out is not None and out.shape != (h0, w0, c):
+        raise ShapeError(f"out {out.shape} does not match the resized {(h0, w0, c)}")
     if (h0, w0) == (h, w):
-        return x.copy()
-    y0, y1, fy = _resize_axis_coords(h, h0, x.dtype)
-    x0, x1, fx = _resize_axis_coords(w, w0, x.dtype)
-    fy = fy[:, None, None]
-    fx = fx[None, :, None]
-    # lerp form a + f*(b - a) keeps constant inputs exactly constant. Every
-    # source row is lerped along x once, then output rows lerp between
-    # their two source rows
-    left = x[:, x0]
-    rows = left + fx * (x[:, x1] - left)
-    top = rows[y0]
-    return top + fy * (rows[y1] - top)
+        resized = x.copy() if out is None else x
+    else:
+        y0, y1, fy = _resize_axis_coords(h, h0, x.dtype)
+        x0, x1, fx = _resize_axis_coords(w, w0, x.dtype)
+        rows = x.take(x1, axis=1)
+        left = x.take(x0, axis=1)
+        rows -= left
+        rows *= fx[:, None]
+        rows += left
+        del left
+        top = rows.take(y0, axis=0)
+        resized = rows.take(y1, axis=0)
+        del rows
+        resized -= top
+        resized *= fy[:, None, None]
+        resized += top
+    if out is None:
+        return resized
+    out[...] = resized
+    return out
 
 
 # ---------------------------------------------------------------------------

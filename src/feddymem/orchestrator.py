@@ -144,18 +144,19 @@ class ConvergenceMonitor:
 
 def build_client_dataset(samples, spec: ExtractorSpec) -> np.ndarray:
     """Precompute frozen fused features for a list of labeled samples, each
-    written into its row of one (N, H, W, Cin) stack. Every sample must
-    fuse to the first sample's shape."""
+    fused straight into its row of one (N, H, W, Cin) stack. Every sample
+    must fuse to the first sample's shape."""
     fused = np.empty((0, 0, 0, 0), dtype=DTYPE)
     for i, s in enumerate(samples):
         source = s.features if spec.kind == "synthetic" else s.sample_id
-        row = fuse_pyramid(extract_pyramid(source, spec))
+        pyramid = extract_pyramid(source, spec)
         if i == 0:
-            fused = np.empty((len(samples),) + row.shape, dtype=row.dtype)
-        elif row.shape != fused.shape[1:]:
-            raise ShapeError(f"sample {s.sample_id!r} fuses to {row.shape}, "
+            fused = np.empty((len(samples),) + pyramid.fused_shape,
+                             dtype=np.result_type(*pyramid.levels))
+        elif pyramid.fused_shape != fused.shape[1:]:
+            raise ShapeError(f"sample {s.sample_id!r} fuses to {pyramid.fused_shape}, "
                              f"not the first sample's {fused.shape[1:]}")
-        fused[i] = row
+        fuse_pyramid(pyramid, out=fused[i])
     return fused
 
 

@@ -23,6 +23,7 @@ from .evaluation import (
     label_regions,
     postprocess_heatmap,
     pro,
+    stable_order,
     write_results_csv,
 )
 from .features import ManifestEntry, write_manifest
@@ -66,7 +67,9 @@ def evaluate_states(params: list[dict[str, np.ndarray]], banks: list[MemoryBank]
     one built: one block is held at a time, never two. The image labels,
     the pixel labels and the masks' regions are the test set's, the same for
     every client, so they are built once. Each client's pixel scores are
-    sorted once, for both its P-AUROC and its PRO.
+    sorted once, for both its P-AUROC and its PRO, by `stable_order`: one
+    sort of packed (score, index) keys, which gives the stable argsort's
+    order bit for bit.
     """
     scored: list[list[AnomalyMap]] = [[] for _ in params]
     step = cfg.loss.batch_size
@@ -85,7 +88,7 @@ def evaluate_states(params: list[dict[str, np.ndarray]], banks: list[MemoryBank]
         i_aurocs.append(auroc(np.array([a.image_score for a in client]), labels))
         maps = [a.pixel_scores for a in client]
         pixel_scores = np.concatenate([a.reshape(-1) for a in maps])
-        order = np.argsort(pixel_scores, kind="stable")
+        order = stable_order(pixel_scores)
         p_aurocs.append(auroc(pixel_scores, pixel_labels, order))
         pros.append(pro(maps, regions, order=order))
     return EvalMetrics(i_auroc_per_client=i_aurocs, p_auroc_per_client=p_aurocs,

@@ -165,7 +165,7 @@ def test_criterion_1_gradient_integrity():
             continue
         if np.abs(dist[:, -1] - dist[:, -2]).min() < 5e-3:
             continue
-        frac = gen_cache.coords_norm - np.floor(gen_cache.coords_norm)
+        frac = gen_cache.plan.frac  # each coordinate's fraction past its corner
         if min(frac.min(), (1.0 - frac).min()) < kink_margin:
             continue
 

@@ -16,6 +16,7 @@ from feddymem.evaluation import (
     label_regions,
     postprocess_heatmap,
     pro,
+    stable_order,
     synth_dataset,
 )
 from feddymem.numerics import Rng, bilinear_resize, knn, pairwise_dist
@@ -366,6 +367,41 @@ class TestLabelRegions:
 
     def test_empty_list(self):
         assert label_regions([]) == []
+
+
+# zeros of both signs, the extreme subnormals and normals of float32, and
+# infinities: the values whose bit patterns the packed keys must order
+EDGE_FLOAT32 = [0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, -1.1754942e-38, 1.1754944e-38,
+                -1.1754944e-38, 3.4028235e38, -3.4028235e38, np.inf, -np.inf, 1.0, -1.0]
+
+
+class TestStableOrder:
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_FLOAT32),
+                              st.floats(width=32, allow_nan=False)), max_size=300),
+           st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stable_argsort(self, values, copies):
+        # repeating the list makes ties among distant indices
+        scores = np.array(values * copies, dtype=np.float32)
+        got = stable_order(scores)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(scores, kind="stable"))
+
+    def test_zeros_of_both_signs_tie_in_index_order(self):
+        scores = np.array([0.0, -0.0, -1e-45, 0.0, -0.0, 1e-45], dtype=np.float32)
+        assert stable_order(scores).tolist() == [2, 0, 1, 3, 4, 5]
+
+    def test_a_pixel_stack_of_eval_heavy_size(self):
+        # 120 test maps of 16 x 16 pixels, as one client scores them, with
+        # many exact ties and negative scores
+        r = np.random.default_rng(3)
+        scores = np.round(r.standard_normal(30_720), 2).astype(np.float32)
+        scores[::7] = -0.0
+        assert np.array_equal(stable_order(scores), np.argsort(scores, kind="stable"))
+
+    def test_other_dtypes_take_the_stable_argsort(self):
+        scores = np.array([2.0, -0.0, 1.0, 0.0, 2.0])
+        assert stable_order(scores).tolist() == [1, 3, 2, 0, 4]
 
 
 class TestAuroc:

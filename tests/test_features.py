@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import f64, finite_diff_grad, max_rel_err, write_pyramid
+from conftest import f64, finite_diff_grad, max_rel_err, reference_fuse_pyramid, write_pyramid
+from feddymem import tensorio
 from feddymem.errors import ShapeError
 from feddymem.features import (
     ExtractorSpec,
@@ -102,6 +104,62 @@ class TestFuse:
     def test_output_dims_equal_level0(self, rng):
         levels = [rng.child(9).normal((6, 4, 3)), rng.child(8).normal((3, 2, 5))]
         assert fuse_pyramid(FeaturePyramid(levels=levels)).shape == (6, 4, 8)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9),
+           st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4)),
+                    max_size=3),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_reference(self, seed, h0, w0, sizes, dtype):
+        # levels shrink by any, mostly non-integer, ratio; a level may keep
+        # level-0 dims
+        r = np.random.default_rng(seed)
+        levels = [r.standard_normal((h0, w0, 2)).astype(dtype)]
+        for h, w, c in sizes:
+            prev = levels[-1].shape
+            levels.append(r.standard_normal((min(h, prev[0]), min(w, prev[1]), c)).astype(dtype))
+        p = FeaturePyramid(levels=levels)
+        want = reference_fuse_pyramid(p)
+        got = fuse_pyramid(p)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        stack = np.zeros((3,) + want.shape, dtype=dtype)
+        row = stack[1]
+        assert fuse_pyramid(p, out=row) is row and np.array_equal(row, want)
+        assert not stack[0].any() and not stack[2].any()
+
+    def test_mixed_dtypes_equal_the_reference(self, rng):
+        p = FeaturePyramid(levels=[rng.child(1).normal((7, 5, 2)).astype(np.float64),
+                                   rng.child(2).normal((3, 2, 3)).astype(np.float32)])
+        want = reference_fuse_pyramid(p)
+        got = fuse_pyramid(p)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        out = np.empty((7, 5, 5), dtype=np.float32)
+        fuse_pyramid(p, out=out)
+        assert np.array_equal(out, want.astype(np.float32))
+
+    def test_out_of_another_shape_rejected(self, rng):
+        p = FeaturePyramid(levels=[rng.normal((4, 4, 2)), rng.normal((2, 2, 3))])
+        with pytest.raises(ShapeError):
+            fuse_pyramid(p, out=np.empty((4, 4, 4), dtype=np.float32))
+
+
+class TestFusedChannels:
+    def test_file_kind_reads_one_pyramid_per_manifest(self, tmp_path, monkeypatch):
+        entries = []
+        for i in range(3):
+            write_pyramid(tmp_path / f"s{i}.fdmc", extract_pyramid(_sample(i), SPEC))
+            entries.append(ManifestEntry(sample_id=f"s{i}", path=f"s{i}.fdmc", label=0))
+        write_manifest(tmp_path / "manifest.json", entries)
+        reads = []
+        read = tensorio.read_container
+        monkeypatch.setattr(tensorio, "read_container",
+                            lambda path, *a, **k: reads.append(path) or read(path, *a, **k))
+        # one spec per client state, as initialization and every checkpoint
+        # load build them
+        specs = [ExtractorSpec(kind="file", manifest_path=str(tmp_path / "manifest.json"))
+                 for _ in range(4)]
+        assert [spec.fused_channels for spec in specs for _ in range(2)] == [28] * 8
+        assert len(reads) == 1
 
 
 class TestProject:

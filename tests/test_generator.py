@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import f64, finite_diff_grad, max_rel_err
+from conftest import (f64, finite_diff_grad, max_rel_err, reference_grid_sample,
+                      reference_grid_sample_backward)
 from feddymem.errors import ShapeError
 from feddymem.generator import (
     generator_backward,
@@ -11,6 +12,7 @@ from feddymem.generator import (
     grid_sample_backward,
     init_generator,
     normalize_coords,
+    sampling_plan,
 )
 from feddymem.numerics import Rng, conv1x1_forward
 
@@ -198,6 +200,59 @@ class TestGridSample:
 
         assert max_rel_err(g_grid, finite_diff_grad(loss_grid, grid, 1e-4)) < 1e-3
         assert max_rel_err(g_coords, finite_diff_grad(loss_coords, coords, 1e-4)) < 1e-3
+
+
+FLOATS = st.sampled_from([np.float32, np.float64])
+
+
+class TestSamplingPlan:
+    """The planned sampler against the parent's four 2-D fancy gathers
+    (`conftest.reference_grid_sample*`), bit for bit."""
+
+    @staticmethod
+    def case(seed, b, h, w, grid_hw, c, grid_dtype, coords_dtype, repeat):
+        r = np.random.default_rng(seed)
+        hg, wg = grid_hw
+        grid = r.standard_normal((hg, wg, c)).astype(grid_dtype)
+        # per coordinate: inside a cell, on a cell corner, at the exact upper
+        # boundary, or at zero
+        kind = r.integers(0, 4, (b, h, w, 2))
+        extent = np.array([wg - 1, hg - 1], dtype=np.float64)
+        u = r.uniform(0, 1, (b, h, w, 2)) * extent
+        coords = np.select([kind == 0, kind == 1, kind == 2], [u, np.floor(u), extent + 0 * u],
+                           0.0).astype(coords_dtype)
+        if repeat:  # every sample and every pixel of a row reads the same cells
+            coords[:] = coords[:1, :, :1]
+        grad_out = r.standard_normal((b, h, w, c)).astype(np.result_type(grid, coords))
+        return grid, coords, grad_out
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+           st.tuples(st.integers(2, 6), st.integers(2, 6)), st.integers(1, 5),
+           FLOATS, FLOATS, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_reference(self, seed, b, h, w, grid_hw, c, grid_dtype, coords_dtype,
+                                  repeat):
+        grid, coords, grad_out = self.case(seed, b, h, w, grid_hw, c, grid_dtype,
+                                           coords_dtype, repeat)
+        want = reference_grid_sample(grid, coords)
+        want_grid, want_coords = reference_grid_sample_backward(grid, coords, grad_out)
+        plan = sampling_plan(grid.shape[:2], coords)
+        for at in (coords, plan):
+            got = grid_sample(grid, at)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            got_grid, got_coords = grid_sample_backward(grid, at, grad_out)
+            assert got_grid.dtype == want_grid.dtype and np.array_equal(got_grid, want_grid)
+            assert got_coords.dtype == want_coords.dtype
+            assert np.array_equal(got_coords, want_coords)
+
+    def test_training_cache_keeps_the_forward_plan(self):
+        params = make_params(3, c=3, grid_hw=(4, 5), dtype=np.float32)
+        p = Rng(4).normal((3, 4, 4, 3))
+        _, cache = generator_forward(p, params)
+        norm = normalize_coords(cache.coords, (4, 5))
+        assert np.array_equal(cache.plan.corners, sampling_plan((4, 5), norm).corners)
+        assert np.array_equal(cache.plan.frac, norm - np.floor(norm))
+        assert np.array_equal(cache.out_cat[..., :3], reference_grid_sample(params["grid"], norm))
 
 
 # Frozen regression oracle: seeded params + seeded input, hash recorded at
