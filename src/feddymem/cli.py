@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, init, train, eval, audit, bench-comm. Every command
-takes --config (JSON document) and --out (artifact directory); --seed,
---threads and --baseline override the config. Failures print one
+takes --config (JSON document) and --out (artifact directory); --seed and
+--baseline override the config. init and train also take --threads, the
+number of concurrent client workers, at least 1. Failures print one
 machine-readable error JSON to stdout and exit with 2 (config), 3 (I/O) or
 4 (numeric failure). Verbosity is controlled by the FEDDYMEM_LOG env var.
 """
@@ -36,7 +37,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the run config JSON")
     parser.add_argument("--out", required=True, help="artifact output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--threads", type=int, default=1, help="max concurrent client workers")
     parser.add_argument("--baseline", default=None, choices=BASELINES,
                         help="override the configured baseline")
 
@@ -55,6 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
+        if name in ("init", "train"):
+            p.add_argument("--threads", type=int, default=1,
+                           help="max concurrent client workers (>= 1)")
         if name == "train":
             p.add_argument("--resume", action="store_true",
                            help="continue from the latest checkpoint in --out")
@@ -82,6 +85,8 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    if getattr(args, "threads", 1) < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}", key="threads")
     cfg = load_run_config(args.config, seed_override=args.seed,
                           baseline_override=args.baseline)
     out_dir = Path(args.out)

@@ -138,6 +138,12 @@ def metric_loss(m: np.ndarray, bank: MemoryBank,
     formed for the whole stack. The bank and the neighbor selection are
     treated as constants: gradient flows only through the distances back to
     the memory feature.
+
+    The gradient is formed one neighbour rank at a time in (P, C) buffers,
+    P = B * H * W: each rank's unit vectors (patch - neighbour) / dist,
+    zero where the hinge is off or the distance is 0, are added to +0.0 in
+    rank order, which gives the floats of summing a (P, K, C) array of them
+    over K (a -0.0 term included), with no such array formed.
     """
     b, h, w, c = m.shape
     if c != bank.data.shape[2]:
@@ -152,12 +158,19 @@ def metric_loss(m: np.ndarray, bank: MemoryBank,
     hinge = np.where(active, dist - margin, 0.0).reshape(b, -1)
     losses = (hinge.sum(axis=1) / denom).tolist()
 
-    neighbors = bank.patches[idx]                       # (P, K, C)
-    diff = patches[:, None, :] - neighbors
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where((active & (dist > 0))[..., None], diff / dist[..., None], 0.0)
-    grad_patches = unit.sum(axis=1) / denom
-    return losses, grad_patches.reshape(m.shape).astype(m.dtype)
+    live = active & (dist > 0)
+    grad = np.zeros(patches.shape, np.result_type(patches, bank.patches))
+    diff = np.empty_like(grad)
+    unit = np.empty_like(grad)
+    # an overflowing difference over an infinite distance is NaN, as before
+    with np.errstate(invalid="ignore"):
+        for j in range(cfg.knn_k):
+            np.subtract(patches, bank.patches.take(idx[:, j], axis=0), out=diff)
+            unit.fill(0.0)
+            np.divide(diff, dist[:, j, None], out=unit, where=live[:, j, None])
+            grad += unit
+    grad /= denom
+    return losses, grad.reshape(m.shape).astype(m.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

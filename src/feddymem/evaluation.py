@@ -57,10 +57,14 @@ class AnomalyMap:
 
 
 def image_score(a: np.ndarray) -> float:
-    """Softmax-weighted maximum of the pixel score map (stable form)."""
+    """Softmax-weighted maximum of the pixel score map (stable form), the
+    weights formed in one float64 buffer."""
     flat = a.reshape(-1).astype(np.float64)
-    e = np.exp(flat - flat.max())
-    return float((flat * (e / e.sum())).max())
+    e = np.subtract(flat, flat.max())
+    np.exp(e, out=e)
+    e /= e.sum()
+    e *= flat
+    return float(e.max())
 
 
 def anomaly_map(m_test: np.ndarray, bank: MemoryBank) -> AnomalyMap:

@@ -182,10 +182,11 @@ def init_projection(rng: Rng, cin: int, c: int) -> dict[str, np.ndarray]:
 
 
 def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
+    """sigma(pre), formed in place: the pre-activation is not read again."""
     if activation == "relu":
-        return np.maximum(pre, 0)
+        return np.maximum(pre, 0, out=pre)
     if activation == "tanh":
-        return np.tanh(pre)
+        return np.tanh(pre, out=pre)
     raise ValueError(f"unknown activation {activation!r}")
 
 

@@ -38,6 +38,7 @@ again nor gathers cells by 2-D fancy indexing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,10 +79,22 @@ def coordinate_channels(h: int, w: int, dtype=DTYPE) -> tuple[np.ndarray, np.nda
     return x_chan, y_chan
 
 
+@functools.lru_cache(maxsize=16)
+def _coordinate_block(h: int, w: int, dtype) -> np.ndarray:
+    """The (H, W, 2) X and Y channels, formed once per (h, w, dtype) and
+    returned read-only."""
+    xy = np.stack(coordinate_channels(h, w, dtype), axis=2)
+    xy.setflags(write=False)
+    return xy
+
+
 def _with_coords(p: np.ndarray) -> np.ndarray:
-    b, h, w, _ = p.shape
-    xy = np.stack(coordinate_channels(h, w, p.dtype), axis=2)
-    return np.concatenate([p, np.broadcast_to(xy, (b, h, w, 2))], axis=3)
+    """concat(p, X, Y) along channels, written into one new array."""
+    b, h, w, c = p.shape
+    out = np.empty((b, h, w, c + 2), p.dtype)
+    out[..., :c] = p
+    out[..., c:] = _coordinate_block(h, w, p.dtype)
+    return out
 
 
 def normalize_coords(coords: np.ndarray, grid_hw: tuple[int, int]) -> np.ndarray:
@@ -203,12 +216,20 @@ def grid_sample_backward(grid: np.ndarray, coords: np.ndarray | SamplingPlan,
         np.add.at(grad_grid, flat, (weight[..., None] * grad_out).reshape(-1))
     grad_grid = grad_grid.reshape((n,) + grid.shape)
 
-    fx, fy = plan.frac[..., 0], plan.frac[..., 1]
-    d_dfx = (1 - fy)[..., None] * (g01 - g00) + fy[..., None] * (g11 - g10)
-    d_dfy = (1 - fx)[..., None] * (g10 - g00) + fx[..., None] * (g11 - g01)
+    # d/dfx = (1 - fy)(g01 - g00) + fy (g11 - g10) and
+    # d/dfy = (1 - fx)(g10 - g00) + fx (g11 - g01), each formed in place in
+    # the dtype the whole-array expression has, then times grad_out
+    fx, fy = plan.frac[..., 0, None], plan.frac[..., 1, None]
+    part = np.empty(g00.shape, np.result_type(plan.frac, grid))
+    other = np.empty_like(part)
+    prod = np.empty(g00.shape, np.result_type(grad_out, part))
     grad_coords = np.empty_like(plan.frac)
-    grad_coords[..., 0] = (grad_out * d_dfx).sum(axis=3)
-    grad_coords[..., 1] = (grad_out * d_dfy).sum(axis=3)
+    for axis, (f, lo, hi, lo2, hi2) in enumerate(((fy, g00, g01, g10, g11),
+                                                  (fx, g00, g10, g01, g11))):
+        np.multiply(np.subtract(hi, lo, out=part), 1 - f, out=part)
+        np.multiply(np.subtract(hi2, lo2, out=other), f, out=other)
+        part += other
+        grad_coords[..., axis] = np.multiply(grad_out, part, out=prod).sum(axis=3)
     return sum_samples(grad_grid), grad_coords
 
 
@@ -249,11 +270,12 @@ def generator_forward(p: np.ndarray, params: dict[str, np.ndarray],
     coord_cat = kept("coord_cat", _with_coords(p))
     p_hat = kept("p_hat", conv1x1_forward(coord_cat, params["coord_w"], params["coord_b"]))
     del coord_cat
-    hidden = kept("hidden", np.maximum(
-        conv1x1_forward(p_hat, params["phi1_w"], params["phi1_b"]), 0))
+    # both activations work in place: the pre-activations are not read again
+    hidden = conv1x1_forward(p_hat, params["phi1_w"], params["phi1_b"])
+    hidden = kept("hidden", np.maximum(hidden, 0, out=hidden))
     # tanh bounds the coordinates, so the grid lookup never leaves the grid
-    coords = kept("coords", np.tanh(
-        conv1x1_forward(hidden, params["phi2_w"], params["phi2_b"])))
+    coords = conv1x1_forward(hidden, params["phi2_w"], params["phi2_b"])
+    coords = kept("coords", np.tanh(coords, out=coords))
     del hidden
     plan = kept("plan", sampling_plan(grid.shape[:2], normalize_coords(coords, grid.shape[:2])))
     del coords

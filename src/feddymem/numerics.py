@@ -81,6 +81,20 @@ A knn call works in blocks of max(1, KNN_BOUNDS // Q) query rows, so it
 holds at most max(KNN_BOUNDS, Q) bounds and max(KNN_BOUNDS, Q) * C
 explicit differences at a time.
 
+The metric loss and scoring make one call per sample, each of a few
+hundred rows, so a call's fixed work is kept small (ROADMAP item 10 has the
+measurements). The filter's constants (keep, the floor's scale and
+absolute term, the threshold's widening, the usability limits) are formed
+once per (query dtype, reference dtype, C) and cached. The query side
+[a, keep ||a||^2, 1] is written into one (P, C+2) buffer. The query's
+finiteness is read from its squared norms, which are not finite exactly
+when a row is not or when a finite row's norm overflows; only then are its
+rows scanned, so a bad query raises the same NumericError, before the
+reference is checked. The seed bound U, the floors and the certification
+test are formed in place, and the rows needing a near-tie pass are listed
+only when some row is not certified. A call of one block returns that
+block's arrays.
+
 Allocation policy. On glibc, importing this module fixes malloc's mmap
 threshold at 32 MiB and its trim threshold at 64 MiB (`mallopt`), so
 freed blocks below 32 MiB stay mapped and the next call reuses their
@@ -105,6 +119,7 @@ import hashlib
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 # imported eagerly: numpy loads numpy.random lazily, on first use, which
@@ -380,12 +395,41 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u)
 
 
-def _keep_sq(x: np.ndarray, work: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """x in the working precision, and keep ||x||^2 per row in it (module
-    docstring)."""
-    xw = x.astype(work, copy=False)
-    keep = 1.0 - _gamma(4 * x.shape[1] + 16, float(np.finfo(work).eps) / 2)
-    return xw, keep * np.einsum("pc,pc->p", xw, xw)
+class _Constants(NamedTuple):
+    """The filter's constants for one (query dtype, reference dtype, C)
+    (module docstring): the working precision, keep, the floor's scale and
+    absolute term, the threshold's widening, whether (4C + 16) u_w < 1/2,
+    and the ceiling the two largest squared norms must sum to under."""
+
+    work: np.dtype
+    keep: float
+    scale: float
+    absolute: float
+    widen: float
+    usable: bool
+    norm_limit: float
+
+
+@functools.lru_cache(maxsize=64)
+def _constants(a_dtype: np.dtype, b_dtype: np.dtype, c: int) -> _Constants:
+    """The `_Constants` of a query of dtype a_dtype against reference rows
+    of dtype b_dtype, C channels; formed once per key."""
+    work = np.result_type(a_dtype, b_dtype, np.float32)
+    w = np.finfo(work)
+    # explicit differences run in a - b's dtype; float16 in the
+    # promotion gives integer inputs a float's roundoff
+    info = np.finfo(np.result_type(a_dtype, b_dtype, np.float16))
+    eta = max(float(info.smallest_subnormal), float(w.tiny))
+    return _Constants(
+        work=work,
+        keep=1.0 - _gamma(4 * c + 16, float(w.eps) / 2),
+        scale=1.0 - _gamma(2 * c + 16, float(info.eps) / 2),
+        absolute=(5 * c + 16) * eta,
+        # exact in float64: 1 + 2^-49 + 4 u_w
+        widen=1.0 + 8.0 * float(np.finfo(np.float64).eps) + 2.0 * float(w.eps),
+        # False when keep cannot offset the product's roundoff
+        usable=(4 * c + 16) * float(w.eps) / 2 < 0.5,
+        norm_limit=1e-8 * float(w.max))
 
 
 class Reference:
@@ -400,9 +444,11 @@ class Reference:
         if b.ndim != 2:
             raise ShapeError("expected 2-D patch matrices")
         self.patches = b
-        self.dtype = np.result_type(b.dtype, np.float32)
+        const = _constants(b.dtype, b.dtype, b.shape[1])
+        self.dtype = const.work
         self.finite = bool(np.isfinite(b).all())
-        bw, keep_sq = _keep_sq(b, self.dtype)
+        bw = b.astype(self.dtype, copy=False)
+        keep_sq = const.keep * np.einsum("pc,pc->p", bw, bw)
         self.sq_max = float(keep_sq.max(initial=0.0))
         # row-major, written in place (module docstring)
         self.operand = np.empty((b.shape[1] + 2, len(b)), self.dtype)
@@ -416,7 +462,8 @@ class GramFloor:
     the rows of a and a `Reference`, from one augmented Gram product in the
     working precision of both (module docstring). A reference built in a
     narrower precision than a's, say float32 rows against float64 queries,
-    is rebuilt in the wider one."""
+    is rebuilt in the wider one. `sq_max` is the largest keep ||a||^2, not
+    finite exactly when some row of a has a norm that is not."""
 
     def __init__(self, a: np.ndarray, ref: Reference):
         _check_patches(a, ref.patches)
@@ -424,23 +471,20 @@ class GramFloor:
         if work != ref.dtype:
             ref = Reference(ref.patches.astype(work))
         c = a.shape[1]
-        w = np.finfo(work)
-        # explicit differences run in a - b's dtype; float16 in the
-        # promotion gives integer inputs a float's roundoff
-        info = np.finfo(np.result_type(a.dtype, ref.patches.dtype, np.float16))
-        eta = max(float(info.smallest_subnormal), float(w.tiny))
-        self._scale = 1.0 - _gamma(2 * c + 16, float(info.eps) / 2)
-        self._absolute = (5 * c + 16) * eta
-        # exact in float64: 1 + 2^-49 + 4 u_w
-        self._widen = 1.0 + 8.0 * float(np.finfo(np.float64).eps) + 2.0 * float(w.eps)
-        aw, keep_sq = _keep_sq(a, work)
-        # False when keep cannot offset the product's roundoff, or the Gram
-        # form could overflow
-        self.usable = ((4 * c + 16) * float(w.eps) / 2 < 0.5
-                       and float(keep_sq.max(initial=0.0)) + ref.sq_max < 1e-8 * float(w.max))
+        const = _constants(a.dtype, ref.patches.dtype, c)
+        self._scale = const.scale
+        self._absolute = const.absolute
+        self._widen = const.widen
         # (P, C+2) operand whose product with the reference's is
         # -2ab + keep ||a||^2 + keep ||b||^2
-        self._a = np.concatenate([aw, keep_sq[:, None], np.ones((len(a), 1), work)], axis=1)
+        self._a = np.empty((len(a), c + 2), work)
+        aw = a.astype(work, copy=False)
+        keep_sq = np.multiply(np.einsum("pc,pc->p", aw, aw), const.keep, out=self._a[:, c])
+        self._a[:, :c] = aw
+        self._a[:, c + 1] = 1.0
+        self.sq_max = float(keep_sq.max(initial=0.0))
+        # False also when the Gram form could overflow
+        self.usable = const.usable and self.sq_max + ref.sq_max < const.norm_limit
         self._b = ref.operand
 
     def lower(self, rows) -> np.ndarray:
@@ -450,8 +494,11 @@ class GramFloor:
 
     def floor(self, lb: np.ndarray) -> np.ndarray:
         """Floors, monotone in lb, of q (1 - u)^2 for the computed q, in
-        float64."""
-        return (lb.astype(np.float64, copy=False) - self._absolute) * self._scale
+        float64, formed in one new array."""
+        out = lb.astype(np.float64)
+        out -= self._absolute
+        out *= self._scale
+        return out
 
     def threshold(self, d2: np.ndarray) -> np.ndarray:
         """The thresholds t, in the working precision, that `near` compares
@@ -483,7 +530,10 @@ def _k_nearest(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.
     if d.shape[1] == 1:  # k = 1 on a single column: no order to find
         return cols, d
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(d, order, axis=1)
+    # one flat index serves both gathers; take_along_axis builds an index
+    # per call, which costs more than the gather on a few hundred short rows
+    flat = order + np.arange(0, d.size, d.shape[1])[:, None]
+    return cols.take(flat), d.take(flat)
 
 
 def _knn_explicit(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -499,12 +549,17 @@ def _least_bound_columns(lb: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     better than min: 19 against 50 us on a 400 x 400 float32 block, numpy
     2.4 on the AVX-512 host the blocks were measured on.)"""
     r = np.arange(lb.shape[0])
-    cols = np.empty((lb.shape[0], k), dtype=np.intp)
-    for j in range(k):
-        cols[:, j] = lb.argmin(axis=1)
-        lb[r, cols[:, j]] = np.inf
-    rest = lb[r, lb.argmin(axis=1)]
-    return (cols if k == 1 else np.sort(cols, axis=1)), rest
+    if k == 1:
+        col = lb.argmin(axis=1)
+        lb[r, col] = np.inf
+        cols = col[:, None]
+    else:
+        cols = np.empty((lb.shape[0], k), dtype=np.intp)
+        for j in range(k):
+            cols[:, j] = lb.argmin(axis=1)
+            lb[r, cols[:, j]] = np.inf
+        cols.sort(axis=1)
+    return cols, lb[r, lb.argmin(axis=1)]
 
 
 def _knn_near_ties(rows: np.ndarray, b: np.ndarray, candidates: np.ndarray,
@@ -543,14 +598,18 @@ def knn(a: np.ndarray, ref: Reference, k: int) -> tuple[np.ndarray, np.ndarray]:
     q = b.shape[0]
     if not 1 <= k <= q:
         raise ValueError(f"k={k} must be in [1, {q}]")
-    require_finite(a, "query patches")
+    gram = GramFloor(a, ref)
+    # a row with a non-finite entry has a norm that is not finite, so only
+    # then is the row scan needed (a finite row's norm that overflows makes
+    # the Gram form unusable instead)
+    if not np.isfinite(gram.sq_max):
+        require_finite(a, "query patches")
     if not ref.finite:
         raise NumericError("reference patches contains non-finite values")
     if a.shape[0] == 0:
         return _knn_explicit(a, b, k)
-    gram = GramFloor(a, ref)
     step = max(1, KNN_BOUNDS // q)
-    idx_parts, dist_parts = [], []
+    parts = []
     for s in range(0, a.shape[0], step):
         rows = a[s:s + step]
         if k == q or not gram.usable:
@@ -559,17 +618,20 @@ def knn(a: np.ndarray, ref: Reference, k: int) -> tuple[np.ndarray, np.ndarray]:
             lb = gram.lower(slice(s, s + step))
             seeds, rest = _least_bound_columns(lb, k)
             idx, dist = _k_nearest(pairwise_dist(rows, b, seeds), seeds, k)
-            bound = np.nextafter(dist[:, -1].astype(np.float64) ** 2, np.inf)
+            bound = dist[:, -1].astype(np.float64)
+            np.nextafter(np.square(bound, out=bound), np.inf, out=bound)
             # floor is monotone in lb, so the least bound left outside the
             # seeds certifies every other column at once
-            ties = np.flatnonzero(~(gram.floor(rest) > bound))
-            if ties.size:
+            certified = gram.floor(rest) > bound
+            if not certified.all():
+                ties = np.flatnonzero(~certified)
                 candidates = gram.floor(lb[ties]) <= bound[ties, None]
                 np.put_along_axis(candidates, seeds[ties], True, axis=1)
                 idx[ties], dist[ties] = _knn_near_ties(rows[ties], b, candidates, k)
-        idx_parts.append(idx)
-        dist_parts.append(dist)
-    return np.concatenate(idx_parts), np.concatenate(dist_parts)
+        parts.append((idx, dist))
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([i for i, _ in parts]), np.concatenate([d for _, d in parts])
 
 
 # ---------------------------------------------------------------------------

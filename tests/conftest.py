@@ -5,7 +5,7 @@ import pytest
 
 from feddymem import tensorio
 from feddymem.errors import NumericError
-from feddymem.client import MemoryBank
+from feddymem.client import LossConfig, MemoryBank, knn_lookup
 from feddymem.features import FeaturePyramid
 from feddymem.numerics import Rng, sum_samples
 
@@ -77,6 +77,27 @@ def reference_memory_reduce(memories: np.ndarray, prev_bank: MemoryBank | None,
         alpha = 1.0 / (t + 1)
         mean = alpha * mean + (1.0 - alpha) * prev_bank.data.astype(np.float64)
     return mean.astype(np.float32)
+
+
+def reference_metric_loss(m: np.ndarray, bank: MemoryBank,
+                          cfg: LossConfig) -> tuple[list[float], np.ndarray]:
+    """metric_loss as whole-array (P, K, C) arithmetic, before it formed the
+    gradient one neighbour rank at a time: the neighbours, their differences
+    and the unit vectors each a full (P, K, C) array, summed over K. The
+    floats the per-rank version must reproduce, bit for bit."""
+    b, h, w, c = m.shape
+    lookups = [knn_lookup(sample.reshape(h * w, c), bank, cfg.knn_k) for sample in m]
+    idx = np.concatenate([i for i, _ in lookups])
+    dist = np.concatenate([d for _, d in lookups])
+    margin = cfg.hinge_margin
+    active = dist > margin
+    denom = float(h * w * cfg.knn_k)
+    hinge = np.where(active, dist - margin, 0.0).reshape(b, -1)
+    losses = (hinge.sum(axis=1) / denom).tolist()
+    diff = m.reshape(-1, c)[:, None, :] - bank.patches[idx]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where((active & (dist > 0))[..., None], diff / dist[..., None], 0.0)
+    return losses, (unit.sum(axis=1) / denom).reshape(m.shape).astype(m.dtype)
 
 
 def _reference_corners(grid: np.ndarray, coords: np.ndarray):

@@ -482,6 +482,27 @@ class TestCliErrors:
         assert err["key"] == "loss.activation"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["init", "train"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2_before_any_run_file(self, tmp_path, capsys,
+                                                          command, threads):
+        cfg_path = write_config(tmp_path, desk_doc(rounds=1))
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg_path, "--out", str(out), "--threads", threads])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "config" and err["key"] == "threads"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "eval", "audit", "bench-comm"])
+    def test_threads_is_refused_where_it_means_nothing(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, desk_doc())
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_path, "--out", str(tmp_path / "o"),
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import f64, finite_diff_grad, max_rel_err, reference_memory_reduce
+from conftest import (f64, finite_diff_grad, max_rel_err, reference_memory_reduce,
+                      reference_metric_loss)
 from feddymem.client import (
     ClientModelState,
     LossConfig,
@@ -90,7 +91,46 @@ class TestKnn:
         assert np.array_equal(bank.reference.operand, operand)
 
 
+@st.composite
+def metric_loss_case(draw):
+    """A (B, H, W, C) stack, a bank and a loss config. Entries are either
+    normal draws or drawn from {-1, -0, 0, 1}, where distances tie and
+    zero differences of either sign are common; some patches are copies of
+    bank rows (distance 0), and the largest margin switches every term
+    off."""
+    r = Rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 5))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)), c)
+    bank_hw = (draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    m_dtype, bank_dtype = (draw(st.sampled_from([np.float32, np.float64])) for _ in range(2))
+    if draw(st.booleans()):
+        values = np.array([-1.0, -0.0, 0.0, 1.0])
+        m = values[r.child(1).generator.integers(0, 4, shape)]
+        data = values[r.child(2).generator.integers(0, 4, bank_hw + (c,))]
+    else:
+        m = r.child(1).normal(shape, dtype=np.float64)
+        data = r.child(2).normal(bank_hw + (c,), dtype=np.float64)
+    bank = MemoryBank(data=data.astype(bank_dtype))
+    flat = m.reshape(-1, c)
+    on_bank = r.child(3).generator.random(len(flat)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    flat[on_bank] = bank.patches[r.child(4).generator.integers(0, bank.size, on_bank.sum())]
+    margin = draw(st.sampled_from([0.0, 0.01, 0.5, 1e9]))
+    cfg = LossConfig(hinge_margin=margin, knn_k=min(k, bank.size))
+    return m.astype(m_dtype), bank, cfg
+
+
 class TestMetricLoss:
+    @given(metric_loss_case())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_reference(self, case):
+        m, bank, cfg = case
+        losses, grad = metric_loss(m, bank, cfg)
+        want_losses, want_grad = reference_metric_loss(m, bank, cfg)
+        assert losses == want_losses
+        assert grad.dtype == want_grad.dtype == m.dtype
+        assert grad.tobytes() == want_grad.tobytes()
+
     def test_zero_when_patches_coincide(self, rng):
         bank = make_bank(rng)
         m = bank.data[None].copy()

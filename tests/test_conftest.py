@@ -5,8 +5,8 @@ import pytest
 
 from conftest import (f64, finite_diff_grad, max_rel_err, reference_fuse_pyramid,
                       reference_grid_sample, reference_grid_sample_backward,
-                      reference_memory_reduce)
-from feddymem.client import MemoryBank
+                      reference_memory_reduce, reference_metric_loss)
+from feddymem.client import LossConfig, MemoryBank
 from feddymem.errors import NumericError
 from feddymem.features import FeaturePyramid
 
@@ -36,6 +36,24 @@ class TestReferenceMemoryReduce:
     def test_round0_is_mean(self):
         mems = np.array([1.0, 2.0, 6.0]).reshape(3, 1, 1, 1)
         assert reference_memory_reduce(mems, None, 0).item() == 3.0
+
+
+class TestReferenceMetricLoss:
+    def test_hand_evaluated_pair_of_neighbours(self):
+        # the patch at x = 2 has neighbours 1 and 0 at distances 1 and 2:
+        # hinge (1 - 0.5) + (2 - 0.5) over 2, and unit vectors +1 and +1
+        bank = MemoryBank(data=np.array([[[0.0], [1.0], [5.0]]], dtype=np.float32))
+        m = np.full((1, 1, 1, 1), 2.0, dtype=np.float32)
+        (loss,), grad = reference_metric_loss(m, bank, LossConfig(hinge_margin=0.5, knn_k=2))
+        assert loss == 1.0
+        assert grad.dtype == np.float32 and grad.item() == 1.0
+
+    def test_a_patch_on_a_bank_row_adds_nothing(self):
+        bank = MemoryBank(data=np.array([[[0.0, 0.0], [3.0, 4.0]]]))
+        m = np.zeros((1, 1, 1, 2))
+        (loss,), grad = reference_metric_loss(m, bank, LossConfig(hinge_margin=0.0, knn_k=2))
+        assert loss == 2.5
+        assert grad.reshape(-1).tolist() == [-0.3, -0.4]
 
 
 class TestReferenceSampling:

@@ -465,6 +465,32 @@ class TestKnnKernel:
         with pytest.raises(NumericError):
             knn(a, Reference(b), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_query_named_before_the_reference(self, bad, dtype):
+        # the query's finiteness is read from its squared norms; a bad
+        # query must still be reported first, as the row scan reported it
+        a = np.zeros((3, 2), dtype=dtype)
+        b = np.ones((20, 2), dtype=np.float32)
+        a[2, 1] = bad
+        b[4, 0] = np.nan
+        with pytest.raises(NumericError, match="query patches"):
+            knn(a, Reference(b), 1)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_finite_query_with_overflowing_norms_sorts_explicit_rows(self, k, rng,
+                                                                     monkeypatch):
+        # 3e19 is a finite float32 whose square is not: the norms are inf,
+        # so the query is scanned, found finite, and the Gram form unusable
+        a = rng.child(1).normal((5, 4))
+        a[1, 2] = 3e19
+        b = rng.child(2).normal((12, 4))
+        blocks = record_lower(monkeypatch)
+        with np.errstate(over="ignore"):
+            assert not numerics.GramFloor(a, Reference(b)).usable
+            assert_same_as_oracle(a, b, k)
+        assert blocks == []
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             knn(np.zeros((1, 2)), Reference(np.zeros((3, 2))), 4)
@@ -568,6 +594,35 @@ class TestGramFloor:
             for c, usable in [(last, True), (last + 1, False)]:
                 a = np.zeros((1, c), dtype=dtype)
                 assert numerics.GramFloor(a, Reference(a)).usable == usable
+
+    @pytest.mark.parametrize("c", [1, 16, 300])
+    @pytest.mark.parametrize("ref_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_cached_constants_give_the_floats_of_fresh_ones(self, dtype, ref_dtype, c):
+        # the floor's and threshold's constants are formed once per
+        # (query dtype, reference dtype, C); here they are formed afresh
+        # from the module docstring's definitions
+        r = Rng(c)
+        a = r.child(1).normal((4, c)).astype(dtype)
+        b = r.child(2).normal((7, c)).astype(ref_dtype)
+        work = np.result_type(a.dtype, b.dtype, np.float32)
+        w = np.finfo(work)
+        info = np.finfo(np.result_type(a.dtype, b.dtype, np.float16))
+        eta = max(float(info.smallest_subnormal), float(w.tiny))
+        scale = 1.0 - numerics._gamma(2 * c + 16, float(info.eps) / 2)
+        absolute = (5 * c + 16) * eta
+        widen = 1.0 + 8.0 * float(np.finfo(np.float64).eps) + 2.0 * float(w.eps)
+        d2 = np.abs(r.child(3).normal(7, dtype=np.float64)) * 10.0 ** r.integers(-20, 20)
+        d2[0] = 0.0
+        for _ in range(2):  # the first build may form the constants, the second reuses them
+            gram = numerics.GramFloor(a, Reference(b))
+            assert gram.usable
+            lb = gram.lower(slice(None))
+            assert lb.dtype == work
+            want_floor = (lb.astype(np.float64) - absolute) * scale
+            assert gram.floor(lb).tobytes() == want_floor.tobytes()
+            want_t = ((d2 / scale + absolute) * widen).astype(work)
+            assert gram.threshold(d2).tobytes() == want_t.tobytes()
 
     def test_near_keeps_every_pair_when_unusable(self):
         a = np.full((3, 2), 1e154)
